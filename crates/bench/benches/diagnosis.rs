@@ -2,7 +2,7 @@
 //!
 //! Every proof obligation is wrapped in a labelled marker so a refutation
 //! can be attributed to a source command (see `crates/diagnose`). Labels
-//! are logically transparent — the differential suite asserts identical
+//! are logically transparent — `tests/diagnosis.rs` asserts identical
 //! outcomes and prover counters — so any cost is pure bookkeeping:
 //! carrying label sets through NNF conversion and recording them on
 //! branch literals. This bench pins that overhead under 10% by proving

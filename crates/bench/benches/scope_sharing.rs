@@ -1,16 +1,8 @@
-//! E19: scope-shared prover contexts and axiom slicing, cold and warm.
+//! E19: scope-shared prover contexts, cold and warm.
 //!
-//! * `e19_cold_matrix` — the full paper-corpus batch (parse, analysis, VC
-//!   generation, proving) under each cell of the strategy matrix:
-//!   {shared, per-obligation} contexts x {sliced, full} backgrounds. The
-//!   shared cells saturate each scope's background once and prove every
-//!   obligation of the scope inside a trail frame on top; the
-//!   per-obligation cells rebuild and resaturate a one-shot context per VC
-//!   through the same code path, so outcomes and statistics agree exactly
-//!   (tests/differential.rs pins this).
-//! * `e19_engine_cold` — the same default-strategy batch through the
-//!   incremental engine: fingerprinting plus the context pool, empty
-//!   caches.
+//! * `e19_engine_cold` — the full paper-corpus batch (parse, analysis, VC
+//!   generation, proving) through the incremental engine: fingerprinting
+//!   plus the context pool, empty caches.
 //! * `e19_edit_reverify` — re-verification with the verdict store
 //!   disabled (modelling an edit whose fingerprint misses): every round
 //!   reproves the scope's obligations, and a resident engine serves the
@@ -20,44 +12,8 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use datagroups::{CheckOptions, Checker};
 use oolong_corpus::paper;
 use oolong_engine::{BatchUnit, Engine, EngineOptions, MemoryTier};
-use oolong_syntax::parse_program;
-
-fn corpus_batch(options: &CheckOptions) -> usize {
-    let mut verified = 0;
-    for p in paper::all() {
-        let program = parse_program(p.source).expect("corpus parses");
-        let checker = Checker::new(&program, options.clone()).expect("corpus analyses");
-        let report = checker.check_all();
-        verified += report.tally().0;
-    }
-    verified
-}
-
-/// E19a: the cold strategy matrix over the whole corpus.
-fn e19_cold_matrix(c: &mut Criterion) {
-    let cells: [(&str, bool, bool); 4] = [
-        ("shared_sliced", true, true),
-        ("shared_full", true, false),
-        ("per_ob_sliced", false, true),
-        ("per_ob_full", false, false),
-    ];
-    let mut group = c.benchmark_group("e19_cold_matrix");
-    group.sample_size(10);
-    for (name, share, slice) in cells {
-        let options = CheckOptions {
-            share_contexts: share,
-            slice_axioms: slice,
-            ..CheckOptions::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &options, |b, options| {
-            b.iter(|| corpus_batch(options));
-        });
-    }
-    group.finish();
-}
 
 fn corpus_units() -> Vec<BatchUnit> {
     paper::all()
@@ -69,7 +25,7 @@ fn corpus_units() -> Vec<BatchUnit> {
         .collect()
 }
 
-/// E19b: the cold batch through the engine (fingerprints + context pool).
+/// E19a: the cold batch through the engine (fingerprints + context pool).
 fn e19_engine_cold(c: &mut Criterion) {
     let units = corpus_units();
     let mut group = c.benchmark_group("e19_engine_cold");
@@ -83,7 +39,7 @@ fn e19_engine_cold(c: &mut Criterion) {
     group.finish();
 }
 
-/// E19c: re-verification on a resident engine versus a cold start. The
+/// E19b: re-verification on a resident engine versus a cold start. The
 /// verdict store is a zero-capacity tier, modelling an edited body whose
 /// fingerprint misses: every round genuinely reproves the scope's three
 /// obligations (asserted per iteration). The resident engine checks the
@@ -93,22 +49,17 @@ fn e19_engine_cold(c: &mut Criterion) {
 /// `r.f := 1` → `:= 2` keeps the fingerprint and is answered from the
 /// verdict cache — that replay path is E13/E18's win, not this one.)
 fn e19_edit_reverify(c: &mut Criterion) {
+    // Store-only bodies of different lengths: distinct fingerprints, one
+    // keep-mask, so the scope's obligations share one context key.
     const UNIT: &str = "group g
          field f in g
          proc p(r) modifies r.g
          impl p(r) { r.f := 1 }
          proc q(r) modifies r.g
-         impl q(r) { r.f := 2 }
-         proc caller(r) modifies r.g
-         impl caller(r) { q(r) }";
-    // Slicing off so the scope's obligations share one context key.
-    let options = EngineOptions {
-        check: CheckOptions {
-            slice_axioms: false,
-            ..CheckOptions::default()
-        },
-        ..EngineOptions::default()
-    };
+         impl q(r) { r.f := 2 ; r.f := 3 }
+         proc w(r) modifies r.g
+         impl w(r) { r.f := 4 ; r.f := 5 ; r.f := 6 }";
+    let options = EngineOptions::default();
     let no_cache = || Arc::new(MemoryTier::with_capacity(0));
     let mut group = c.benchmark_group("e19_edit_reverify");
     let engine = Engine::with_store(options.clone(), no_cache());
@@ -134,5 +85,5 @@ fn e19_edit_reverify(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, e19_cold_matrix, e19_engine_cold, e19_edit_reverify);
+criterion_group!(benches, e19_engine_cold, e19_edit_reverify);
 criterion_main!(benches);

@@ -12,9 +12,6 @@
 //! Flags:
 //! * `--samples N` — timed samples after one warmup (default 10)
 //! * `--threshold-ms X` — fail (exit 1) if the median exceeds X
-//! * `--all-eager` — disable the declared pattern policies, forcing every
-//!   background axiom into pre-saturation (the pre-gating schedule); used
-//!   to measure what the goal-directed phase is worth
 //! * `--invariant-corpus` — swap the unit set for the generated
 //!   invariant + read-effect populations (10 seeds each), so the
 //!   invariant-preserved and read-license obligation kinds get their own
@@ -22,7 +19,6 @@
 
 use std::time::Instant;
 
-use datagroups::CheckOptions;
 use oolong_corpus::paper;
 use oolong_engine::{BatchUnit, Engine, EngineOptions};
 
@@ -66,16 +62,9 @@ fn main() {
         .unwrap_or(10);
     let threshold_ms: Option<f64> =
         arg_value(&args, "--threshold-ms").map(|v| v.parse().expect("--threshold-ms takes ms"));
-    let pattern_policies = !args.iter().any(|a| a == "--all-eager");
     let invariant_corpus = args.iter().any(|a| a == "--invariant-corpus");
 
-    let options = EngineOptions {
-        check: CheckOptions {
-            pattern_policies,
-            ..CheckOptions::default()
-        },
-        ..EngineOptions::default()
-    };
+    let options = EngineOptions::default();
     let units = if invariant_corpus {
         invariant_units()
     } else {
@@ -113,8 +102,7 @@ fn main() {
     };
     let rendered: Vec<String> = times_ms.iter().map(|t| format!("{t:.1}")).collect();
     println!(
-        "{{\"probe\":\"{probe}\",\"pattern_policies\":{pattern_policies},\
-         \"verified\":{},\"refuted\":{},\"unknown\":{},\"samples\":{samples},\
+        "{{\"probe\":\"{probe}\",\"verified\":{},\"refuted\":{},\"unknown\":{},\"samples\":{samples},\
          \"samples_ms\":[{}],\"median_ms\":{median:.1},\"threshold_ms\":{},\"pass\":{}}}",
         expected.0,
         expected.1,

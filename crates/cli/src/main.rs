@@ -38,7 +38,6 @@ use datagroups::{overhead, prover_metrics, BackgroundSlice, CheckOptions, Checke
 use oolong_diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis, Replay};
 use oolong_engine::{diagnosis_to_json, label_to_json, BatchUnit, Engine, EngineOptions, Json};
 use oolong_interp::{ExecConfig, Interp, RngOracle, RunOutcome};
-use oolong_prover::SearchStrategy;
 use oolong_sema::Scope;
 use oolong_serve::{Client, ServeOptions, Server};
 use oolong_syntax::parse_program;
@@ -62,30 +61,25 @@ fn usage() -> String {
     "usage:
   oolong check   <file|corpus:NAME> [--modular] [--naive] [--null-checks] [--explain]
                  [--explain-unknown] [--json] [--max-instances N] [--max-gen N]
-                 [--clone-search] [--no-share-contexts] [--no-slice-axioms]
-                 [--no-pattern-policies]
   oolong explain <file|corpus:NAME> [--proc NAME] [--cache-dir DIR] [--json]
                  [--naive] [--null-checks] [--max-instances N] [--max-gen N]
-                 [--clone-search]
   oolong infer   <file|corpus:NAME|stripped:NAME|unannotated:SEED> [--proc NAME]
                  [--reads] [--apply] [--json] [--max-rounds N] [--cache-dir DIR] [--no-cache]
                  [--naive] [--null-checks] [--max-instances N] [--max-gen N]
   oolong batch   <files|corpus:NAMEs...> [--cache-dir DIR] [--no-cache] [--workers N]
                  [--events PATH] [--json] [--naive] [--null-checks]
-                 [--max-instances N] [--max-gen N] [--clone-search]
-                 [--no-share-contexts] [--no-slice-axioms] [--no-pattern-policies]
+                 [--max-instances N] [--max-gen N]
   oolong recheck [--cache-dir DIR] [--events PATH] [--json]
   oolong serve   --socket PATH [--cache-dir DIR] [--no-cache] [--workers N] [--queue N]
                  [--mem-cap N] [--events PATH] [--json-log] [--quiet] [--naive]
-                 [--null-checks] [--max-instances N] [--max-gen N] [--clone-search]
+                 [--null-checks] [--max-instances N] [--max-gen N]
   oolong client  <request.json> | --eval '<json>' [--socket PATH]
   oolong run     <file|corpus:NAME> --proc NAME [--seeds N] [--owner-exclusion]
   oolong vc      <file|corpus:NAME> [--proc NAME]
   oolong stats   <file|corpus:NAME> [--json] [--naive] [--null-checks]
-                 [--max-instances N] [--max-gen N] [--no-share-contexts]
-                 [--no-slice-axioms] [--no-pattern-policies]
+                 [--max-instances N] [--max-gen N]
   oolong axioms  <file|corpus:NAME> [--json] [--naive] [--null-checks]
-                 [--max-instances N] [--max-gen N] [--no-pattern-policies]
+                 [--max-instances N] [--max-gen N]
   oolong corpus
   oolong experiments"
         .to_string()
@@ -95,6 +89,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(cmd) = args.first() else {
         return Err(usage());
     };
+    check_flags(&args[1..])?;
     match cmd.as_str() {
         "check" => cmd_check(&args[1..]),
         "explain" => cmd_explain(&args[1..]),
@@ -149,6 +144,40 @@ const VALUE_OPTS: &[&str] = &[
     "--eval",
 ];
 
+/// Names of options that take no value.
+const FLAGS: &[&str] = &[
+    "--apply",
+    "--explain",
+    "--explain-unknown",
+    "--json",
+    "--json-log",
+    "--modular",
+    "--naive",
+    "--no-cache",
+    "--null-checks",
+    "--owner-exclusion",
+    "--quiet",
+    "--reads",
+];
+
+/// Rejects any `--option` that is neither in [`FLAGS`] nor in
+/// [`VALUE_OPTS`], so a typo or a retired option fails instead of silently
+/// running something else.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut skip_next = false;
+    for a in args {
+        if std::mem::take(&mut skip_next) {
+            continue;
+        }
+        if VALUE_OPTS.contains(&a.as_str()) {
+            skip_next = true;
+        } else if a.starts_with("--") && !FLAGS.contains(&a.as_str()) {
+            return Err(format!("unknown flag `{a}`\n{}", usage()));
+        }
+    }
+    Ok(())
+}
+
 fn opt_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -194,18 +223,6 @@ fn check_options(args: &[String]) -> Result<CheckOptions, String> {
     }
     if let Some(n) = opt_value(args, "--max-gen") {
         options.budget.max_term_gen = n.parse().map_err(|_| "bad --max-gen")?;
-    }
-    if flag(args, "--clone-search") {
-        options.strategy = SearchStrategy::CloneSearch;
-    }
-    if flag(args, "--no-share-contexts") {
-        options.share_contexts = false;
-    }
-    if flag(args, "--no-slice-axioms") {
-        options.slice_axioms = false;
-    }
-    if flag(args, "--no-pattern-policies") {
-        options.pattern_policies = false;
     }
     Ok(options)
 }
@@ -1054,7 +1071,6 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
     let program = parse_program(&source).map_err(|e| e.render(&source))?;
     let checker = Checker::new(&program, check_options(args)?).map_err(|e| e.render(&source))?;
     let policies = checker.background_policies();
-    let phases = checker.background_phases();
 
     // Per-axiom telemetry, summed over every obligation. Each VC is proved
     // against the full background so the per-quantifier rows line up with
@@ -1109,7 +1125,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
                     ("name".to_string(), Json::Str(name.clone())),
                     (
                         "phase".to_string(),
-                        Json::Str(phases[i].as_str().to_string()),
+                        Json::Str(policy.phase.as_str().to_string()),
                     ),
                     (
                         "pats".to_string(),
@@ -1142,7 +1158,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     for (i, (name, _, policy)) in policies.iter().enumerate() {
-        println!("{name} [{}]", phases[i]);
+        println!("{name} [{}]", policy.phase);
         for t in pats(policy) {
             println!("  PATS {t}");
         }

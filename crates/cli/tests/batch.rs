@@ -103,3 +103,28 @@ fn check_json_is_parseable_shape() {
     assert!(stdout.contains("\"summary\":"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn unknown_flags_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("oolong-cli-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("test dir");
+    // A retired option and a typo of a value option: both must fail with
+    // exit 2 before any checking runs, not silently check something else.
+    for args in [
+        &["batch", "corpus:example1", "--no-slice-axioms"][..],
+        &["check", "corpus:example1", "--max-instance", "5"][..],
+    ] {
+        let out = oolong(args, &dir);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing was checked");
+    }
+    assert!(
+        !dir.join(".oolong-cache").exists(),
+        "a rejected batch writes no cache"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

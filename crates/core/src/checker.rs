@@ -12,7 +12,7 @@ use oolong_syntax::{Diagnostic, Diagnostics, Program};
 use std::fmt;
 
 /// Configuration for a [`Checker`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckOptions {
     /// Prover resource limits.
     pub budget: Budget,
@@ -27,47 +27,10 @@ pub struct CheckOptions {
     /// Check at the arrays language level even when the scope uses no
     /// array features (for linking against arrays-level modules).
     pub force_arrays_level: bool,
-    /// How the prover backtracks out of case splits. The default
-    /// ([`SearchStrategy::Trail`], unless overridden by the
-    /// `OOLONG_PROVER_CLONE_SEARCH` environment variable) is right for
-    /// everything except differential testing and benchmarking of the
-    /// backtracking mechanism itself.
+    /// How the prover backtracks out of case splits. [`SearchStrategy`]
+    /// has exactly one value, [`SearchStrategy::Trail`]; the field names it
+    /// for callers that key prover contexts by strategy.
     pub strategy: SearchStrategy,
-    /// Build one prover context per scope-background group and prove each
-    /// obligation inside a trail frame of it, instead of rebuilding and
-    /// re-saturating the background for every obligation. Outcomes and
-    /// statistics are identical either way (the differential harness
-    /// checks this); off is useful only for differential testing and as
-    /// the benchmark baseline.
-    pub share_contexts: bool,
-    /// Slice away background axioms whose declared triggers can never
-    /// match the obligation's reachable vocabulary (see [`crate::slice`]).
-    /// Sound by construction — a sliced axiom has zero E-matches — so off
-    /// is again only for differential testing and benchmarking.
-    pub slice_axioms: bool,
-    /// Honor the background axioms' declared activation policies
-    /// ([`oolong_logic::PatternPolicy`]): goal-directed axioms arm only
-    /// inside each obligation's frame instead of participating in the
-    /// shared context's pre-saturation. The phase is scheduling metadata,
-    /// not logic — verdicts and labels are unchanged (the differential
-    /// harness checks this across the policy dimension) — so off is only
-    /// for differential testing and benchmarking the E19 regression.
-    pub pattern_policies: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            budget: Budget::default(),
-            naive: false,
-            null_checks: false,
-            force_arrays_level: false,
-            strategy: SearchStrategy::from_env(),
-            share_contexts: true,
-            slice_axioms: true,
-            pattern_policies: true,
-        }
-    }
 }
 
 /// Everything the prover reports about a rejected verification condition:
@@ -268,10 +231,20 @@ impl fmt::Display for Report {
 }
 
 /// The modular side-effect checker for one scope.
+///
+/// Every obligation is proved the same way: its scope background is
+/// sliced to the axioms relevant to the VC (see [`crate::slice`]),
+/// obligations with equal slices share one prover context saturated once,
+/// and each proof runs inside a trail frame of that context, with
+/// goal-directed axioms armed only inside the frame.
 #[derive(Debug)]
 pub struct Checker {
     scope: Scope,
     options: CheckOptions,
+    /// The declared scheduling phase of every scope-background axiom,
+    /// index-aligned with the VC's background hypotheses. A pure function
+    /// of the scope and options, so it is computed once per checker.
+    phases: Vec<Phase>,
 }
 
 impl Checker {
@@ -282,15 +255,22 @@ impl Checker {
     /// Returns the scope-analysis diagnostics if the program is ill-formed
     /// (undeclared names, inclusion cycles, parameter mismatches, …).
     pub fn new(program: &Program, options: CheckOptions) -> Result<Checker, Diagnostics> {
-        Ok(Checker {
-            scope: Scope::analyze(program)?,
-            options,
-        })
+        Ok(Checker::from_scope(Scope::analyze(program)?, options))
     }
 
     /// Wraps an already-analysed scope.
     pub fn from_scope(scope: Scope, options: CheckOptions) -> Checker {
-        Checker { scope, options }
+        let mut checker = Checker {
+            scope,
+            options,
+            phases: Vec::new(),
+        };
+        checker.phases = checker
+            .background_policies()
+            .into_iter()
+            .map(|(_, _, policy)| policy.phase)
+            .collect();
+        checker
     }
 
     /// The underlying scope.
@@ -359,35 +339,13 @@ impl Checker {
         )
     }
 
-    /// The effective scheduling phase of every scope-background axiom,
-    /// index-aligned with the VC's background hypotheses. All-`Eager` when
-    /// [`CheckOptions::pattern_policies`] is off — that cell of the
-    /// differential matrix reproduces the PR-7 goalless saturation
-    /// schedule.
-    pub fn background_phases(&self) -> Vec<Phase> {
-        let policies = self.background_policies();
-        if self.options.pattern_policies {
-            policies.into_iter().map(|(_, _, p)| p.phase).collect()
-        } else {
-            vec![Phase::Eager; policies.len()]
-        }
-    }
-
     /// The axiom-relevance slice of a VC's scope background: which of the
-    /// leading `background_hyps` hypotheses to keep. All-true when slicing
-    /// is disabled.
+    /// leading `background_hyps` hypotheses to keep.
     pub fn background_slice(&self, vc: &Vc) -> BackgroundSlice {
-        let background = &vc.hypotheses[..vc.background_hyps];
-        if self.options.slice_axioms {
-            let seeds = vc.hypotheses[vc.background_hyps..]
-                .iter()
-                .chain(std::iter::once(&vc.goal));
-            slice_background(background, seeds)
-        } else {
-            BackgroundSlice {
-                keep: vec![true; background.len()],
-            }
-        }
+        let seeds = vc.hypotheses[vc.background_hyps..]
+            .iter()
+            .chain(std::iter::once(&vc.goal));
+        slice_background(&vc.hypotheses[..vc.background_hyps], seeds)
     }
 
     /// The kept background formulas of `vc` under `slice`, in order.
@@ -403,11 +361,11 @@ impl Checker {
     /// The kept axioms' scheduling phases under `slice`, index-aligned
     /// with [`Checker::sliced_background`].
     pub fn sliced_phases(&self, slice: &BackgroundSlice) -> Vec<Phase> {
-        self.background_phases()
-            .into_iter()
+        self.phases
+            .iter()
             .zip(&slice.keep)
             .filter(|(_, &k)| k)
-            .map(|(p, _)| p)
+            .map(|(&p, _)| p)
             .collect()
     }
 
@@ -420,7 +378,6 @@ impl Checker {
             &self.sliced_background(vc, slice),
             &self.sliced_phases(slice),
             &self.options.budget,
-            self.options.strategy,
         )
     }
 
@@ -448,7 +405,7 @@ impl Checker {
     ///
     /// Builds a one-shot scope context: the same code path as shared
     /// checking, so outcomes and statistics agree exactly with
-    /// [`Checker::check_all`] whatever the sharing mode.
+    /// [`Checker::check_all`].
     pub fn verdict_for_vc(&self, vc: &Vc) -> Verdict {
         let slice = self.background_slice(vc);
         let mut ctx = self.context_for_slice(vc, &slice);
@@ -509,11 +466,11 @@ impl Checker {
     /// The report lists implementations in declaration order regardless of
     /// thread interleaving.
     ///
-    /// With [`CheckOptions::share_contexts`] on, obligations whose sliced
-    /// background agrees are grouped, each group saturates its scope
-    /// context once, and every member proves inside a trail frame of it.
-    /// Groups — not individual obligations — are the unit of work
-    /// distribution, so a context is only ever touched by one thread.
+    /// Obligations whose sliced background agrees are grouped, each group
+    /// saturates its scope context once, and every member proves inside a
+    /// trail frame of it. Groups — not individual obligations — are the
+    /// unit of work distribution, so a context is only ever touched by one
+    /// thread.
     pub fn check_all_with_workers(&self, workers: usize) -> Report {
         let ids: Vec<ImplId> = self.scope.impls().map(|(id, _)| id).collect();
         let mut slots: Vec<Option<ImplReport>> = ids.iter().map(|_| None).collect();
@@ -571,22 +528,17 @@ impl Checker {
         // the unsliced background list is structurally identical across
         // implementations (the fresh-name generator restarts per VC), so
         // equal masks mean equal sliced backgrounds.
-        let groups: Vec<Vec<usize>> = if self.options.share_contexts {
-            let mut keys: Vec<&[bool]> = Vec::new();
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for (t, todo) in todos.iter().enumerate() {
-                match keys.iter().position(|k| *k == todo.slice.keep.as_slice()) {
-                    Some(g) => groups[g].push(t),
-                    None => {
-                        keys.push(&todo.slice.keep);
-                        groups.push(vec![t]);
-                    }
+        let mut keys: Vec<&[bool]> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (t, todo) in todos.iter().enumerate() {
+            match keys.iter().position(|k| *k == todo.slice.keep.as_slice()) {
+                Some(g) => groups[g].push(t),
+                None => {
+                    keys.push(&todo.slice.keep);
+                    groups.push(vec![t]);
                 }
             }
-            groups
-        } else {
-            (0..todos.len()).map(|t| vec![t]).collect()
-        };
+        }
 
         let prove_group = |members: &[usize]| -> Vec<(usize, ImplReport)> {
             let first = &todos[members[0]];

@@ -165,8 +165,8 @@ pub fn generate_cyclic_source(seed: u64) -> String {
 /// `wlp` turns each choice into a conjunction of both arms, so the negated
 /// verification condition is a disjunction tree with `2^depth` leaves —
 /// the prover must case-split through all of them, making these programs
-/// the stress population for backtracking-search benchmarks (E15) and the
-/// trail-vs-clone differential suite. The seed varies the bump amounts
+/// the stress population for backtracking search (E15) and the golden
+/// ledger. The seed varies the bump amounts
 /// and benign decoration; the branch structure depends only on `depth`.
 pub fn generate_branchy_source(seed: u64, depth: usize) -> String {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -542,25 +542,22 @@ impl Engine {
             };
         }
 
-        let verdict = if checker.options().share_contexts {
-            // Prove inside a warm scope context from the pool, building
-            // (and thereby saturating) it only on the first encounter of
-            // this sliced background. The slot mutex keys same-scope
-            // obligations to one thread at a time; unrelated scopes
-            // proceed in parallel.
-            let background = checker.sliced_background(&vc, &slice);
-            let key = context_key(
-                &background,
-                &phases,
-                &checker.options().budget,
-                checker.options().strategy,
-            );
+        // Prove inside a warm scope context from the pool, building (and
+        // thereby saturating) it only on the first encounter of this sliced
+        // background. The slot mutex keys same-scope obligations to one
+        // thread at a time; unrelated scopes proceed in parallel.
+        let background = checker.sliced_background(&vc, &slice);
+        let key = context_key(
+            &background,
+            &phases,
+            &checker.options().budget,
+            checker.options().strategy,
+        );
+        let verdict = {
             let slot = self.contexts.checkout(key);
             let mut guard = slot.lock().expect("context slot lock poisoned");
             let ctx = guard.get_or_insert_with(|| checker.context_for_slice(&vc, &slice));
             checker.verdict_for_vc_in(ctx, &vc, slice.dropped())
-        } else {
-            checker.verdict_for_vc(&vc)
         };
         let diagnosis = match (&verdict, self.options.diagnose) {
             (Verdict::NotVerified(_, refutation), true) => {
@@ -593,7 +590,7 @@ impl Engine {
                 stats: stats.clone(),
             },
             Verdict::RestrictionViolation(_) | Verdict::TranslationError(_) => {
-                unreachable!("verdict_for_vc only returns prover verdicts")
+                unreachable!("verdict_for_vc_in only returns prover verdicts")
             }
         };
         let profile = Event::ProverProfile {

@@ -48,8 +48,8 @@ use std::str::FromStr;
 /// joins the hash inputs. Phase gating never changes an outcome, but it
 /// moves instantiations between pre-saturation and the obligation frame,
 /// so a v3 entry would replay the goalless-saturation telemetry as if it
-/// were current — and flipping `--no-pattern-policies` must re-prove, not
-/// hit. Same migration by miss.
+/// were current — and a change of schedule must re-prove, not hit. Same
+/// migration by miss.
 ///
 /// Version 5: the scope background gained the per-field
 /// `local-inc-members` axiom (fields have no proper members — a
@@ -91,12 +91,9 @@ impl FromStr for Fingerprint {
 }
 
 /// The fingerprint of the obligation "prove `vc` under `budget`, keeping
-/// the background axioms `keep` selects (the checker's relevance slice —
-/// all-true when slicing is off, which therefore fingerprints differently
-/// from any proper slice) and scheduling the kept axioms by `phases` (the
-/// effective activation phases, index-aligned with the *kept* axioms —
-/// all-`Eager` when `--no-pattern-policies`, which again fingerprints
-/// differently from the policy-gated schedule)".
+/// the background axioms `keep` selects (the checker's relevance slice)
+/// and scheduling the kept axioms by `phases` (the declared activation
+/// phases, index-aligned with the *kept* axioms)".
 pub fn fingerprint_vc(vc: &Vc, budget: &Budget, keep: &[bool], phases: &[Phase]) -> Fingerprint {
     let mut hasher = StableHasher::new();
     FINGERPRINT_VERSION.hash(&mut hasher);
@@ -139,8 +136,8 @@ mod tests {
          proc bump(r) modifies r.value
          impl bump(r) { r.num := 3 }";
 
-    /// Fingerprint with the trivial (all-kept) slice and an all-eager
-    /// phase mask.
+    /// Fingerprint with the trivial (all-kept) slice and every axiom
+    /// scheduled `Eager`.
     fn fp(vc: &Vc, budget: &Budget) -> Fingerprint {
         fingerprint_vc(
             vc,
@@ -189,8 +186,8 @@ mod tests {
     fn phase_mask_is_part_of_the_obligation() {
         // The same VC under a different activation schedule is a different
         // content address: gating moves instantiations between presat and
-        // goal, so a cached entry must not be served across policy changes
-        // (e.g. flipping --no-pattern-policies).
+        // goal, so a cached entry must not be served across schedule
+        // changes.
         let vcs = vcs_for(BASE);
         let keep = vec![true; vcs[0].background_hyps];
         let mut phases = vec![Phase::Eager; vcs[0].background_hyps];

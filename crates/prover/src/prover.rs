@@ -8,7 +8,8 @@
 //! 1. ground literals are asserted into the E-graph (congruence closure,
 //!    interpreted constants, eager arithmetic evaluation);
 //! 2. disjunctions are simplified against the current state and case-split
-//!    with backtracking (the E-graph is cloned at each branch);
+//!    with backtracking (each arm runs between a checkpoint and a rollback
+//!    of one shared E-graph's undo trail);
 //! 3. when a branch is ground-saturated, quantified hypotheses are
 //!    instantiated by matching their triggers against the E-graph, and the
 //!    loop repeats. Saturation runs **before** case splitting (instances
@@ -289,15 +290,14 @@ pub struct Stats {
     pub merges: u64,
     /// Disjunctions registered for case splitting (clause count).
     pub clauses: u64,
-    /// High-water mark of the E-graph undo trail (trail-mode search only;
-    /// zero under the clone-based reference strategy).
+    /// High-water mark of the E-graph undo trail.
     pub trail_depth_max: usize,
-    /// Checkpoints unwound by backtracking (trail mode only).
+    /// Checkpoints unwound by backtracking.
     pub pops: u64,
-    /// E-graph merges rolled back by backtracking (trail mode only).
+    /// E-graph merges rolled back by backtracking.
     pub undone_merges: u64,
     /// Background axioms pruned by relevance slicing before the proof
-    /// attempt (zero when slicing is disabled). Set by the checker, which
+    /// attempt (zero for a full background). Set by the checker, which
     /// owns the slicing decision; deterministic per fingerprinted
     /// obligation because the sliced axiom set is part of the fingerprint.
     pub sliced_axioms: usize,
@@ -382,20 +382,6 @@ impl Stats {
             reason,
             culprits: self.top_culprits(5).into_iter().cloned().collect(),
         })
-    }
-
-    /// This stats record with the strategy-specific trail counters zeroed.
-    /// Every other counter is identical between the trail and clone search
-    /// strategies (they execute the same search); the trail counters
-    /// describe the backtracking mechanism itself, so differential
-    /// comparisons normalize them away with this.
-    pub fn without_trail_counters(&self) -> Stats {
-        Stats {
-            trail_depth_max: 0,
-            pops: 0,
-            undone_merges: 0,
-            ..self.clone()
-        }
     }
 }
 
@@ -552,7 +538,9 @@ impl Proof {
     }
 }
 
-/// How the search backtracks out of case-split arms.
+/// How the search backtracks out of case-split arms. There is exactly one
+/// strategy; the type stays so that checker options and context-pool keys
+/// keep naming it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SearchStrategy {
     /// One shared context; each arm runs between checkpoint and rollback
@@ -560,58 +548,22 @@ pub enum SearchStrategy {
     /// branch is proportional to the work the branch performs.
     #[default]
     Trail,
-    /// The clone-based reference: each arm deep-copies the whole context.
-    /// Retained for differential testing and the e15 benchmark; cost per
-    /// branch is proportional to the size of the accumulated state.
-    CloneSearch,
-}
-
-impl SearchStrategy {
-    /// The process default: [`SearchStrategy::Trail`], unless the
-    /// `OOLONG_PROVER_CLONE_SEARCH` environment variable is set (checked
-    /// once per process).
-    pub fn from_env() -> SearchStrategy {
-        static CLONE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *CLONE.get_or_init(|| std::env::var_os("OOLONG_PROVER_CLONE_SEARCH").is_some()) {
-            SearchStrategy::CloneSearch
-        } else {
-            SearchStrategy::Trail
-        }
-    }
 }
 
 /// Proves `hypotheses ⇒ goal` by refuting `hypotheses ∧ ¬goal`.
 pub fn prove(hypotheses: &[Formula], goal: &Formula, budget: &Budget) -> Proof {
-    prove_with_strategy(hypotheses, goal, budget, SearchStrategy::from_env())
-}
-
-/// [`prove`] with an explicit backtracking strategy.
-pub fn prove_with_strategy(
-    hypotheses: &[Formula],
-    goal: &Formula,
-    budget: &Budget,
-    strategy: SearchStrategy,
-) -> Proof {
     let mut fresh = FreshGen::new();
     let mut parts: Vec<Nnf> = hypotheses
         .iter()
         .map(|h| to_nnf(h, true, &mut fresh))
         .collect();
     parts.push(to_nnf(goal, false, &mut fresh));
-    refute_with_strategy(parts, budget, strategy)
+    refute(parts, budget)
 }
 
 /// Refutes a conjunction of NNF formulas: [`Outcome::Proved`] means the
 /// conjunction is unsatisfiable.
 pub fn refute(parts: Vec<Nnf>, budget: &Budget) -> Proof {
-    refute_with_strategy(parts, budget, SearchStrategy::from_env())
-}
-
-/// [`refute`] with an explicit backtracking strategy. Both strategies
-/// execute the identical search and report identical outcomes and
-/// counters, except for the trail-specific telemetry (see
-/// [`Stats::without_trail_counters`]).
-pub fn refute_with_strategy(parts: Vec<Nnf>, budget: &Budget, strategy: SearchStrategy) -> Proof {
     let start = std::time::Instant::now();
     let mut shared = Shared {
         budget: budget.clone(),
@@ -621,7 +573,6 @@ pub fn refute_with_strategy(parts: Vec<Nnf>, budget: &Budget, strategy: SearchSt
         fuel: None,
         open_branch: None,
         model: None,
-        strategy,
         presat: false,
     };
     let mut ctx = Ctx {
@@ -642,15 +593,12 @@ pub fn refute_with_strategy(parts: Vec<Nnf>, budget: &Budget, strategy: SearchSt
     };
     let outcome = outcome_of(search(&mut ctx, 0, &mut shared), shared.fuel);
     let mut stats = shared.stats;
-    if strategy == SearchStrategy::Trail {
-        // Under the clone strategy `search` sums per-frame merge deltas;
-        // with a single shared E-graph the monotonic counter is the same
-        // total, counted once.
-        stats.merges = ctx.eg.merges_performed();
-        stats.trail_depth_max = ctx.eg.trail_high_water();
-        stats.pops = ctx.eg.pops();
-        stats.undone_merges = ctx.eg.undone_merges();
-    }
+    // One E-graph serves every branch, so its monotonic counters count
+    // each merge and pop exactly once.
+    stats.merges = ctx.eg.merges_performed();
+    stats.trail_depth_max = ctx.eg.trail_high_water();
+    stats.pops = ctx.eg.pops();
+    stats.undone_merges = ctx.eg.undone_merges();
     stats.exhausted = match outcome {
         Outcome::Unknown(reason) => Some(reason),
         _ => None,
@@ -708,11 +656,10 @@ fn render_per_quant(quant_meta: &[QuantMeta]) -> Vec<QuantProfile> {
 ///
 /// The background formulas are asserted and ground-saturated **once**; any
 /// number of obligations can then be proved against the saturated state,
-/// each one inside a checkpoint/rollback frame of the shared E-graph
-/// (trail mode) or against a clone of it (clone mode). This amortizes
-/// context construction — NNF conversion, interning, background quantifier
-/// saturation — across every obligation of a scope, the way Boogie asserts
-/// its `UnivBackPred` once per prover session.
+/// each one inside a checkpoint/rollback frame of the shared E-graph. This
+/// amortizes context construction — NNF conversion, interning, background
+/// quantifier saturation — across every obligation of a scope, the way
+/// Boogie asserts its `UnivBackPred` once per prover session.
 ///
 /// Proofs are **order-independent**: every [`ScopeContext::prove`] call
 /// starts from private copies of the mutable search state (statistics,
@@ -720,11 +667,9 @@ fn render_per_quant(quant_meta: &[QuantMeta]) -> Vec<QuantProfile> {
 /// E-graph exactly as it found it, so a context proves a given obligation
 /// to the same [`Proof`] — outcome *and* deterministic stats — no matter
 /// what was proved before it, and identically whether the context is
-/// shared across a scope or built one-shot for a single obligation. The
-/// differential matrix harness relies on this equivalence.
+/// shared across a scope or built one-shot for a single obligation.
 pub struct ScopeContext {
     budget: Budget,
-    strategy: SearchStrategy,
     base: Ctx,
     /// Work counters accumulated while building the base. Every proof's
     /// stats start from a copy, so construction cost is reported in each
@@ -755,7 +700,6 @@ pub struct ScopeContext {
 impl fmt::Debug for ScopeContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ScopeContext")
-            .field("strategy", &self.strategy)
             .field("axioms", &self.axiom_quants.len())
             .field("quants", &self.base_quant_meta.len())
             .field("base_merges", &self.base_merges)
@@ -774,8 +718,8 @@ impl ScopeContext {
     /// proof's own search. A contradictory background makes every proof
     /// succeed; a background that exhausts the budget poisons the context
     /// and makes every proof report [`Outcome::Unknown`].
-    pub fn new(background: &[Formula], budget: &Budget, strategy: SearchStrategy) -> ScopeContext {
-        ScopeContext::new_with_phases(background, &[], budget, strategy)
+    pub fn new(background: &[Formula], budget: &Budget) -> ScopeContext {
+        ScopeContext::new_with_phases(background, &[], budget)
     }
 
     /// [`ScopeContext::new`] honoring a per-axiom activation [`Phase`]
@@ -795,7 +739,6 @@ impl ScopeContext {
         background: &[Formula],
         phases: &[Phase],
         budget: &Budget,
-        strategy: SearchStrategy,
     ) -> ScopeContext {
         let mut fresh = FreshGen::new();
         let mut shared = Shared {
@@ -806,7 +749,6 @@ impl ScopeContext {
             fuel: None,
             open_branch: None,
             model: None,
-            strategy,
             presat: true,
         };
         let mut ctx = Ctx {
@@ -885,13 +827,9 @@ impl ScopeContext {
         }
         let base_merges = ctx.eg.merges_performed();
         let mut base_stats = shared.stats;
-        // Pre-seed the merge counter with the base total: clone-mode
-        // frame-delta accounting then adds each proof's own merges on top,
-        // and the trail-mode fix-up in `prove` reproduces the same sum.
         base_stats.merges = base_merges;
         ScopeContext {
             budget: budget.clone(),
-            strategy,
             base: ctx,
             base_stats,
             base_quant_ids: shared.quant_ids,
@@ -946,38 +884,25 @@ impl ScopeContext {
             fuel: None,
             open_branch: None,
             model: None,
-            strategy: self.strategy,
             presat: false,
         };
-        let (outcome, mut stats) = match self.strategy {
-            SearchStrategy::Trail => {
-                // Monotonic-counter samples so the proof reports only its
-                // own trail work (plus the base merges), not the lifetime
-                // totals of a long-lived shared E-graph.
-                let merges_before = self.base.eg.merges_performed();
-                let pops_before = self.base.eg.pops();
-                let undone_before = self.base.eg.undone_merges();
-                self.base.eg.reset_trail_high_water();
-                let cp = self.base.checkpoint();
-                arm_gated(&mut self.base, &mut shared, &self.gated_quants);
-                self.base.pending.extend(parts.into_iter().map(|p| (p, 0)));
-                let outcome = outcome_of(search(&mut self.base, 0, &mut shared), shared.fuel);
-                let mut stats = shared.stats;
-                stats.merges = self.base_merges + (self.base.eg.merges_performed() - merges_before);
-                stats.trail_depth_max = self.base.eg.trail_high_water();
-                stats.pops = self.base.eg.pops() - pops_before;
-                stats.undone_merges = self.base.eg.undone_merges() - undone_before;
-                self.base.rollback(cp);
-                (outcome, stats)
-            }
-            SearchStrategy::CloneSearch => {
-                let mut child = self.base.clone();
-                arm_gated(&mut child, &mut shared, &self.gated_quants);
-                child.pending.extend(parts.into_iter().map(|p| (p, 0)));
-                let outcome = outcome_of(search(&mut child, 0, &mut shared), shared.fuel);
-                (outcome, shared.stats)
-            }
-        };
+        // Monotonic-counter samples so the proof reports only its own trail
+        // work (plus the base merges), not the lifetime totals of a
+        // long-lived shared E-graph.
+        let merges_before = self.base.eg.merges_performed();
+        let pops_before = self.base.eg.pops();
+        let undone_before = self.base.eg.undone_merges();
+        self.base.eg.reset_trail_high_water();
+        let cp = self.base.checkpoint();
+        arm_gated(&mut self.base, &mut shared, &self.gated_quants);
+        self.base.pending.extend(parts.into_iter().map(|p| (p, 0)));
+        let outcome = outcome_of(search(&mut self.base, 0, &mut shared), shared.fuel);
+        let mut stats = shared.stats;
+        stats.merges = self.base_merges + (self.base.eg.merges_performed() - merges_before);
+        stats.trail_depth_max = self.base.eg.trail_high_water();
+        stats.pops = self.base.eg.pops() - pops_before;
+        stats.undone_merges = self.base.eg.undone_merges() - undone_before;
+        self.base.rollback(cp);
         stats.exhausted = match outcome {
             Outcome::Unknown(reason) => Some(reason),
             _ => None,
@@ -1021,11 +946,6 @@ impl ScopeContext {
         &self.budget
     }
 
-    /// The search strategy the context was built with.
-    pub fn strategy(&self) -> SearchStrategy {
-        self.strategy
-    }
-
     /// A rendering of the shared E-graph's state, for asserting that a
     /// proof's rollback left the context byte-clean.
     pub fn debug_state(&self) -> String {
@@ -1056,8 +976,6 @@ struct Shared {
     open_branch: Option<Vec<String>>,
     /// Exported context of the first saturated open branch.
     model: Option<CandidateModel>,
-    /// How case-split arms are backtracked.
-    strategy: SearchStrategy,
     /// Whether the search is currently in background pre-saturation (true
     /// only while [`ScopeContext::new`] builds the base); instantiations
     /// are attributed to the presat/goal telemetry split by this flag.
@@ -1101,7 +1019,6 @@ struct Quant {
 /// A disjunction awaiting a case split. Arms falsified by the current
 /// state are *masked* (`live[k] = false`) rather than removed, so
 /// backtracking revives them in O(1); dead arms are never re-evaluated.
-#[derive(Clone)]
 struct SplitClause {
     arms: Vec<Nnf>,
     /// Matching generation of the originating fact.
@@ -1129,7 +1046,6 @@ impl SplitClause {
 /// counterpart of the E-graph's own undo trail, for `splits` and `seen`).
 /// `pending` and `quants` only grow between checkpoints, so they roll back
 /// by truncation instead of per-entry records.
-#[derive(Clone)]
 enum CtxUndo {
     /// A clause was appended to `splits`.
     SplitAdded,
@@ -1142,7 +1058,7 @@ enum CtxUndo {
 }
 
 /// A checkpoint over the full context, taken before exploring a split arm
-/// in trail mode (see [`Ctx::checkpoint`] / [`Ctx::rollback`]).
+/// (see [`Ctx::checkpoint`] / [`Ctx::rollback`]).
 struct Checkpoint {
     eg: crate::egraph::EgMark,
     trail_len: usize,
@@ -1161,7 +1077,6 @@ struct Checkpoint {
 /// order). Cached bindings are still *walked* normally on reuse, so
 /// instance terms, deferrals, and every counter come out identical to a
 /// real rematch; only the E-graph scan is skipped.
-#[derive(Clone)]
 struct MatchCacheEntry {
     /// Symbols the trigger's full match consults.
     syms: Vec<crate::egraph::Sym>,
@@ -1178,7 +1093,6 @@ struct MatchCacheEntry {
     bindings: Vec<crate::matcher::Binding>,
 }
 
-#[derive(Clone)]
 struct Ctx {
     eg: EGraph,
     /// Facts to assert, each stamped with its matching generation.
@@ -1204,7 +1118,7 @@ struct Ctx {
     /// covers new quantifiers, so only merges can enable anything else).
     full_pass_merges: u64,
     /// Undo entries for `splits`/`seen` recorded since the oldest active
-    /// checkpoint (trail mode; empty in clone mode).
+    /// checkpoint.
     trail: Vec<CtxUndo>,
     /// Active checkpoints; context mutations record onto `trail` only
     /// when non-zero.
@@ -1302,24 +1216,6 @@ impl Ctx {
 }
 
 fn search(ctx: &mut Ctx, depth: usize, shared: &mut Shared) -> Branch {
-    match shared.strategy {
-        // Trail mode shares one E-graph, so its monotonic merge counter
-        // already counts every merge once; `refute_with_strategy` copies
-        // it into the stats at the end.
-        SearchStrategy::Trail => search_frame(ctx, depth, shared),
-        SearchStrategy::CloneSearch => {
-            // Frame-delta merge accounting: each child branch clones the
-            // E-graph, so counting each frame's own growth sums every
-            // merge exactly once.
-            let merges_at_entry = ctx.eg.merge_count();
-            let verdict = search_frame(ctx, depth, shared);
-            shared.stats.merges += ctx.eg.merge_count().saturating_sub(merges_at_entry);
-            verdict
-        }
-    }
-}
-
-fn search_frame(ctx: &mut Ctx, depth: usize, shared: &mut Shared) -> Branch {
     shared.stats.max_depth = shared.stats.max_depth.max(depth);
     if depth >= shared.budget.max_depth {
         return out_of_fuel(shared, UnknownReason::Depth);
@@ -1341,9 +1237,9 @@ fn search_frame(ctx: &mut Ctx, depth: usize, shared: &mut Shared) -> Branch {
             continue; // unit propagation produced new facts
         }
         // 3. Saturate quantifiers BEFORE splitting: instances produced
-        //    here are inherited by every branch below (via the per-branch
-        //    seen-set cloned from this context), avoiding re-derivation
-        //    once per branch.
+        //    here are inherited by every branch below (the seen-set only
+        //    rolls back past them when this frame unwinds), avoiding
+        //    re-derivation once per branch.
         shared.stats.rounds += 1;
         if shared.stats.rounds > shared.budget.max_rounds {
             return out_of_fuel(shared, UnknownReason::Rounds);
@@ -1378,20 +1274,10 @@ fn search_frame(ctx: &mut Ctx, depth: usize, shared: &mut Shared) -> Branch {
                 if trace_enabled() {
                     eprintln!("[{:indent$}branch {arm}]", "", indent = depth.min(20));
                 }
-                let verdict = match shared.strategy {
-                    SearchStrategy::Trail => {
-                        let cp = ctx.checkpoint();
-                        ctx.pending.push((arm, clause.gen));
-                        let verdict = search(ctx, depth + 1, shared);
-                        ctx.rollback(cp);
-                        verdict
-                    }
-                    SearchStrategy::CloneSearch => {
-                        let mut child = ctx.clone();
-                        child.pending.push((arm, clause.gen));
-                        search(&mut child, depth + 1, shared)
-                    }
-                };
+                let cp = ctx.checkpoint();
+                ctx.pending.push((arm, clause.gen));
+                let verdict = search(ctx, depth + 1, shared);
+                ctx.rollback(cp);
                 if trace_enabled() {
                     eprintln!("[{:indent$}-> {verdict:?}]", "", indent = depth.min(20));
                 }
@@ -1548,8 +1434,8 @@ fn park_gated_quant(
 }
 
 /// Activates the context's gated quantifiers in the current branch. Runs
-/// after the obligation frame's checkpoint (trail) or on the frame's clone,
-/// so rollback/drop disarms them; armed quantifiers sit past
+/// after the obligation frame's checkpoint, so the rollback disarms them;
+/// armed quantifiers sit past
 /// `fresh_quants_from` and get a full matching pass on the frame's first
 /// saturation round, exactly like a quantifier registered by the
 /// obligation itself.

@@ -26,8 +26,8 @@
 //! A unit is either a string (a `corpus:NAME` reference or a server-side
 //! file path) or an inline `{"name", "source"}` object. `options` may
 //! override the prover budget (`max_instances`, `max_gen`) and toggle
-//! `naive` / `null_checks` / `explain` / `no_pattern_policies` per
-//! request.
+//! `naive` / `null_checks` / `explain` per request; any other key is an
+//! error.
 //!
 //! ## Responses
 //!
@@ -153,12 +153,16 @@ pub struct RequestOptions {
     pub null_checks: bool,
     /// Compute full source-level diagnoses for rejections.
     pub explain: bool,
-    /// Schedule every background axiom eagerly, ignoring the declared
-    /// activation phases (the PR-7 goalless-saturation schedule). Off by
-    /// default; the engine keys contexts and fingerprints on the phase
-    /// mask, so flipping this re-proves instead of serving stale entries.
-    pub no_pattern_policies: bool,
 }
+
+/// The keys an `options` object may carry.
+const OPTION_KEYS: &[&str] = &[
+    "max_instances",
+    "max_gen",
+    "naive",
+    "null_checks",
+    "explain",
+];
 
 impl RequestOptions {
     /// The request's effective [`CheckOptions`]: the server defaults with
@@ -173,7 +177,6 @@ impl RequestOptions {
         }
         options.naive |= self.naive;
         options.null_checks |= self.null_checks;
-        options.pattern_policies &= !self.no_pattern_policies;
         options
     }
 }
@@ -207,8 +210,16 @@ fn parse_options(value: Option<&Json>) -> Result<RequestOptions, String> {
     let Some(value) = value else {
         return Ok(RequestOptions::default());
     };
-    if !matches!(value, Json::Object(_)) {
+    let Json::Object(members) = value else {
         return Err("`options` must be an object".to_string());
+    };
+    // An unknown key is an error, not a no-op: a misspelled or retired
+    // option would otherwise run a silently different check.
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(key, _)| !OPTION_KEYS.contains(&key.as_str()))
+    {
+        return Err(format!("unknown option `{key}`"));
     }
     Ok(RequestOptions {
         max_instances: value
@@ -224,7 +235,6 @@ fn parse_options(value: Option<&Json>) -> Result<RequestOptions, String> {
         naive: as_bool(value.get("naive")),
         null_checks: as_bool(value.get("null_checks")),
         explain: as_bool(value.get("explain")),
-        no_pattern_policies: as_bool(value.get("no_pattern_policies")),
     })
 }
 
@@ -469,17 +479,13 @@ mod tests {
         assert_eq!(unit.name(), "m.oo");
         assert_eq!(options.max_instances, Some(5));
         assert!(options.explain);
-        assert!(!options.no_pattern_policies);
 
-        let r = parse_request(
+        // An unknown (here: retired) option key is rejected by name.
+        let err = parse_request(
             r#"{"cmd":"check","unit":"corpus:example1","options":{"no_pattern_policies":true}}"#,
         )
-        .expect("ok");
-        let Command::Check { options, .. } = r.command else {
-            panic!("check");
-        };
-        assert!(options.no_pattern_policies);
-        assert!(!options.apply(&CheckOptions::default()).pattern_policies);
+        .expect_err("unknown option key");
+        assert!(err.contains("`no_pattern_policies`"), "{err}");
 
         let r = parse_request(
             r#"{"id":3,"cmd":"batch","units":["corpus:example1","corpus:example2"]}"#,

@@ -281,71 +281,22 @@ fn budget_change_misses_the_cache() {
     );
 }
 
-/// Toggling axiom slicing changes the keep-mask, which joins the
-/// version-3 fingerprint: verdicts cached under one slicing mode are
-/// never served to the other (migrate-by-miss — a stale hit here would
-/// replay telemetry from a different prover context).
-#[test]
-fn slice_toggle_misses_the_cache() {
-    // A program whose background actually gets sliced (section30_q drops
-    // axioms whose triggers mention vocabulary `q` never touches).
-    let src = oolong::corpus::by_name("section30_q").unwrap().source;
-    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
-    let cold = engine.check_source("unit", src);
-    assert!(cold.prover_calls > 0);
-
-    let unsliced = CheckOptions {
-        slice_axioms: false,
-        ..CheckOptions::default()
-    };
-    let engine2 = Engine::new(EngineOptions {
-        check: unsliced,
-        ..EngineOptions::default()
-    })
-    .expect("in-memory engine");
-    let other = engine2.check_source("unit", src);
-    for (a, b) in cold.obligations.iter().zip(&other.obligations) {
-        assert_eq!(a.proc_name, b.proc_name);
-        if a.fingerprint.is_none() {
-            continue;
-        }
-        assert_ne!(
-            a.fingerprint, b.fingerprint,
-            "{}: the slice keep-mask must participate in the fingerprint",
-            a.proc_name
-        );
-        // Slicing changes the quantifier-registration telemetry but never
-        // the outcome.
-        assert_eq!(a.verdict.label(), b.verdict.label(), "{}", a.proc_name);
-    }
-    assert_eq!(other.cache_hits, 0, "no stale cross-mode hits");
-    assert_eq!(other.prover_calls, cold.prover_calls);
-}
-
-/// Within one batch, obligations whose scope background coincides share
-/// one saturated prover context: the pool records a miss for the first
-/// and hits for the rest.
+/// Within one batch, obligations whose sliced scope background coincides
+/// share one saturated prover context: the pool records a miss for the
+/// first and hits for the rest.
 #[test]
 fn batch_reuses_scope_contexts() {
+    // Three store-only bodies of different lengths: distinct fingerprints,
+    // but the same vocabulary, so one keep-mask and one context key.
     let src = "group g
          field f in g
          proc p(r) modifies r.g
          impl p(r) { r.f := 1 }
          proc q(r) modifies r.g
          impl q(r) { r.f := 2 ; r.f := 3 }
-         proc caller(r) modifies r.g
-         impl caller(r) { q(r) }";
-    // Slicing off so all three obligations share one background (and so
-    // one context key); sharing itself stays on.
-    let options = CheckOptions {
-        slice_axioms: false,
-        ..CheckOptions::default()
-    };
-    let engine = Engine::new(EngineOptions {
-        check: options,
-        ..EngineOptions::default()
-    })
-    .expect("in-memory engine");
+         proc w(r) modifies r.g
+         impl w(r) { r.f := 4 ; r.f := 5 ; r.f := 6 }";
+    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
     let report = engine.check_source("unit", src);
     assert_eq!(report.prover_calls, 3);
     let m = engine.contexts().metrics();

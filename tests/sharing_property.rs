@@ -16,19 +16,11 @@
 //! Both are checked against randomly generated programs (including
 //! seeded-violation populations, so refutation search paths are
 //! exercised too), with obligations proven in randomized interleavings.
-//!
-//! A third property pins the declared activation-policy layer: **phase
-//! gating is scheduling, not logic**. Goal-directed axioms arm inside
-//! each obligation's frame instead of saturating the goalless background,
-//! which changes *where* the budget is spent but not what is derivable —
-//! so a verdict both schedules afford to decide must be identical, labels
-//! included, and a decision may only degrade to `unknown` across the
-//! policy flip, never flip between `verified` and a refutation.
 
 use std::collections::HashSet;
 
 use oolong::corpus::{generate_seeded_violation_source, generate_source, GenConfig};
-use oolong::datagroups::{CheckOptions, Checker, Verdict};
+use oolong::datagroups::{BackgroundSlice, CheckOptions, Checker, Verdict};
 use oolong::prover::Budget;
 use oolong::syntax::parse_program;
 use proptest::prelude::*;
@@ -53,9 +45,6 @@ fn assert_reuse_is_invisible(source: &str, rotate: usize) -> Result<(), TestCase
     let program = parse_program(source).expect("generated source parses");
     let options = CheckOptions {
         budget: property_budget(),
-        // Full background: all obligations of the scope then share one
-        // context, which is the configuration the engine reuses hardest.
-        slice_axioms: false,
         ..CheckOptions::default()
     };
     let checker = Checker::new(&program, options).expect("generated source analyses");
@@ -67,9 +56,12 @@ fn assert_reuse_is_invisible(source: &str, rotate: usize) -> Result<(), TestCase
     let pivot = rotate % vcs.len();
     vcs.rotate_left(pivot);
 
-    let slice = checker.background_slice(&vcs[0]);
-    prop_assert!(slice.keep.iter().all(|&k| k), "slicing was disabled");
-    let mut shared = checker.context_for_slice(&vcs[0], &slice);
+    // Full background: all obligations of the scope then share one
+    // context, which is the configuration the engine reuses hardest.
+    let full = BackgroundSlice {
+        keep: vec![true; vcs[0].background_hyps],
+    };
+    let mut shared = checker.context_for_slice(&vcs[0], &full);
     let clean = shared.debug_state();
     for vc in &vcs {
         // By the second iteration the shared context has already served
@@ -81,7 +73,7 @@ fn assert_reuse_is_invisible(source: &str, rotate: usize) -> Result<(), TestCase
             "proving `{}` dirtied the shared E-graph",
             vc.proc_name
         );
-        let fresh = checker.verdict_for_vc(vc);
+        let fresh = checker.verdict_for_vc_in(&mut checker.context_for_slice(vc, &full), vc, 0);
         prop_assert_eq!(
             reused.label(),
             fresh.label(),
@@ -99,60 +91,6 @@ fn assert_reuse_is_invisible(source: &str, rotate: usize) -> Result<(), TestCase
         }
     }
     Ok(())
-}
-
-/// Checks every obligation of `source` under the policy-gated schedule
-/// (the default) and the all-eager schedule, asserting decided verdicts
-/// and refutation labels agree (see the module doc).
-fn assert_phase_gating_is_scheduling_only(source: &str) -> Result<(), TestCaseError> {
-    let program = parse_program(source).expect("generated source parses");
-    let mut reports = [true, false].map(|pattern_policies| {
-        let options = CheckOptions {
-            budget: property_budget(),
-            pattern_policies,
-            ..CheckOptions::default()
-        };
-        Checker::new(&program, options)
-            .expect("generated source analyses")
-            .check_all()
-    });
-    let [gated, eager] = &mut reports;
-    prop_assert_eq!(gated.impls.len(), eager.impls.len());
-    for (g, e) in gated.impls.iter().zip(&eager.impls) {
-        prop_assert_eq!(&g.proc_name, &e.proc_name);
-        let (gl, el) = (g.verdict.label(), e.verdict.label());
-        if gl == "unknown" || el == "unknown" {
-            // Either schedule may exhaust the budget where the other
-            // decides; that asymmetry is the whole point of gating.
-            continue;
-        }
-        prop_assert_eq!(
-            gl,
-            el,
-            "`{}`: phase gating flipped a decided verdict",
-            g.proc_name
-        );
-        if let (Verdict::NotVerified(_, a), Verdict::NotVerified(_, b)) = (&g.verdict, &e.verdict) {
-            prop_assert_eq!(
-                &a.labels,
-                &b.labels,
-                "`{}`: phase gating moved the refutation labels",
-                g.proc_name
-            );
-        }
-    }
-    Ok(())
-}
-
-/// The scheduling-only property over the paper corpus itself (not a
-/// property test, but it shares the harness): every paper program's
-/// verdicts survive the policy flip.
-#[test]
-fn phase_gating_is_scheduling_only_on_the_paper_corpus() {
-    for p in oolong::corpus::all() {
-        assert_phase_gating_is_scheduling_only(p.source)
-            .unwrap_or_else(|e| panic!("{}: {e}", p.name));
-    }
 }
 
 proptest! {
@@ -175,24 +113,6 @@ proptest! {
         assert_reuse_is_invisible(&v.source, rotate)?;
     }
 
-    /// Phase gating is scheduling-only over plain generated programs:
-    /// decided verdicts and labels agree between the gated and all-eager
-    /// schedules.
-    #[test]
-    fn phase_gating_never_changes_decided_verdicts(seed in 0u64..500) {
-        let source = generate_source(seed, &GenConfig::default());
-        assert_phase_gating_is_scheduling_only(&source)?;
-    }
-
-    /// The same invariant where the prover actually refutes: seeded
-    /// violations make both schedules close the negated obligation and
-    /// agree on which labels witness the bug.
-    #[test]
-    fn phase_gating_preserves_refutations(seed in 0u64..300) {
-        let v = generate_seeded_violation_source(seed);
-        assert_phase_gating_is_scheduling_only(&v.source)?;
-    }
-
     /// Any background axiom whose quantifiers matched even once in a
     /// full-background run is kept by the slicer for that obligation:
     /// slicing only ever removes axioms the matcher would never touch.
@@ -212,7 +132,7 @@ proptest! {
             let Ok(vc) = checker.vc(id) else { continue };
             let keep = checker.background_slice(&vc).keep;
             // Full-background run of the same obligation.
-            let full = oolong::datagroups::BackgroundSlice {
+            let full = BackgroundSlice {
                 keep: vec![true; vc.background_hyps],
             };
             let mut ctx = checker.context_for_slice(&vc, &full);

@@ -10,8 +10,8 @@
 //!   that axiom from a verified obligation flips its verdict
 //!   ([`WITNESSES`]). Each entry is a regression tripwire: if a future
 //!   slicer change starts dropping the named axiom for that obligation,
-//!   the obligation stops verifying and the differential and matrix
-//!   suites light up — but this test names the culprit axiom directly.
+//!   the obligation stops verifying and the golden ledger lights up —
+//!   but this test names the culprit axiom directly.
 //! * Families with no flippable witness are covered by the weaker but
 //!   universal invariant: any axiom whose quantifiers matched in a
 //!   full-background run is kept by the slicer, and axioms the slicer's

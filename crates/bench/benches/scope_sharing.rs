@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oolong_corpus::paper;
-use oolong_engine::{BatchUnit, Engine, EngineOptions, MemoryTier};
+use oolong_engine::{
+    BatchUnit, ContextPool, Engine, EngineOptions, MemoryTier, DEFAULT_CONTEXT_CAPACITY,
+};
 
 fn corpus_units() -> Vec<BatchUnit> {
     paper::all()
@@ -59,10 +61,16 @@ fn e19_edit_reverify(c: &mut Criterion) {
          impl q(r) { r.f := 2 ; r.f := 3 }
          proc w(r) modifies r.g
          impl w(r) { r.f := 4 ; r.f := 5 ; r.f := 6 }";
-    let options = EngineOptions::default();
-    let no_cache = || Arc::new(MemoryTier::with_capacity(0));
+    // A fresh engine: no verdict cache and a cold context pool of its own.
+    let cold_engine = || {
+        Engine::with_store_and_contexts(
+            EngineOptions::default(),
+            Arc::new(MemoryTier::with_capacity(0)),
+            Arc::new(ContextPool::with_capacity(DEFAULT_CONTEXT_CAPACITY)),
+        )
+    };
     let mut group = c.benchmark_group("e19_edit_reverify");
-    let engine = Engine::with_store(options.clone(), no_cache());
+    let engine = cold_engine();
     engine.check_source("unit", UNIT);
     group.bench_function("warm_pool", |b| {
         b.iter(|| {
@@ -76,8 +84,7 @@ fn e19_edit_reverify(c: &mut Criterion) {
     assert!(metrics.hits > 0, "re-verification reuses the scope context");
     group.bench_function("cold_engine", |b| {
         b.iter(|| {
-            let engine = Engine::with_store(options.clone(), no_cache());
-            let report = engine.check_source("unit", UNIT);
+            let report = cold_engine().check_source("unit", UNIT);
             assert_eq!(report.prover_calls, 3);
             report
         })

@@ -1,7 +1,8 @@
 //! `oolong` — command-line interface to the data-group side-effect checker.
 //!
 //! ```text
-//! oolong check   <file|corpus:NAME> [--naive] [--null-checks] [--json] [--explain-unknown]
+//! oolong check   <file|corpus:NAME> [--modular] [--naive] [--null-checks] [--json] [--explain]
+//!                [--explain-unknown]
 //! oolong infer   <file|corpus:NAME|stripped:NAME|unannotated:SEED> [--proc NAME] [--reads] [--apply] [--json]
 //! oolong explain <file|corpus:NAME> [--proc NAME] [--cache-dir DIR] [--json]
 //! oolong batch   <files...> [--cache-dir DIR] [--workers N] [--events PATH] [--json]
@@ -13,11 +14,14 @@
 //! oolong stats   <file|corpus:NAME> [--json]
 //! oolong axioms  <file|corpus:NAME> [--json]
 //! oolong corpus
+//! oolong experiments
 //! ```
 //!
 //! Sources can be file paths or `corpus:NAME` references into the embedded
-//! paper corpus (see `oolong corpus`). `batch` checks many units through
-//! the incremental engine, persisting verdicts under `--cache-dir`;
+//! paper corpus (see `oolong corpus`). `check` runs one unit through the
+//! incremental engine with an in-memory cache (`--modular` checks each
+//! module against its own scope instead); `batch` checks many units
+//! through the same engine, persisting verdicts under `--cache-dir`;
 //! `recheck` repeats the last recorded batch against the same cache, so an
 //! unchanged program verifies without a single prover call. `serve` keeps
 //! a resident daemon on a Unix socket answering the same requests over
@@ -35,8 +39,8 @@
 //! pre-saturation vs obligation frames) across the program's proofs.
 
 use datagroups::{overhead, prover_metrics, BackgroundSlice, CheckOptions, Checker};
-use oolong_diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis, Replay};
-use oolong_engine::{diagnosis_to_json, label_to_json, BatchUnit, Engine, EngineOptions, Json};
+use oolong_diagnose::{Diagnosis, Replay};
+use oolong_engine::{BatchUnit, Engine, EngineOptions, Json};
 use oolong_interp::{ExecConfig, Interp, RngOracle, RunOutcome};
 use oolong_sema::Scope;
 use oolong_serve::{Client, ServeOptions, Server};
@@ -227,11 +231,14 @@ fn check_options(args: &[String]) -> Result<CheckOptions, String> {
     Ok(options)
 }
 
+/// `oolong check` — one unit through the engine, with an in-memory cache
+/// and one worker per core; `--explain` turns on the engine's diagnosis.
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let source = load_source(positional(args)?)?;
-    let program = parse_program(&source).map_err(|e| e.render(&source))?;
+    let spec = positional(args)?;
+    let source = load_source(spec)?;
     let options = check_options(args)?;
     if flag(args, "--modular") {
+        let program = parse_program(&source).map_err(|e| e.render(&source))?;
         let report =
             datagroups::check_modular(&program, &options).map_err(|e| e.render(&source))?;
         println!("{report}");
@@ -241,42 +248,47 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
             ExitCode::FAILURE
         });
     }
-    let checker = Checker::new(&program, options).map_err(|e| e.render(&source))?;
-    let report = checker.check_all_parallel();
     let explain = flag(args, "--explain");
+    let engine = Engine::new(EngineOptions {
+        check: options,
+        workers: 0,
+        cache_dir: None,
+        diagnose: explain,
+    })
+    .map_err(|e| format!("cannot open cache: {e}"))?;
+    let report = engine.check_source(spec, &source);
+    if let Some(error) = report.unit_errors.first() {
+        return Err(error.message.clone());
+    }
+    let status = if report.all_verified() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    };
     if flag(args, "--json") {
-        println!(
-            "{}",
-            check_report_json(&checker, &source, &report, explain).render()
-        );
-        return Ok(if report.all_verified() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
+        println!("{}", oolong_serve::check_result_json(&report).render());
+        return Ok(status);
     }
     let explain_unknown = flag(args, "--explain-unknown");
-    for rep in &report.impls {
-        print!("impl {}: {}", rep.proc_name, rep.verdict);
-        if let Some(stats) = rep.verdict.stats() {
+    for o in &report.obligations {
+        print!("impl {}: {}", o.proc_name, o.verdict);
+        if let Some(stats) = o.verdict.stats() {
             print!("  [{stats}]");
         }
         println!();
         if explain {
-            if let Some(branch) = rep.verdict.open_branch() {
+            if let Some(branch) = o.verdict.open_branch() {
                 println!("  unrefuted scenario:");
                 for line in branch {
                     println!("    {line}");
                 }
             }
-            if let Some(d) = diagnosis_for(&checker, &source, rep) {
-                for line in render_diagnosis(&d) {
-                    println!("  {line}");
-                }
+            for line in o.diagnosis.iter().flat_map(render_diagnosis) {
+                println!("  {line}");
             }
         }
         if explain_unknown {
-            if let Some(divergence) = rep.verdict.divergence() {
+            if let Some(divergence) = o.verdict.divergence() {
                 for line in divergence.to_string().lines() {
                     println!("  {line}");
                 }
@@ -285,35 +297,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     }
     let (v, r, u) = report.tally();
     println!("{v} verified, {r} rejected, {u} unknown");
-    Ok(if report.all_verified() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// Diagnoses one rejected implementation from a plain `check` report:
-/// refuted VCs go through model concretization and interpreter replay,
-/// restriction violations through the dynamic store audit.
-fn diagnosis_for(
-    checker: &Checker,
-    source: &str,
-    rep: &datagroups::ImplReport,
-) -> Option<Diagnosis> {
-    match &rep.verdict {
-        datagroups::Verdict::NotVerified(_, refutation) => {
-            let vc = checker.vc(rep.impl_id).ok()?;
-            diagnose_refutation(checker.scope(), source, &vc, refutation)
-        }
-        datagroups::Verdict::RestrictionViolation(violations) => diagnose_restriction(
-            checker.scope(),
-            source,
-            rep.impl_id,
-            &rep.proc_name,
-            violations,
-        ),
-        _ => None,
-    }
+    Ok(status)
 }
 
 /// Human-readable lines for one diagnosis.
@@ -342,88 +326,6 @@ fn render_diagnosis(d: &Diagnosis) -> Vec<String> {
         Replay::Unavailable { reason } => format!("  replay: unavailable — {reason}"),
     });
     out
-}
-
-/// The `--json` rendering of a plain `check` report. Refuted obligations
-/// always carry their attribution (obligation kind, label id); the full
-/// diagnosis rides along when `explain` is set.
-fn check_report_json(
-    checker: &Checker,
-    source: &str,
-    report: &datagroups::Report,
-    explain: bool,
-) -> Json {
-    let impls = report
-        .impls
-        .iter()
-        .map(|rep| {
-            let mut members = vec![
-                ("proc".to_string(), Json::Str(rep.proc_name.clone())),
-                (
-                    "verdict".to_string(),
-                    Json::Str(rep.verdict.label().to_string()),
-                ),
-            ];
-            if let Some(stats) = rep.verdict.stats() {
-                members.push(("stats".to_string(), oolong_engine::stats_to_json(stats)));
-            }
-            if let Some(divergence) = rep.verdict.divergence() {
-                members.push((
-                    "divergence".to_string(),
-                    Json::Object(vec![
-                        (
-                            "reason".to_string(),
-                            Json::Str(divergence.reason.as_str().to_string()),
-                        ),
-                        (
-                            "culprits".to_string(),
-                            Json::Array(
-                                divergence
-                                    .culprits
-                                    .iter()
-                                    .map(|c| Json::Str(c.to_string()))
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ));
-            }
-            if let Some(branch) = rep.verdict.open_branch() {
-                members.push((
-                    "open_branch".to_string(),
-                    Json::Array(branch.iter().map(|l| Json::Str(l.clone())).collect()),
-                ));
-            }
-            if let Some(refutation) = rep.verdict.refutation() {
-                if let Some(primary) = &refutation.primary {
-                    members.push((
-                        "obligation_kind".to_string(),
-                        Json::Str(primary.kind.as_str().to_string()),
-                    ));
-                    members.push(("label_id".to_string(), Json::Int(primary.id as i64)));
-                    members.push(("label".to_string(), label_to_json(primary)));
-                }
-            }
-            if explain {
-                if let Some(d) = diagnosis_for(checker, source, rep) {
-                    members.push(("diagnosis".to_string(), diagnosis_to_json(&d)));
-                }
-            }
-            Json::Object(members)
-        })
-        .collect();
-    let (v, r, u) = report.tally();
-    Json::Object(vec![
-        ("impls".to_string(), Json::Array(impls)),
-        (
-            "summary".to_string(),
-            Json::Object(vec![
-                ("verified".to_string(), Json::Int(v as i64)),
-                ("rejected".to_string(), Json::Int(r as i64)),
-                ("unknown".to_string(), Json::Int(u as i64)),
-            ]),
-        ),
-    ])
 }
 
 /// `oolong explain` — diagnose every rejected implementation through the
@@ -457,44 +359,9 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
     }
     let all_verified = obligations.iter().all(|o| o.verdict.is_verified());
     if flag(args, "--json") {
-        let impls = obligations
-            .iter()
-            .map(|o| {
-                let mut members = vec![
-                    ("proc".to_string(), Json::Str(o.proc_name.clone())),
-                    (
-                        "verdict".to_string(),
-                        Json::Str(o.verdict.label().to_string()),
-                    ),
-                    ("cache_hit".to_string(), Json::Bool(o.cache_hit)),
-                ];
-                if let Some(refutation) = o.verdict.refutation() {
-                    if let Some(primary) = &refutation.primary {
-                        members.push((
-                            "obligation_kind".to_string(),
-                            Json::Str(primary.kind.as_str().to_string()),
-                        ));
-                        members.push(("label_id".to_string(), Json::Int(primary.id as i64)));
-                        members.push(("label".to_string(), label_to_json(primary)));
-                    }
-                }
-                members.push((
-                    "diagnosis".to_string(),
-                    match &o.diagnosis {
-                        Some(d) => diagnosis_to_json(d),
-                        None => Json::Null,
-                    },
-                ));
-                Json::Object(members)
-            })
-            .collect();
         println!(
             "{}",
-            Json::Object(vec![
-                ("unit".to_string(), Json::Str(spec.to_string())),
-                ("impls".to_string(), Json::Array(impls)),
-            ])
-            .render()
+            oolong_serve::explain_result_json(spec, &report, filter.as_deref()).render()
         );
         return Ok(if all_verified {
             ExitCode::SUCCESS
@@ -530,9 +397,8 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
 /// Default location of the persistent verdict cache and batch manifest.
 const DEFAULT_CACHE_DIR: &str = ".oolong-cache";
 
-/// Parses everything `batch`/`recheck` need *before* any side effect
-/// (notably the manifest write), so a bad option leaves the recorded
-/// batch untouched.
+/// `oolong infer` — infer missing frame annotations and re-verify them
+/// through the engine.
 fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
     let spec = positional(args)?;
     let unit = match oolong_infer::resolve_spec(spec) {
@@ -634,6 +500,9 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
+/// Parses everything `batch`/`recheck` need *before* any side effect
+/// (notably the manifest write), so a bad option leaves the recorded
+/// batch untouched.
 fn engine_options(args: &[String], cache_dir: Option<PathBuf>) -> Result<EngineOptions, String> {
     let workers = match opt_value(args, "--workers") {
         Some(n) => n.parse().map_err(|_| "bad --workers")?,
@@ -918,11 +787,10 @@ fn cmd_vc(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     let source = load_source(positional(args)?)?;
     let program = parse_program(&source).map_err(|e| e.render(&source))?;
-    let scope = Scope::analyze(&program).map_err(|e| e.render(&source))?;
     let spec = overhead(&program);
     let checker = Checker::new(&program, check_options(args)?).map_err(|e| e.render(&source))?;
-    let report = checker.check_all_parallel();
-    let metrics = prover_metrics(&report);
+    let scope = checker.scope();
+    let metrics = prover_metrics(&checker.check_all());
     if flag(args, "--json") {
         println!(
             "{}",

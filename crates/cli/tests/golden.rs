@@ -2,12 +2,13 @@
 //! check --json` (including the divergence members of an unknown verdict)
 //! and `oolong stats --json` (the aggregated prover telemetry).
 //!
-//! The snapshots under `tests/golden/` at the repository root record the
-//! *schema* — every key path with the JSON type of its value — rather than
-//! the concrete numbers, so prover tuning doesn't churn them but renaming
-//! or dropping a field that downstream consumers parse fails loudly. To
-//! regenerate after a deliberate schema change, run the test and copy the
-//! `actual` block it prints into the snapshot file.
+//! The `*.schema.txt` snapshots under `tests/golden/` at the repository
+//! root record the *schema* — every key path with the JSON type of its
+//! value — rather than the concrete numbers, so renaming or dropping a
+//! field that downstream consumers parse fails loudly. Two `check --json`
+//! invocations are also pinned byte for byte (`*.json`), numbers included.
+//! To regenerate after a deliberate change, run the tests with
+//! `UPDATE_GOLDEN=1`.
 
 use oolong_engine::{json, Json};
 use std::fmt::Write as _;
@@ -63,13 +64,18 @@ fn schema(value: &Json, indent: usize, out: &mut String) {
 fn assert_matches_snapshot(name: &str, value: &Json) {
     let mut actual = String::new();
     schema(value, 0, &mut actual);
+    assert_matches_golden(name, &actual);
+}
+
+/// Compares `actual` with the golden file `tests/golden/<name>` byte for
+/// byte. `UPDATE_GOLDEN=1 cargo test -p oolong-cli --test golden`
+/// rewrites the files after a deliberate change; the diff is then
+/// reviewed like any other source change.
+fn assert_matches_golden(name: &str, actual: &str) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/");
     let path = format!("{path}{name}");
-    // `UPDATE_GOLDEN=1 cargo test -p oolong-cli --test golden` rewrites
-    // the snapshots after a deliberate schema change; the diff is then
-    // reviewed like any other source change.
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual)
+        std::fs::write(&path, actual)
             .unwrap_or_else(|e| panic!("cannot update snapshot `{path}`: {e}"));
         return;
     }
@@ -77,8 +83,34 @@ fn assert_matches_snapshot(name: &str, value: &Json) {
         .unwrap_or_else(|e| panic!("cannot read snapshot `{path}`: {e}\nactual:\n{actual}"));
     assert_eq!(
         actual, expected,
-        "schema drift against `{path}`\nactual:\n{actual}"
+        "drift against `{path}`\nactual:\n{actual}"
     );
+}
+
+/// Pins the whole stdout of `oolong check` — verdicts, stats, labels and
+/// diagnoses, not only the schema — for two invocations.
+#[test]
+fn check_json_output_is_byte_stable() {
+    for (name, args) in [
+        (
+            "check_bad_call_explain.json",
+            &["check", "corpus:section31_bad_call", "--json", "--explain"][..],
+        ),
+        (
+            "check_example3_starved.json",
+            &[
+                "check",
+                "corpus:example3",
+                "--json",
+                "--max-instances",
+                "20",
+            ][..],
+        ),
+    ] {
+        let out = oolong(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} rejects or is unknown");
+        assert_matches_golden(name, &String::from_utf8_lossy(&out.stdout));
+    }
 }
 
 /// `check --json` on the §5 cyclic example under a starved budget: the

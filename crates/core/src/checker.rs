@@ -9,6 +9,7 @@ use oolong_logic::{Formula, PatternPolicy, Phase};
 use oolong_prover::{Budget, CandidateModel, Outcome, ScopeContext, SearchStrategy, Stats};
 use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{Diagnostic, Diagnostics, Program};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Configuration for a [`Checker`].
@@ -413,186 +414,66 @@ impl Checker {
     }
 
     /// Checks a single implementation: pivot uniqueness first (unless
-    /// naive), then the verification condition.
+    /// naive), then the verification condition in a one-shot context.
     pub fn check_impl(&self, impl_id: ImplId) -> ImplReport {
+        self.check_impl_with(impl_id, |vc, slice| {
+            let mut ctx = self.context_for_slice(vc, slice);
+            self.verdict_for_vc_in(&mut ctx, vc, slice.dropped())
+        })
+    }
+
+    /// Checks every implementation in the scope, in declaration order.
+    ///
+    /// Obligations whose slice keeps the same background axioms share one
+    /// scope context, saturated on first use; every proof runs inside a
+    /// trail frame of it. Within one checker the unsliced background list
+    /// is structurally identical across implementations (the fresh-name
+    /// generator restarts per VC), so equal keep-masks mean equal sliced
+    /// backgrounds.
+    pub fn check_all(&self) -> Report {
+        let mut contexts: HashMap<Vec<bool>, ScopeContext> = HashMap::new();
+        let impls = self
+            .scope
+            .impls()
+            .map(|(impl_id, _)| {
+                self.check_impl_with(impl_id, |vc, slice| {
+                    let ctx = contexts
+                        .entry(slice.keep.clone())
+                        .or_insert_with(|| self.context_for_slice(vc, slice));
+                    self.verdict_for_vc_in(ctx, vc, slice.dropped())
+                })
+            })
+            .collect();
+        Report { impls }
+    }
+
+    /// The per-implementation pipeline: the restriction check, VC
+    /// generation and the background slice, then `prove` for the verdict of
+    /// a VC that got that far.
+    fn check_impl_with(
+        &self,
+        impl_id: ImplId,
+        prove: impl FnOnce(&Vc, &BackgroundSlice) -> Verdict,
+    ) -> ImplReport {
         let proc_name = self
             .scope
             .proc_info(self.scope.impl_info(impl_id).proc)
             .name
             .clone();
         let violations = self.restriction_violations(impl_id);
-        if !violations.is_empty() {
-            return ImplReport {
-                impl_id,
-                proc_name,
-                verdict: Verdict::RestrictionViolation(violations),
-                kind_counts: Vec::new(),
-            };
-        }
-        let vc = match self.vc(impl_id) {
-            Ok(vc) => vc,
-            Err(d) => {
-                return ImplReport {
-                    impl_id,
-                    proc_name,
-                    verdict: Verdict::TranslationError(d),
-                    kind_counts: Vec::new(),
-                }
+        let (verdict, kind_counts) = if !violations.is_empty() {
+            (Verdict::RestrictionViolation(violations), Vec::new())
+        } else {
+            match self.vc(impl_id) {
+                Err(d) => (Verdict::TranslationError(d), Vec::new()),
+                Ok(vc) => (prove(&vc, &self.background_slice(&vc)), vc.kind_counts()),
             }
         };
         ImplReport {
             impl_id,
             proc_name,
-            kind_counts: vc.kind_counts(),
-            verdict: self.verdict_for_vc(&vc),
-        }
-    }
-
-    /// Checks every implementation in the scope.
-    pub fn check_all(&self) -> Report {
-        self.check_all_with_workers(1)
-    }
-
-    /// Checks every implementation in the scope across one worker thread
-    /// per available core (verification conditions are independent).
-    pub fn check_all_parallel(&self) -> Report {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        self.check_all_with_workers(workers)
-    }
-
-    /// Checks every implementation in the scope across `workers` threads.
-    /// The report lists implementations in declaration order regardless of
-    /// thread interleaving.
-    ///
-    /// Obligations whose sliced background agrees are grouped, each group
-    /// saturates its scope context once, and every member proves inside a
-    /// trail frame of it. Groups — not individual obligations — are the
-    /// unit of work distribution, so a context is only ever touched by one
-    /// thread.
-    pub fn check_all_with_workers(&self, workers: usize) -> Report {
-        let ids: Vec<ImplId> = self.scope.impls().map(|(id, _)| id).collect();
-        let mut slots: Vec<Option<ImplReport>> = ids.iter().map(|_| None).collect();
-
-        // Phase 1 (cheap, sequential): restriction checks and VC
-        // generation. Early verdicts fill their slot; the rest become
-        // prover work items carrying their background slice.
-        struct Todo {
-            slot: usize,
-            impl_id: ImplId,
-            proc_name: String,
-            vc: Vc,
-            slice: BackgroundSlice,
-        }
-        let mut todos: Vec<Todo> = Vec::new();
-        for (i, &impl_id) in ids.iter().enumerate() {
-            let proc_name = self
-                .scope
-                .proc_info(self.scope.impl_info(impl_id).proc)
-                .name
-                .clone();
-            let violations = self.restriction_violations(impl_id);
-            if !violations.is_empty() {
-                slots[i] = Some(ImplReport {
-                    impl_id,
-                    proc_name,
-                    verdict: Verdict::RestrictionViolation(violations),
-                    kind_counts: Vec::new(),
-                });
-                continue;
-            }
-            match self.vc(impl_id) {
-                Err(d) => {
-                    slots[i] = Some(ImplReport {
-                        impl_id,
-                        proc_name,
-                        verdict: Verdict::TranslationError(d),
-                        kind_counts: Vec::new(),
-                    });
-                }
-                Ok(vc) => {
-                    let slice = self.background_slice(&vc);
-                    todos.push(Todo {
-                        slot: i,
-                        impl_id,
-                        proc_name,
-                        vc,
-                        slice,
-                    });
-                }
-            }
-        }
-
-        // Phase 2: group work items by slice keep-mask. Within one checker
-        // the unsliced background list is structurally identical across
-        // implementations (the fresh-name generator restarts per VC), so
-        // equal masks mean equal sliced backgrounds.
-        let mut keys: Vec<&[bool]> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (t, todo) in todos.iter().enumerate() {
-            match keys.iter().position(|k| *k == todo.slice.keep.as_slice()) {
-                Some(g) => groups[g].push(t),
-                None => {
-                    keys.push(&todo.slice.keep);
-                    groups.push(vec![t]);
-                }
-            }
-        }
-
-        let prove_group = |members: &[usize]| -> Vec<(usize, ImplReport)> {
-            let first = &todos[members[0]];
-            let mut ctx = self.context_for_slice(&first.vc, &first.slice);
-            members
-                .iter()
-                .map(|&t| {
-                    let todo = &todos[t];
-                    let verdict = self.verdict_for_vc_in(&mut ctx, &todo.vc, todo.slice.dropped());
-                    (
-                        todo.slot,
-                        ImplReport {
-                            impl_id: todo.impl_id,
-                            proc_name: todo.proc_name.clone(),
-                            kind_counts: todo.vc.kind_counts(),
-                            verdict,
-                        },
-                    )
-                })
-                .collect()
-        };
-
-        if workers <= 1 || groups.len() <= 1 {
-            for members in &groups {
-                for (slot, report) in prove_group(members) {
-                    slots[slot] = Some(report);
-                }
-            }
-        } else {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            let next = AtomicUsize::new(0);
-            let out: Mutex<Vec<(usize, ImplReport)>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(groups.len()) {
-                    scope.spawn(|| loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(members) = groups.get(g) else { break };
-                        let reports = prove_group(members);
-                        out.lock()
-                            .expect("no panics while holding result lock")
-                            .extend(reports);
-                    });
-                }
-            });
-            for (slot, report) in out.into_inner().expect("worker panicked") {
-                slots[slot] = Some(report);
-            }
-        }
-        Report {
-            impls: slots
-                .into_iter()
-                .map(|slot| slot.expect("every implementation got a verdict"))
-                .collect(),
+            verdict,
+            kind_counts,
         }
     }
 }
@@ -841,25 +722,27 @@ module stack_impl imports stack_interface {
     }
 
     #[test]
-    fn parallel_checking_agrees_with_sequential() {
+    fn shared_contexts_agree_with_one_shot_checks() {
         let program = parse_program(
             "group g field f in g
              proc p(t) modifies t.g
              impl p(t) { t.f := 1 }
              proc bad(t)
-             impl bad(t) { t.f := 1 }",
+             impl bad(t) { t.f := 1 }
+             proc q(t) modifies t.g
+             impl q(t) { t.f := 2 ; t.f := 3 }",
         )
         .unwrap();
         let checker = Checker::new(&program, CheckOptions::default()).unwrap();
-        let seq = checker.check_all();
-        let par = checker.check_all_parallel();
-        let labels = |r: &Report| -> Vec<(String, &'static str)> {
-            r.impls
-                .iter()
-                .map(|i| (i.proc_name.clone(), i.verdict.label()))
-                .collect()
-        };
-        assert_eq!(labels(&seq), labels(&par));
+        let shared = checker.check_all();
+        assert_eq!(shared.impls.len(), 3);
+        for rep in &shared.impls {
+            let alone = checker.check_impl(rep.impl_id);
+            assert_eq!(rep.proc_name, alone.proc_name);
+            assert_eq!(rep.verdict.label(), alone.verdict.label());
+            assert_eq!(rep.verdict.stats(), alone.verdict.stats());
+            assert_eq!(rep.kind_counts, alone.kind_counts);
+        }
     }
 
     #[test]

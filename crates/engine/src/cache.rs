@@ -1,12 +1,12 @@
-//! The verdict cache: fingerprint → proof verdict.
+//! The verdict cache entry: fingerprint → proof verdict.
 //!
 //! Entries are keyed by [`Fingerprint`] only — there is no invalidation
 //! protocol beyond "a changed obligation has a changed fingerprint and
-//! therefore misses". The cache is an in-memory map, optionally backed by
-//! a directory of one JSON file per entry (`<fingerprint>.json`), which
-//! makes concurrent writers trivially safe (writes of distinct obligations
-//! touch distinct files; writes of the same obligation are idempotent
-//! because the verdict is a pure function of the fingerprint).
+//! therefore misses". On disk each entry is one JSON file
+//! (`<fingerprint>.json`, see [`crate::store::DiskTier`]), which makes
+//! concurrent writers trivially safe (writes of distinct obligations touch
+//! distinct files; writes of the same obligation are idempotent because
+//! the verdict is a pure function of the fingerprint).
 //!
 //! Only prover verdicts (`Verified` / `NotVerified` / `Unknown`) are
 //! cached. Restriction violations and translation errors are recomputed
@@ -15,14 +15,10 @@
 
 use crate::diagjson::{diagnosis_from_json, diagnosis_to_json, label_from_json, label_to_json};
 use crate::fingerprint::Fingerprint;
-use crate::json::{self, Json};
+use crate::json::Json;
 use datagroups::{ObligationLabel, Refutation, Verdict};
 use oolong_diagnose::Diagnosis;
 use oolong_prover::{QuantKind, QuantProfile, Stats, UnknownReason};
-use std::collections::HashMap;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Format version of on-disk entries; mismatched entries are ignored.
 /// Version 2 added the structured stats members (`exhausted`, `per_quant`)
@@ -322,95 +318,13 @@ impl CachedVerdict {
     }
 }
 
-/// A concurrent fingerprint-keyed verdict store, optionally persisted.
-#[derive(Debug)]
-pub struct VerdictCache {
-    dir: Option<PathBuf>,
-    entries: Mutex<HashMap<Fingerprint, CachedVerdict>>,
-}
-
-impl VerdictCache {
-    /// A purely in-memory cache.
-    pub fn in_memory() -> VerdictCache {
-        VerdictCache {
-            dir: None,
-            entries: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// A cache persisted under `dir` (created if absent); existing entries
-    /// are loaded eagerly. Unreadable or version-mismatched entry files
-    /// are skipped, not errors — the cache is advisory.
-    pub fn at_dir(dir: &Path) -> io::Result<VerdictCache> {
-        std::fs::create_dir_all(dir)?;
-        let mut entries = HashMap::new();
-        for dirent in std::fs::read_dir(dir)? {
-            let path = dirent?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json")
-                || path.file_stem().and_then(|s| s.to_str()).map(str::len) != Some(32)
-            {
-                continue;
-            }
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(value) = json::parse(&text) else {
-                continue;
-            };
-            if let Some((fingerprint, verdict)) = CachedVerdict::from_json(&value) {
-                entries.insert(fingerprint, verdict);
-            }
-        }
-        Ok(VerdictCache {
-            dir: Some(dir.to_path_buf()),
-            entries: Mutex::new(entries),
-        })
-    }
-
-    /// The directory backing this cache, when persistent.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("cache lock poisoned").len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The entry for `fingerprint`, if present.
-    pub fn get(&self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
-        self.entries
-            .lock()
-            .expect("cache lock poisoned")
-            .get(&fingerprint)
-            .cloned()
-    }
-
-    /// Records a verdict, persisting it when the cache is disk-backed.
-    /// Persistence is best-effort: an unwritable directory degrades to
-    /// in-memory caching rather than failing the batch.
-    pub fn insert(&self, fingerprint: Fingerprint, verdict: CachedVerdict) {
-        if let Some(dir) = &self.dir {
-            let rendered = verdict.to_json(fingerprint).render();
-            let _ = std::fs::write(dir.join(format!("{fingerprint}.json")), rendered);
-        }
-        self.entries
-            .lock()
-            .expect("cache lock poisoned")
-            .insert(fingerprint, verdict);
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_entry() -> CachedVerdict {
+    /// A refuted entry exercising every member: stats with a per-quantifier
+    /// profile, open branch, labels, primary label, and diagnosis.
+    pub(crate) fn sample_entry() -> CachedVerdict {
         CachedVerdict {
             proc_name: "push".to_string(),
             outcome: CachedOutcome::NotProved,
@@ -473,22 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_persistence_round_trip() {
-        let dir = std::env::temp_dir().join(format!("oolong-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fp = Fingerprint(42);
-        {
-            let cache = VerdictCache::at_dir(&dir).expect("creates");
-            assert!(cache.is_empty());
-            cache.insert(fp, sample_entry());
-        }
-        let reloaded = VerdictCache::at_dir(&dir).expect("reloads");
-        assert_eq!(reloaded.len(), 1);
-        assert_eq!(reloaded.get(fp), Some(sample_entry()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn version_mismatch_is_skipped() {
         let entry = sample_entry();
         let fp = Fingerprint(7);
@@ -497,41 +395,6 @@ mod tests {
             members[0].1 = Json::Int(999);
         }
         assert!(CachedVerdict::from_json(&value).is_none());
-    }
-
-    #[test]
-    fn outdated_entries_miss_without_corruption() {
-        // A v5 store must degrade to cold misses under a v6 build: the old
-        // entry files are neither loaded nor rewritten, and fresh v6
-        // entries land alongside them.
-        let dir = std::env::temp_dir().join(format!("oolong-cache-v5-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("creates dir");
-        let old_fp = Fingerprint(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
-        let mut value = sample_entry().to_json(old_fp);
-        if let Json::Object(members) = &mut value {
-            assert_eq!(members[0].0, "version");
-            members[0].1 = Json::Int(5);
-        }
-        let old_path = dir.join(format!("{old_fp}.json"));
-        let old_bytes = value.render();
-        std::fs::write(&old_path, &old_bytes).expect("writes v5 entry");
-
-        let cache = VerdictCache::at_dir(&dir).expect("loads");
-        assert!(cache.is_empty(), "v5 entries must not be loaded");
-        assert_eq!(cache.get(old_fp), None);
-
-        let new_fp = Fingerprint(99);
-        cache.insert(new_fp, sample_entry());
-        assert_eq!(
-            std::fs::read_to_string(&old_path).expect("v5 file still present"),
-            old_bytes,
-            "migration is by miss: the v5 file must not be rewritten"
-        );
-        let reloaded = VerdictCache::at_dir(&dir).expect("reloads");
-        assert_eq!(reloaded.len(), 1);
-        assert_eq!(reloaded.get(new_fp), Some(sample_entry()));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! parsed and scope-analysed once; every implementation in a well-formed
 //! unit becomes one obligation. Obligations are independent (the paper's
 //! modular-soundness result), so they are processed by a fixed-size worker
-//! pool pulling from a shared index — the same shape as
-//! `Checker::check_all_with_workers`, lifted across units and made
-//! cache-aware. Results and events are reassembled in obligation order, so
-//! a batch report is deterministic regardless of thread interleaving.
+//! pool pulling from a shared index; every proof runs in a warm scope
+//! context from the [`ContextPool`]. This is the only parallel checking
+//! path: `oolong check`, `batch`, `explain` and `serve` all run through it.
+//! Results and events are reassembled in obligation order, so a batch
+//! report is deterministic regardless of thread interleaving.
 
 use crate::cache::{CachedOutcome, CachedVerdict};
 use crate::contexts::{context_key, ContextPool, DEFAULT_CONTEXT_CAPACITY};
@@ -17,7 +18,7 @@ use crate::events::{render_jsonl, Event};
 use crate::fingerprint::{fingerprint_vc, Fingerprint};
 use crate::json::Json;
 use crate::store::{TieredStore, VerdictStore, DEFAULT_MEMORY_CAPACITY};
-use datagroups::{CheckOptions, Checker, Report, Verdict};
+use datagroups::{CheckOptions, Checker, Verdict};
 use oolong_diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis};
 use oolong_syntax::parse_program;
 use std::io;
@@ -254,23 +255,13 @@ impl Engine {
         })
     }
 
-    /// Creates an engine over a shared store handle. This is the resident
-    /// shape: a long-lived process opens its cache once, then builds one
-    /// cheap `Engine` per request (each request may carry its own prover
-    /// budget) against the same store. `options.cache_dir` is ignored —
-    /// the store already decided where it persists.
-    pub fn with_store(options: EngineOptions, store: Arc<dyn VerdictStore>) -> Engine {
-        Engine {
-            options,
-            store,
-            contexts: Arc::new(ContextPool::with_capacity(DEFAULT_CONTEXT_CAPACITY)),
-        }
-    }
-
-    /// Like [`Engine::with_store`], but also sharing a pool of warm scope
-    /// contexts: a resident process passes the same pool to every
-    /// per-request engine so background saturation is paid once per scope,
-    /// not once per request.
+    /// Creates an engine over a shared store handle and a shared pool of
+    /// warm scope contexts. This is the resident shape: a long-lived
+    /// process opens its cache once, then builds one cheap `Engine` per
+    /// request (each request may carry its own prover budget) against the
+    /// same store and pool, so background saturation is paid once per
+    /// scope, not once per request. `options.cache_dir` is ignored — the
+    /// store already decided where it persists.
     pub fn with_store_and_contexts(
         options: EngineOptions,
         store: Arc<dyn VerdictStore>,
@@ -615,24 +606,5 @@ impl Engine {
             cache_hit: false,
             prover_call: true,
         }
-    }
-}
-
-/// Flattens a batch report back into the per-unit [`Report`] shape used by
-/// `Checker`, for verdict-equivalence comparisons.
-pub fn unit_report(batch: &BatchReport, unit: &str) -> Report {
-    Report {
-        impls: batch
-            .obligations
-            .iter()
-            .filter(|o| o.unit == unit)
-            .enumerate()
-            .map(|(i, o)| datagroups::ImplReport {
-                impl_id: oolong_sema::ImplId(i as u32),
-                proc_name: o.proc_name.clone(),
-                verdict: o.verdict.clone(),
-                kind_counts: Vec::new(),
-            })
-            .collect(),
     }
 }

@@ -8,9 +8,11 @@
 //!   128-bit structural hash over the clausified verification condition
 //!   (which embeds the exact background-axiom set of the implementation's
 //!   scope) and the prover [`Budget`](oolong_prover::Budget);
-//! * [`cache`] — a verdict cache keyed by fingerprint alone, optionally
-//!   persisted as one JSON file per entry; invalidation is purely
-//!   fingerprint mismatch, with no dependency graph to maintain;
+//! * [`cache`] — the cached verdict entry and its one-JSON-file-per-entry
+//!   format; invalidation is purely fingerprint mismatch, with no
+//!   dependency graph to maintain;
+//! * [`store`] — the verdict store: a bounded in-memory tier in front of
+//!   an optional lazy on-disk tier;
 //! * [`engine`] — a batch scheduler that fans obligations across worker
 //!   threads, consults the cache before every prover call, and reports
 //!   per-obligation timing and prover statistics;
@@ -61,16 +63,13 @@ pub mod json;
 pub mod store;
 
 pub use cache::{
-    stats_from_json, stats_to_json, CachedOutcome, CachedVerdict, VerdictCache,
-    CACHE_FORMAT_VERSION,
+    stats_from_json, stats_to_json, CachedOutcome, CachedVerdict, CACHE_FORMAT_VERSION,
 };
 pub use contexts::{
     context_key, ContextPool, ContextPoolMetrics, ContextSlot, DEFAULT_CONTEXT_CAPACITY,
 };
 pub use diagjson::{diagnosis_from_json, diagnosis_to_json, label_from_json, label_to_json};
-pub use engine::{
-    unit_report, BatchReport, BatchUnit, Engine, EngineOptions, ObligationReport, UnitError,
-};
+pub use engine::{BatchReport, BatchUnit, Engine, EngineOptions, ObligationReport, UnitError};
 pub use events::{render_jsonl, Event, EventLogWriter};
 pub use fingerprint::{fingerprint_vc, Fingerprint, FINGERPRINT_VERSION};
 pub use json::{Json, JsonError};

@@ -1,20 +1,16 @@
 //! The verdict store abstraction: the cache as a pluggable, tiered
 //! component.
 //!
-//! [`VerdictCache`](crate::cache::VerdictCache) (PR 1) is one concrete
-//! policy — an eagerly-loaded map mirrored to a directory. A resident
-//! service wants a different shape: a *bounded* in-memory tier with an
-//! eviction policy and hit/miss/eviction counters, in front of a lazy
-//! on-disk tier that is opened once per process and read/written one
-//! entry at a time (no scan on open, no full rewrite on insert). This
-//! module provides that shape behind the [`VerdictStore`] trait:
+//! A *bounded* in-memory tier with an eviction policy and
+//! hit/miss/eviction counters sits in front of a lazy on-disk tier that is
+//! opened once per process and read/written one entry at a time (no scan
+//! on open, no full rewrite on insert), behind the [`VerdictStore`] trait:
 //!
 //! * [`MemoryTier`] — a bounded LRU map (intrusive doubly-linked list over
 //!   a slab, O(1) touch/insert/evict) with hit/miss/eviction counters;
-//! * [`DiskTier`] — the on-disk v4 cache format accessed lazily: `get`
-//!   reads and version-checks one `<fingerprint>.json` file, `put` writes
-//!   one file; concurrent writers stay trivially safe for the same reason
-//!   as [`VerdictCache`](crate::cache::VerdictCache) (distinct obligations
+//! * [`DiskTier`] — the on-disk cache format accessed lazily: `get` reads
+//!   and version-checks one `<fingerprint>.json` file, `put` writes one
+//!   file; concurrent writers are trivially safe (distinct obligations
 //!   touch distinct files, identical obligations write identical bytes);
 //! * [`TieredStore`] — memory in front of disk: a memory miss falls
 //!   through to disk and promotes the entry on a hit, a put lands in both
@@ -22,11 +18,11 @@
 //!   across every request.
 //!
 //! The [`Engine`](crate::engine::Engine) consumes any [`VerdictStore`];
-//! `Engine::with_store` lets many engines (one per request, each with its
-//! own prover budget) share a single store handle, which is what makes the
-//! cache *resident* instead of re-opened per invocation.
+//! `Engine::with_store_and_contexts` lets many engines (one per request,
+//! each with its own prover budget) share a single store handle, which is
+//! what makes the cache *resident* instead of re-opened per invocation.
 
-use crate::cache::{CachedVerdict, VerdictCache};
+use crate::cache::CachedVerdict;
 use crate::fingerprint::Fingerprint;
 use crate::json;
 use std::collections::HashMap;
@@ -239,11 +235,12 @@ impl VerdictStore for MemoryTier {
     }
 }
 
-/// The on-disk tier: the same per-entry JSON file format as
-/// [`VerdictCache`](crate::cache::VerdictCache), accessed lazily.
+/// The on-disk tier: one JSON file per entry, accessed lazily.
 ///
 /// Opening the tier creates the directory and nothing else — no scan, no
 /// parse. `get` reads exactly one file; `put` writes exactly one file.
+/// The tier is advisory: an unreadable, truncated, or version-mismatched
+/// file is a miss, never an error, and the next `put` replaces it.
 /// A resident process therefore pays I/O proportional to its traffic,
 /// not to the cache's accumulated size, and an entry written by one
 /// process is immediately visible to another sharing the directory.
@@ -405,26 +402,12 @@ impl VerdictStore for TieredStore {
     }
 }
 
-/// [`VerdictCache`] (the PR-1 eager store) remains a valid policy behind
-/// the same trait, so existing callers keep working unchanged.
-impl VerdictStore for VerdictCache {
-    fn get(&self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
-        VerdictCache::get(self, fingerprint)
-    }
-
-    fn put(&self, fingerprint: Fingerprint, verdict: CachedVerdict) {
-        VerdictCache::insert(self, fingerprint, verdict);
-    }
-
-    fn len(&self) -> usize {
-        VerdictCache::len(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::sample_entry;
     use crate::cache::CachedOutcome;
+    use crate::json::Json;
     use oolong_prover::Stats;
 
     fn entry(tag: &str) -> CachedVerdict {
@@ -497,13 +480,70 @@ mod tests {
         {
             let tier = DiskTier::at_dir(&dir).expect("creates");
             assert_eq!(tier.len(), 0);
-            tier.put(fp, entry("p"));
+            tier.put(fp, sample_entry());
             assert_eq!(tier.len(), 1);
         }
-        // A second handle sees the entry without any eager load.
+        // A second handle sees the whole entry without any eager load.
         let tier = DiskTier::at_dir(&dir).expect("reopens");
-        assert_eq!(tier.get(fp).expect("present").proc_name, "p");
+        assert_eq!(tier.get(fp), Some(sample_entry()));
         assert!(tier.get(Fingerprint(2)).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn outdated_entries_miss_without_corruption() {
+        // A v5 store must degrade to cold misses under a v6 build: the old
+        // entry file is neither served nor rewritten, and a fresh v6 entry
+        // lands beside it.
+        let dir = std::env::temp_dir().join(format!("oolong-cache-v5-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tier = DiskTier::at_dir(&dir).expect("creates");
+        let old_fp = Fingerprint(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
+        let mut value = sample_entry().to_json(old_fp);
+        if let Json::Object(members) = &mut value {
+            assert_eq!(members[0].0, "version");
+            members[0].1 = Json::Int(5);
+        }
+        let old_path = tier.entry_path(old_fp);
+        let old_bytes = value.render();
+        std::fs::write(&old_path, &old_bytes).expect("writes v5 entry");
+        assert_eq!(tier.get(old_fp), None, "v5 entries must not be served");
+
+        let new_fp = Fingerprint(99);
+        tier.put(new_fp, sample_entry());
+        assert_eq!(
+            std::fs::read_to_string(&old_path).expect("v5 file still present"),
+            old_bytes,
+            "migration is by miss: the v5 file must not be rewritten"
+        );
+        let reopened = DiskTier::at_dir(&dir).expect("reopens");
+        assert_eq!(reopened.get(old_fp), None);
+        assert_eq!(reopened.get(new_fp), Some(sample_entry()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_entries_miss_and_are_replaced() {
+        // A truncated or garbage entry file is a miss, not a panic, and the
+        // next put for the same fingerprint replaces it with a hit.
+        let dir = std::env::temp_dir().join(format!("oolong-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tier = DiskTier::at_dir(&dir).expect("creates");
+        let fp = Fingerprint(0xc0de_0000_0000_0000_0000_0000_0000_0005);
+        let whole = sample_entry().to_json(fp).render().into_bytes();
+        let corruptions: [&[u8]; 5] = [
+            &whole[..whole.len() / 2],
+            &whole[..whole.len() - 1],
+            b"",
+            b"not json at all",
+            &[0xff, 0xfe, b'{', 0x00],
+        ];
+        for bytes in corruptions {
+            std::fs::write(tier.entry_path(fp), bytes).expect("writes corrupt entry");
+            assert_eq!(tier.get(fp), None, "corrupt entry {bytes:?} must miss");
+            tier.put(fp, sample_entry());
+            assert_eq!(tier.get(fp), Some(sample_entry()));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

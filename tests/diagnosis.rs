@@ -11,8 +11,8 @@ use oolong::diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis, Rep
 use oolong::syntax::parse_program;
 
 /// Builds the diagnosis for one (rejected) implementation report, the same
-/// way the CLI and engine do.
-fn diagnosis_for(
+/// way the engine does.
+fn diagnose(
     checker: &Checker,
     source: &str,
     rep: &oolong::datagroups::ImplReport,
@@ -53,7 +53,7 @@ fn paper_corpus_rejections_diagnose_confirmed() {
                 continue;
             }
             rejections += 1;
-            let d = diagnosis_for(&checker, p.source, rep).unwrap_or_else(|| {
+            let d = diagnose(&checker, p.source, rep).unwrap_or_else(|| {
                 panic!(
                     "{}/{}: rejection without a diagnosis",
                     p.name, rep.proc_name
@@ -92,7 +92,7 @@ fn section31_bad_call_diagnosis_names_the_call() {
         .iter()
         .find(|r| matches!(r.verdict, Verdict::NotVerified(..)))
         .expect("bad_caller is refuted");
-    let d = diagnosis_for(&checker, p.source, rep).expect("diagnosis");
+    let d = diagnose(&checker, p.source, rep).expect("diagnosis");
     assert_eq!(d.kind.as_str(), "owner-exclusion");
     let snippet = &p.source[d.span.start as usize..d.span.end as usize];
     assert!(
@@ -127,7 +127,7 @@ fn seeded_violations_diagnose_to_ground_truth() {
             v.bug,
             rep.verdict
         );
-        let d = diagnosis_for(&checker, &v.source, rep)
+        let d = diagnose(&checker, &v.source, rep)
             .unwrap_or_else(|| panic!("seed {seed}: no diagnosis for {:?}", v.bug));
         assert_eq!(
             d.kind.as_str(),

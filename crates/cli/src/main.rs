@@ -10,7 +10,7 @@
 //! oolong serve   --socket PATH [--cache-dir DIR] [--workers N] [--queue N] [--json-log]
 //! oolong client  <request.json> | --eval '<json>' [--socket PATH]
 //! oolong run     <file|corpus:NAME> --proc NAME [--seeds N] [--owner-exclusion]
-//! oolong vc      <file|corpus:NAME> [--proc NAME]
+//! oolong vc      <file|corpus:NAME> [--proc NAME] [--naive] [--null-checks]
 //! oolong stats   <file|corpus:NAME> [--json]
 //! oolong axioms  <file|corpus:NAME> [--json]
 //! oolong corpus
@@ -79,7 +79,7 @@ fn usage() -> String {
                  [--null-checks] [--max-instances N] [--max-gen N]
   oolong client  <request.json> | --eval '<json>' [--socket PATH]
   oolong run     <file|corpus:NAME> --proc NAME [--seeds N] [--owner-exclusion]
-  oolong vc      <file|corpus:NAME> [--proc NAME]
+  oolong vc      <file|corpus:NAME> [--proc NAME] [--naive] [--null-checks]
   oolong stats   <file|corpus:NAME> [--json] [--naive] [--null-checks]
                  [--max-instances N] [--max-gen N]
   oolong axioms  <file|corpus:NAME> [--json] [--naive] [--null-checks]
@@ -762,7 +762,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_vc(args: &[String]) -> Result<ExitCode, String> {
     let source = load_source(positional(args)?)?;
     let program = parse_program(&source).map_err(|e| e.render(&source))?;
-    let checker = Checker::new(&program, CheckOptions::default()).map_err(|e| e.render(&source))?;
+    let checker = Checker::new(&program, check_options(args)?).map_err(|e| e.render(&source))?;
     let filter = opt_value(args, "--proc");
     for (impl_id, info) in checker.scope().impls() {
         let name = checker.scope().proc_info(info.proc).name.clone();
@@ -938,12 +938,12 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
     let source = load_source(positional(args)?)?;
     let program = parse_program(&source).map_err(|e| e.render(&source))?;
     let checker = Checker::new(&program, check_options(args)?).map_err(|e| e.render(&source))?;
-    let policies = checker.background_policies();
+    let background = checker.background();
 
     // Per-axiom telemetry, summed over every obligation. Each VC is proved
     // against the full background so the per-quantifier rows line up with
     // the policy table by index — the slicer would renumber them.
-    let n = policies.len();
+    let n = background.len();
     let (mut presat, mut goal, mut matches) = (vec![0i64; n], vec![0i64; n], vec![0i64; n]);
     let impl_ids: Vec<_> = checker.scope().impls().map(|(id, _)| id).collect();
     for id in impl_ids {
@@ -985,12 +985,13 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
             .collect::<Vec<_>>()
     };
     if flag(args, "--json") {
-        let axioms = policies
+        let axioms = background
             .iter()
             .enumerate()
-            .map(|(i, (name, _, policy))| {
+            .map(|(i, axiom)| {
+                let policy = &axiom.policy;
                 Json::Object(vec![
-                    ("name".to_string(), Json::Str(name.clone())),
+                    ("name".to_string(), Json::Str(axiom.name.clone())),
                     (
                         "phase".to_string(),
                         Json::Str(policy.phase.as_str().to_string()),
@@ -1025,8 +1026,9 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    for (i, (name, _, policy)) in policies.iter().enumerate() {
-        println!("{name} [{}]", policy.phase);
+    for (i, axiom) in background.iter().enumerate() {
+        let policy = &axiom.policy;
+        println!("{} [{}]", axiom.name, policy.phase);
         for t in pats(policy) {
             println!("  PATS {t}");
         }

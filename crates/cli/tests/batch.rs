@@ -128,3 +128,26 @@ fn unknown_flags_are_rejected() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn vc_honours_checking_flags() {
+    let dir = std::env::temp_dir();
+    let vc = |flag: Option<&str>| {
+        let mut args = vec!["vc", "corpus:section30_q"];
+        args.extend(flag);
+        let out = oolong(&args, &dir);
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8(out.stdout).expect("utf-8 VC")
+    };
+    let plain = vc(None);
+    assert!(
+        plain.starts_with("=== VC for impl q (32 hypotheses)"),
+        "{plain}"
+    );
+    // The naive baseline swaps the alias-restriction axioms for the
+    // closed-world ones and drops the owner-exclusion assumption;
+    // `--null-checks` adds definedness conditions to the goal.
+    for flag in ["--naive", "--null-checks"] {
+        assert_ne!(vc(Some(flag)), plain, "`vc {flag}` printed the default VC");
+    }
+}

@@ -43,7 +43,26 @@ fn ground(formula: Formula) -> (Formula, PatternPolicy) {
     (formula, PatternPolicy::eager(Vec::new()))
 }
 
-/// Generates the universal background predicate as a list of axioms.
+/// One scope-background axiom: its stable name, the formula the prover
+/// asserts, and its declared [`PatternPolicy`]. Names let slicing
+/// decisions, telemetry and the slicing-soundness witness corpus refer to
+/// axioms by name instead of by position. The policy's phase is the input
+/// to the prover's two-phase schedule and to the engine's fingerprint
+/// phase mask.
+#[derive(Debug, Clone)]
+pub struct Axiom {
+    /// Stable name, parameterized by the declared attributes involved.
+    pub name: String,
+    /// The axiom as the prover asserts it.
+    pub formula: Formula,
+    /// The declared activation policy; its triggers are the formula's.
+    pub policy: PatternPolicy,
+}
+
+/// The complete background a verification condition asserts for `scope`,
+/// in assertion order: the universal background, then the
+/// scope-dependent background, then — when `alias_restrictions` is off,
+/// i.e. for the naive baseline — the closed-world additions.
 ///
 /// `alias_restrictions` selects whether the consequences of pivot
 /// uniqueness and owner exclusion (axioms (6) and (7)) are included; the
@@ -55,34 +74,33 @@ fn ground(formula: Formula) -> (Formula, PatternPolicy) {
 /// original system. Scope monotonicity holds within a level (an
 /// arrays-level extension of a plain scope requires re-checking the plain
 /// modules at the arrays level).
-pub fn universal_background(
+///
+/// Bound variables are named from `fresh`. The checker builds this list
+/// once and starts every VC's own names from the state it leaves `fresh`
+/// in, so `Vc::hypotheses[..background_hyps]` are exactly these formulas.
+pub fn axioms(
+    scope: &Scope,
     alias_restrictions: bool,
     arrays: bool,
     fresh: &mut FreshGen,
-) -> Vec<Formula> {
-    universal_background_named(alias_restrictions, arrays, fresh)
+) -> Vec<Axiom> {
+    let mut axioms = universal_background(alias_restrictions, arrays, fresh);
+    axioms.extend(scope_background(scope, fresh));
+    if !alias_restrictions {
+        axioms.extend(closed_world_background(scope, fresh));
+    }
+    axioms
         .into_iter()
-        .map(|(_, f)| f)
+        .map(|(name, formula, policy)| Axiom {
+            name,
+            formula,
+            policy,
+        })
         .collect()
 }
 
-/// [`universal_background`] with a stable name attached to every axiom, so
-/// slicing decisions, telemetry, and the slicing-soundness witness corpus
-/// can refer to axioms by name instead of by position.
-pub fn universal_background_named(
-    alias_restrictions: bool,
-    arrays: bool,
-    fresh: &mut FreshGen,
-) -> Vec<(String, Formula)> {
-    universal_background_policies(alias_restrictions, arrays, fresh)
-        .into_iter()
-        .map(|(name, f, _)| (name, f))
-        .collect()
-}
-
-/// [`universal_background_named`] with each axiom's declared
-/// [`PatternPolicy`] attached.
-pub fn universal_background_policies(
+/// The universal background predicate `UBP`.
+fn universal_background(
     alias_restrictions: bool,
     arrays: bool,
     fresh: &mut FreshGen,
@@ -135,74 +153,17 @@ pub fn universal_background_policies(
         .collect()
 }
 
-/// The complete background a verification condition asserts for `scope`,
-/// in assertion order, with stable axiom names: the universal background,
-/// then the scope-dependent background, then — when `alias_restrictions`
-/// is off, i.e. for the naive baseline — the closed-world additions.
+/// The *closed-world* additions to the scope background used by the naive
+/// baseline checker: the eventual program is assumed to declare **no**
+/// inclusions beyond those visible in the scope. This is the classically
+/// unsound design the paper's Section 3 dismantles — it makes `q` (§3.0)
+/// checkable in the small scope, and then fails scope monotonicity the
+/// moment the pivot declaration comes into view.
 ///
-/// `vc_for_impl` builds `Vc::hypotheses[..background_hyps]` from exactly
-/// this list in exactly this order, so the names here index the VC's
-/// background hypotheses one-for-one.
-pub fn named_background(
-    scope: &Scope,
-    alias_restrictions: bool,
-    arrays: bool,
-    fresh: &mut FreshGen,
-) -> Vec<(String, Formula)> {
-    named_background_policies(scope, alias_restrictions, arrays, fresh)
-        .into_iter()
-        .map(|(name, f, _)| (name, f))
-        .collect()
-}
-
-/// [`named_background`] with each axiom's declared [`PatternPolicy`]
-/// attached, in the same order. The policies' [`Phase`] column is the
-/// input to the prover's two-phase schedule (and to the engine's
-/// fingerprint phase mask), so it must stay in lockstep with the
-/// hypothesis list — which it does by construction, being the same list.
-pub fn named_background_policies(
-    scope: &Scope,
-    alias_restrictions: bool,
-    arrays: bool,
-    fresh: &mut FreshGen,
-) -> Vec<(String, Formula, PatternPolicy)> {
-    let mut axioms = universal_background_policies(alias_restrictions, arrays, fresh);
-    axioms.extend(scope_background_policies(scope, fresh));
-    if !alias_restrictions {
-        axioms.extend(closed_world_background_policies(scope, fresh));
-    }
-    axioms
-}
-
-/// Generates the *closed-world* additions to the scope background used by
-/// the naive baseline checker: the eventual program is assumed to declare
-/// **no** inclusions beyond those visible in the scope. This is the
-/// classically unsound design the paper's Section 3 dismantles — it makes
-/// `q` (§3.0) checkable in the small scope, and then fails scope
-/// monotonicity the moment the pivot declaration comes into view.
-pub fn closed_world_background(scope: &Scope, fresh: &mut FreshGen) -> Vec<Formula> {
-    closed_world_background_named(scope, fresh)
-        .into_iter()
-        .map(|(_, f)| f)
-        .collect()
-}
-
-/// [`closed_world_background`] with stable axiom names.
-pub fn closed_world_background_named(
-    scope: &Scope,
-    fresh: &mut FreshGen,
-) -> Vec<(String, Formula)> {
-    closed_world_background_policies(scope, fresh)
-        .into_iter()
-        .map(|(name, f, _)| (name, f))
-        .collect()
-}
-
-/// [`closed_world_background_named`] with declared pattern policies. Both
-/// enumeration axioms are goal-directed: they fire once per rep/local
+/// Both enumeration axioms are goal-directed: they fire once per rep/local
 /// inclusion atom, and asserting them against a goalless background
 /// enumerates the scope's whole declaration table into every context.
-pub fn closed_world_background_policies(
+fn closed_world_background(
     scope: &Scope,
     fresh: &mut FreshGen,
 ) -> Vec<(String, Formula, PatternPolicy)> {
@@ -259,34 +220,14 @@ pub fn closed_world_background_policies(
     axioms
 }
 
-/// Generates the scope-dependent background predicate `BP_D`.
-pub fn scope_background(scope: &Scope, fresh: &mut FreshGen) -> Vec<Formula> {
-    scope_background_named(scope, fresh)
-        .into_iter()
-        .map(|(_, f)| f)
-        .collect()
-}
-
-/// [`scope_background`] with stable axiom names (parameterized by the
-/// declared attribute names involved).
-pub fn scope_background_named(scope: &Scope, fresh: &mut FreshGen) -> Vec<(String, Formula)> {
-    scope_background_policies(scope, fresh)
-        .into_iter()
-        .map(|(name, f, _)| (name, f))
-        .collect()
-}
-
-/// [`scope_background_named`] with declared pattern policies. The ground
+/// The scope-dependent background predicate `BP_D`. The ground
 /// inclusion facts are (vacuously) eager; the per-attribute and per-field
 /// *enumeration* axioms are goal-directed — they fire on every ground
 /// `⊒`/`→f` fact, so letting them run during goalless pre-saturation
 /// enumerates the scope's whole declaration lattice (and, through the
 /// `Iff` bodies' freshly interned arm atoms, re-triggers itself) in every
 /// context whether or not an obligation ever asks.
-pub fn scope_background_policies(
-    scope: &Scope,
-    fresh: &mut FreshGen,
-) -> Vec<(String, Formula, PatternPolicy)> {
+fn scope_background(scope: &Scope, fresh: &mut FreshGen) -> Vec<(String, Formula, PatternPolicy)> {
     let mut axioms = Vec::new();
 
     for (attr_id, info) in scope.attrs() {
@@ -1497,23 +1438,27 @@ mod tests {
     }
 
     fn all_axioms(scope: &Scope) -> Vec<Formula> {
-        let mut fresh = FreshGen::new();
-        let mut axioms = universal_background(true, false, &mut fresh);
-        axioms.extend(scope_background(scope, &mut fresh));
-        axioms
+        axioms(scope, true, false, &mut FreshGen::new())
+            .into_iter()
+            .map(|a| a.formula)
+            .collect()
     }
 
     #[test]
     fn axiom_counts() {
-        let mut fresh = FreshGen::new();
+        // An empty scope contributes no scope-dependent axioms, so these
+        // count the universal background (plus, with alias restrictions
+        // off, the two closed-world axioms).
+        let empty = Scope::analyze(&parse_program("").unwrap()).unwrap();
+        let count =
+            |restrictions, arrays| axioms(&empty, restrictions, arrays, &mut FreshGen::new()).len();
         // Plain level: the paper's system.
-        assert_eq!(universal_background(true, false, &mut fresh).len(), 17);
-        assert_eq!(universal_background(false, false, &mut fresh).len(), 14);
+        assert_eq!(count(true, false), 17);
+        assert_eq!(count(false, false), 14 + 2);
         // Arrays level adds comparisons-are-ints plus four slot axioms.
-        assert_eq!(universal_background(true, true, &mut fresh).len(), 25);
-        assert_eq!(universal_background(false, true, &mut fresh).len(), 15);
-        let bp = scope_background(&stack_scope(), &mut fresh);
-        assert!(!bp.is_empty());
+        assert_eq!(count(true, true), 25);
+        assert_eq!(count(false, true), 15 + 2);
+        assert!(all_axioms(&stack_scope()).len() > 17);
     }
 
     #[test]

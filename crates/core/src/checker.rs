@@ -2,10 +2,11 @@
 //! scope analysis, the pivot-uniqueness restriction, VC generation, and the
 //! theorem prover.
 
+use crate::background::Axiom;
 use crate::restrict::check_pivot_uniqueness;
 use crate::slice::{slice_background, BackgroundSlice};
-use crate::vcgen::{ObligationKind, ObligationLabel, Vc, VcGen, VcOptions};
-use oolong_logic::{Formula, PatternPolicy, Phase};
+use crate::vcgen::{scope_uses_arrays, ObligationKind, ObligationLabel, Vc, VcGen};
+use oolong_logic::{Formula, FreshGen, Phase};
 use oolong_prover::{Budget, CandidateModel, Outcome, ScopeContext, SearchStrategy, Stats};
 use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{Diagnostic, Diagnostics, Program};
@@ -238,14 +239,23 @@ impl fmt::Display for Report {
 /// obligations with equal slices share one prover context saturated once,
 /// and each proof runs inside a trail frame of that context, with
 /// goal-directed axioms armed only inside the frame.
+///
+/// The scope background (`UBP ∧ BP_D`) is a pure function of the scope and
+/// options, so the checker builds it once; every VC it generates starts
+/// with clones of those formulas.
 #[derive(Debug)]
 pub struct Checker {
     scope: Scope,
     options: CheckOptions,
-    /// The declared scheduling phase of every scope-background axiom,
-    /// index-aligned with the VC's background hypotheses. A pure function
-    /// of the scope and options, so it is computed once per checker.
-    phases: Vec<Phase>,
+    /// Whether the scope is checked at the arrays language level: it uses
+    /// array features, or `force_arrays_level` is set.
+    pub(crate) arrays: bool,
+    /// The scope background, in assertion order.
+    background: Vec<Axiom>,
+    /// The fresh-name state reached after building `background`. Each VC
+    /// continues from it, so its names are exactly those it would get if
+    /// the background were generated afresh in front of it.
+    pub(crate) fresh: FreshGen,
 }
 
 impl Checker {
@@ -261,17 +271,16 @@ impl Checker {
 
     /// Wraps an already-analysed scope.
     pub fn from_scope(scope: Scope, options: CheckOptions) -> Checker {
-        let mut checker = Checker {
+        let arrays = options.force_arrays_level || scope_uses_arrays(&scope);
+        let mut fresh = FreshGen::new();
+        let background = crate::background::axioms(&scope, !options.naive, arrays, &mut fresh);
+        Checker {
             scope,
             options,
-            phases: Vec::new(),
-        };
-        checker.phases = checker
-            .background_policies()
-            .into_iter()
-            .map(|(_, _, policy)| policy.phase)
-            .collect();
-        checker
+            arrays,
+            background,
+            fresh,
+        }
     }
 
     /// The underlying scope.
@@ -284,14 +293,6 @@ impl Checker {
         &self.options
     }
 
-    fn vc_options(&self) -> VcOptions {
-        VcOptions {
-            null_checks: self.options.null_checks,
-            restrictions: !self.options.naive,
-            force_arrays_level: self.options.force_arrays_level,
-        }
-    }
-
     /// Generates (without proving) the VC for one implementation.
     ///
     /// # Errors
@@ -299,7 +300,7 @@ impl Checker {
     /// Returns a [`Diagnostic`] when the body uses an unsupported
     /// expression form.
     pub fn vc(&self, impl_id: ImplId) -> Result<Vc, Diagnostic> {
-        VcGen::new(&self.scope, self.vc_options()).vc_for_impl(impl_id)
+        VcGen::new(self).vc_for_impl(impl_id)
     }
 
     /// The pivot-uniqueness violations of one implementation (always
@@ -312,32 +313,13 @@ impl Checker {
         }
     }
 
-    /// The stable names of the scope-background axioms, index-aligned with
-    /// `Vc::hypotheses[..background_hyps]` of every VC this checker
-    /// generates (see [`crate::background::named_background`]). Lets tests
-    /// and diagnostics refer to background hypotheses by name rather than
-    /// position.
-    pub fn background_names(&self) -> Vec<String> {
-        self.background_policies()
-            .into_iter()
-            .map(|(name, _, _)| name)
-            .collect()
-    }
-
     /// The scope-background axioms with their stable names and declared
     /// activation policies, index-aligned with
-    /// `Vc::hypotheses[..background_hyps]` exactly like
-    /// [`Checker::background_names`].
-    pub fn background_policies(&self) -> Vec<(String, Formula, PatternPolicy)> {
-        let opts = self.vc_options();
-        let arrays = opts.force_arrays_level || crate::vcgen::scope_uses_arrays(&self.scope);
-        let mut fresh = oolong_logic::FreshGen::new();
-        crate::background::named_background_policies(
-            &self.scope,
-            opts.restrictions,
-            arrays,
-            &mut fresh,
-        )
+    /// `Vc::hypotheses[..background_hyps]` of every VC this checker
+    /// generates. Lets tests and diagnostics refer to background
+    /// hypotheses by name rather than position.
+    pub fn background(&self) -> &[Axiom] {
+        &self.background
     }
 
     /// The axiom-relevance slice of a VC's scope background: which of the
@@ -362,11 +344,11 @@ impl Checker {
     /// The kept axioms' scheduling phases under `slice`, index-aligned
     /// with [`Checker::sliced_background`].
     pub fn sliced_phases(&self, slice: &BackgroundSlice) -> Vec<Phase> {
-        self.phases
+        self.background
             .iter()
             .zip(&slice.keep)
             .filter(|(_, &k)| k)
-            .map(|(&p, _)| p)
+            .map(|(axiom, _)| axiom.policy.phase)
             .collect()
     }
 
@@ -426,10 +408,9 @@ impl Checker {
     ///
     /// Obligations whose slice keeps the same background axioms share one
     /// scope context, saturated on first use; every proof runs inside a
-    /// trail frame of it. Within one checker the unsliced background list
-    /// is structurally identical across implementations (the fresh-name
-    /// generator restarts per VC), so equal keep-masks mean equal sliced
-    /// backgrounds.
+    /// trail frame of it. Every VC of one checker starts with the same
+    /// background list (clones of the checker's prebuilt axioms), so equal
+    /// keep-masks mean equal sliced backgrounds.
     pub fn check_all(&self) -> Report {
         let mut contexts: HashMap<Vec<bool>, ScopeContext> = HashMap::new();
         let impls = self

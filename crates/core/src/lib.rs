@@ -52,4 +52,4 @@ pub use effects::{ModEntry, ModList};
 pub use metrics::{overhead, prover_metrics, HotAxiom, OverheadReport, ProverMetrics};
 pub use restrict::check_pivot_uniqueness;
 pub use slice::{is_sliceable, slice_background, BackgroundSlice};
-pub use vcgen::{ObligationKind, ObligationLabel, Vc, VcGen, VcOptions};
+pub use vcgen::{ObligationKind, ObligationLabel, Vc, VcGen};

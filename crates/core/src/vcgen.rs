@@ -14,6 +14,7 @@
 //! store advances to `S_pre⁺`. The field-allocation rule is treated
 //! correspondingly: the final store is `$⁺(tr(E)·f := new($))`.
 
+use crate::checker::Checker;
 use crate::effects::{ModEntry, ModList};
 use crate::translate::{tr_formula, tr_value};
 use oolong_logic::transform::FreshGen;
@@ -102,36 +103,6 @@ pub struct ObligationLabel {
     pub detail: String,
 }
 
-/// Options controlling VC generation.
-#[derive(Debug, Clone)]
-pub struct VcOptions {
-    /// Emit `≠ null` well-definedness side conditions for dereferences.
-    /// Default `false`, matching the paper (which elides them "for
-    /// brevity" and whose examples require the elision — e.g. §3.0's `q`
-    /// reads `v.cnt` for a `v` whose non-nullness is unknown).
-    pub null_checks: bool,
-    /// Apply the paper's alias-confinement machinery: owner-exclusion
-    /// obligations at call sites, owner-exclusion assumptions on entry,
-    /// and the background axioms (6) and (7). Setting this to `false`
-    /// yields the *naive* checker used as the unsound baseline in
-    /// experiments E2 and E3.
-    pub restrictions: bool,
-    /// Check at the arrays language level even if the scope itself uses no
-    /// array features. Needed when a plain module will be linked together
-    /// with arrays-level modules (see `DESIGN.md`, extensions).
-    pub force_arrays_level: bool,
-}
-
-impl Default for VcOptions {
-    fn default() -> Self {
-        VcOptions {
-            null_checks: false,
-            restrictions: true,
-            force_arrays_level: false,
-        }
-    }
-}
-
 /// A generated verification condition.
 #[derive(Debug, Clone)]
 pub struct Vc {
@@ -181,17 +152,12 @@ impl Vc {
     }
 }
 
-/// Verification-condition generator for one scope.
+/// Verification-condition generator for one checker's scope.
 #[derive(Debug)]
 pub struct VcGen<'s> {
     scope: &'s Scope,
-    options: VcOptions,
+    checker: &'s Checker,
     fresh: FreshGen,
-    /// Whether the scope is at the *arrays* language level (declares
-    /// `maps elem` clauses or uses index syntax): selects the extended
-    /// axiom (4), the slot axioms, and the elementwise owner-exclusion
-    /// clauses.
-    arrays: bool,
     /// Position labels allocated while generating the current VC's goal;
     /// drained into [`Vc::labels`] by [`VcGen::vc_for_impl`].
     labels: Vec<ObligationLabel>,
@@ -203,14 +169,14 @@ pub struct VcGen<'s> {
 }
 
 impl<'s> VcGen<'s> {
-    /// Creates a generator over `scope`.
-    pub fn new(scope: &'s Scope, options: VcOptions) -> Self {
-        let arrays = options.force_arrays_level || scope_uses_arrays(scope);
+    /// Creates a generator for `checker`: its VCs assert the checker's
+    /// prebuilt scope background and draw fresh names from where building
+    /// that background left off.
+    pub fn new(checker: &'s Checker) -> Self {
         VcGen {
-            scope,
-            options,
-            fresh: FreshGen::new(),
-            arrays,
+            scope: checker.scope(),
+            checker,
+            fresh: checker.fresh.clone(),
             labels: Vec::new(),
             reads: None,
         }
@@ -326,17 +292,14 @@ impl<'s> VcGen<'s> {
             .map(|r| ModList::new(self.scope, r, &params));
 
         // The scope-level background (universal, scope-dependent, and — for
-        // the naive baseline — the unsound closed-world additions), via the
-        // named builder so axiom names align with hypothesis indices.
-        let mut hypotheses: Vec<Formula> = crate::background::named_background(
-            self.scope,
-            self.options.restrictions,
-            self.arrays,
-            &mut self.fresh,
-        )
-        .into_iter()
-        .map(|(_, f)| f)
-        .collect();
+        // the naive baseline — the unsound closed-world additions), in the
+        // checker's order so axiom names align with hypothesis indices.
+        let mut hypotheses: Vec<Formula> = self
+            .checker
+            .background()
+            .iter()
+            .map(|axiom| axiom.formula.clone())
+            .collect();
         let background_hyps = hypotheses.len();
         // Init(m): $ = $0, plus ownExcl and alive for each formal (5).
         hypotheses.push(Formula::eq(Term::store(), Term::store0()));
@@ -354,11 +317,11 @@ impl<'s> VcGen<'s> {
             }));
         }
         for p in &params {
-            if self.options.restrictions {
+            if !self.checker.options().naive {
                 hypotheses.push(w.own_excl_leveled(
                     p,
                     &Term::store0(),
-                    self.arrays,
+                    self.checker.arrays,
                     &mut self.fresh,
                 ));
             }
@@ -450,7 +413,7 @@ impl<'s> VcGen<'s> {
     }
 
     fn defined(&self, conditions: Vec<Formula>) -> impl Iterator<Item = Formula> {
-        let keep = self.options.null_checks;
+        let keep = self.checker.options().null_checks;
         conditions.into_iter().filter(move |_| keep)
     }
 
@@ -709,9 +672,10 @@ impl<'s> VcGen<'s> {
             ));
         }
         // Owner exclusion for every parameter value.
-        if self.options.restrictions {
+        if !self.checker.options().naive {
             for (i, s) in si_terms.iter().enumerate() {
-                let own_excl = ws.own_excl_leveled(s, &Term::store(), self.arrays, &mut self.fresh);
+                let own_excl =
+                    ws.own_excl_leveled(s, &Term::store(), self.checker.arrays, &mut self.fresh);
                 obligations.push(self.label(
                     ObligationKind::OwnerExclusion,
                     span,
@@ -826,24 +790,30 @@ pub(crate) fn scope_uses_arrays(scope: &Scope) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::CheckOptions;
     use oolong_prover::{prove, Budget, Outcome};
-    use oolong_sema::Scope;
     use oolong_syntax::parse_program;
 
     fn check_src(src: &str, proc_name: &str) -> Outcome {
-        check_src_with(src, proc_name, VcOptions::default(), &Budget::default())
+        check_src_with(src, proc_name, CheckOptions::default())
     }
 
-    fn check_src_with(src: &str, proc_name: &str, opts: VcOptions, budget: &Budget) -> Outcome {
-        let program = parse_program(src).expect("parses");
-        let scope = Scope::analyze(&program).expect("analyses");
-        let mut gen = VcGen::new(&scope, opts);
+    fn check_src_with(src: &str, proc_name: &str, options: CheckOptions) -> Outcome {
+        let checker =
+            Checker::new(&parse_program(src).expect("parses"), options).expect("analyses");
+        let scope = checker.scope();
         let (impl_id, _) = scope
             .impls()
             .find(|(_, i)| scope.proc_info(i.proc).name == proc_name)
             .expect("impl exists");
-        let vc = gen.vc_for_impl(impl_id).expect("vc generates");
-        prove(&vc.hypotheses, &vc.goal, budget).outcome
+        let vc = checker.vc(impl_id).expect("vc generates");
+        prove(&vc.hypotheses, &vc.goal, &Budget::default()).outcome
+    }
+
+    fn first_vc(src: &str) -> Vc {
+        let checker = Checker::new(&parse_program(src).unwrap(), CheckOptions::default()).unwrap();
+        let (impl_id, _) = checker.scope().impls().next().unwrap();
+        checker.vc(impl_id).unwrap()
     }
 
     #[test]
@@ -1039,11 +1009,10 @@ mod tests {
             check_src_with(
                 src,
                 "p",
-                VcOptions {
+                CheckOptions {
                     null_checks: true,
-                    ..VcOptions::default()
-                },
-                &Budget::default()
+                    ..CheckOptions::default()
+                }
             ),
             Outcome::NotProved
         );
@@ -1053,11 +1022,10 @@ mod tests {
             check_src_with(
                 guarded,
                 "p",
-                VcOptions {
+                CheckOptions {
                     null_checks: true,
-                    ..VcOptions::default()
-                },
-                &Budget::default()
+                    ..CheckOptions::default()
+                }
             ),
             Outcome::Proved
         );
@@ -1255,11 +1223,7 @@ mod tests {
 
     #[test]
     fn vc_seeds_reflexive_inclusions() {
-        let program = parse_program("group g proc p(t) modifies t.g impl p(t) { skip }").unwrap();
-        let scope = Scope::analyze(&program).unwrap();
-        let mut gen = VcGen::new(&scope, VcOptions::default());
-        let (impl_id, _) = scope.impls().next().unwrap();
-        let vc = gen.vc_for_impl(impl_id).unwrap();
+        let vc = first_vc("group g proc p(t) modifies t.g impl p(t) { skip }");
         let reflexive = Formula::Atom(Atom::Inc {
             store: Term::store0(),
             obj: Term::var("t"),
@@ -1272,11 +1236,7 @@ mod tests {
 
     #[test]
     fn vc_size_is_positive() {
-        let program = parse_program("proc p(t) impl p(t) { skip }").unwrap();
-        let scope = Scope::analyze(&program).unwrap();
-        let mut gen = VcGen::new(&scope, VcOptions::default());
-        let (impl_id, _) = scope.impls().next().unwrap();
-        let vc = gen.vc_for_impl(impl_id).unwrap();
+        let vc = first_vc("proc p(t) impl p(t) { skip }");
         assert!(vc.size() > 10);
         assert_eq!(vc.proc_name, "p");
     }

@@ -5,7 +5,7 @@
 //! the full source-level diagnosis — byte-for-byte.
 
 use crate::json::Json;
-use datagroups::{ObligationKind, ObligationLabel};
+use datagroups::{ObligationKind, ObligationLabel, Verdict};
 use oolong_diagnose::{Diagnosis, Replay};
 use oolong_syntax::Span;
 
@@ -21,6 +21,23 @@ pub fn label_to_json(label: &ObligationLabel) -> Json {
         ("end".to_string(), Json::Int(label.span.end as i64)),
         ("detail".to_string(), Json::Str(label.detail.clone())),
     ])
+}
+
+/// The attribution members of a refuted obligation's JSON object: its
+/// `obligation_kind`, `label_id` and full `label`. Empty unless the
+/// verdict is a refutation with a primary label.
+pub fn attribution_members(verdict: &Verdict) -> Vec<(String, Json)> {
+    let Some(primary) = verdict.refutation().and_then(|r| r.primary.as_ref()) else {
+        return Vec::new();
+    };
+    vec![
+        (
+            "obligation_kind".to_string(),
+            Json::Str(primary.kind.as_str().to_string()),
+        ),
+        ("label_id".to_string(), Json::Int(primary.id as i64)),
+        ("label".to_string(), label_to_json(primary)),
+    ]
 }
 
 /// Inverse of [`label_to_json`].

@@ -13,7 +13,7 @@
 
 use crate::cache::{CachedOutcome, CachedVerdict};
 use crate::contexts::{context_key, ContextPool, DEFAULT_CONTEXT_CAPACITY};
-use crate::diagjson::{diagnosis_to_json, label_to_json};
+use crate::diagjson::{attribution_members, diagnosis_to_json};
 use crate::events::{render_jsonl, Event};
 use crate::fingerprint::{fingerprint_vc, Fingerprint};
 use crate::json::Json;
@@ -169,16 +169,7 @@ impl BatchReport {
                 }
                 // Refuted obligations always carry their attribution —
                 // kind and label id — even when full diagnosis is off.
-                if let Some(refutation) = o.verdict.refutation() {
-                    if let Some(primary) = &refutation.primary {
-                        members.push((
-                            "obligation_kind".to_string(),
-                            Json::Str(primary.kind.as_str().to_string()),
-                        ));
-                        members.push(("label_id".to_string(), Json::Int(primary.id as i64)));
-                        members.push(("label".to_string(), label_to_json(primary)));
-                    }
-                }
+                members.extend(attribution_members(&o.verdict));
                 if let Some(diagnosis) = &o.diagnosis {
                     members.push(("diagnosis".to_string(), diagnosis_to_json(diagnosis)));
                 }

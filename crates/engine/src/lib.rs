@@ -68,7 +68,9 @@ pub use cache::{
 pub use contexts::{
     context_key, ContextPool, ContextPoolMetrics, ContextSlot, DEFAULT_CONTEXT_CAPACITY,
 };
-pub use diagjson::{diagnosis_from_json, diagnosis_to_json, label_from_json, label_to_json};
+pub use diagjson::{
+    attribution_members, diagnosis_from_json, diagnosis_to_json, label_from_json, label_to_json,
+};
 pub use engine::{BatchReport, BatchUnit, Engine, EngineOptions, ObligationReport, UnitError};
 pub use events::{render_jsonl, Event, EventLogWriter};
 pub use fingerprint::{fingerprint_vc, Fingerprint, FINGERPRINT_VERSION};

@@ -38,7 +38,7 @@ pub mod triggers;
 
 pub use egraph::{Conflict, EGraph, EgMark, NodeId, Sym};
 pub use prover::{
-    prove, refute, Budget, CandidateModel, Divergence, ModelClass, ModelRelation, ModelSelect,
-    Outcome, Proof, QuantProfile, ScopeContext, SearchStrategy, Stats, UnknownReason,
+    prove, Budget, CandidateModel, Divergence, ModelClass, ModelRelation, ModelSelect, Outcome,
+    Proof, QuantProfile, ScopeContext, SearchStrategy, Stats, UnknownReason,
 };
 pub use triggers::QuantKind;

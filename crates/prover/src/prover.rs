@@ -563,34 +563,11 @@ pub fn prove(hypotheses: &[Formula], goal: &Formula, budget: &Budget) -> Proof {
 
 /// Refutes a conjunction of NNF formulas: [`Outcome::Proved`] means the
 /// conjunction is unsatisfiable.
-pub fn refute(parts: Vec<Nnf>, budget: &Budget) -> Proof {
+fn refute(parts: Vec<Nnf>, budget: &Budget) -> Proof {
     let start = std::time::Instant::now();
-    let mut shared = Shared {
-        budget: budget.clone(),
-        stats: Stats::default(),
-        quant_ids: HashMap::new(),
-        quant_meta: Vec::new(),
-        fuel: None,
-        open_branch: None,
-        model: None,
-        presat: false,
-    };
-    let mut ctx = Ctx {
-        eg: EGraph::new(),
-        pending: parts.into_iter().map(|p| (p, 0)).collect(),
-        splits: Vec::new(),
-        quants: Vec::new(),
-        quant_ids_present: HashSet::new(),
-        seen: HashSet::new(),
-        labels: Vec::new(),
-        deferred: false,
-        matched_upto: 0,
-        fresh_quants_from: 0,
-        full_pass_merges: u64::MAX,
-        trail: Vec::new(),
-        recording: 0,
-        match_cache: HashMap::new(),
-    };
+    let mut shared = Shared::new(budget, false);
+    let mut ctx = Ctx::new();
+    ctx.pending.extend(parts.into_iter().map(|p| (p, 0)));
     let outcome = outcome_of(search(&mut ctx, 0, &mut shared), shared.fuel);
     let mut stats = shared.stats;
     // One E-graph serves every branch, so its monotonic counters count
@@ -741,32 +718,8 @@ impl ScopeContext {
         budget: &Budget,
     ) -> ScopeContext {
         let mut fresh = FreshGen::new();
-        let mut shared = Shared {
-            budget: budget.clone(),
-            stats: Stats::default(),
-            quant_ids: HashMap::new(),
-            quant_meta: Vec::new(),
-            fuel: None,
-            open_branch: None,
-            model: None,
-            presat: true,
-        };
-        let mut ctx = Ctx {
-            eg: EGraph::new(),
-            pending: Vec::new(),
-            splits: Vec::new(),
-            quants: Vec::new(),
-            quant_ids_present: HashSet::new(),
-            seen: HashSet::new(),
-            labels: Vec::new(),
-            deferred: false,
-            matched_upto: 0,
-            fresh_quants_from: 0,
-            full_pass_merges: u64::MAX,
-            trail: Vec::new(),
-            recording: 0,
-            match_cache: HashMap::new(),
-        };
+        let mut shared = Shared::new(budget, true);
+        let mut ctx = Ctx::new();
         let mut axiom_quants: Vec<Vec<usize>> = Vec::with_capacity(background.len());
         let mut gated_quants: Vec<Quant> = Vec::new();
         let mut contradictory = false;
@@ -877,14 +830,10 @@ impl ScopeContext {
             .collect();
         parts.push(to_nnf(goal, false, &mut fresh));
         let mut shared = Shared {
-            budget: self.budget.clone(),
             stats: self.base_stats.clone(),
             quant_ids: self.base_quant_ids.clone(),
             quant_meta: self.base_quant_meta.clone(),
-            fuel: None,
-            open_branch: None,
-            model: None,
-            presat: false,
+            ..Shared::new(&self.budget, false)
         };
         // Monotonic-counter samples so the proof reports only its own trail
         // work (plus the base merges), not the lifetime totals of a
@@ -980,6 +929,23 @@ struct Shared {
     /// only while [`ScopeContext::new`] builds the base); instantiations
     /// are attributed to the presat/goal telemetry split by this flag.
     presat: bool,
+}
+
+impl Shared {
+    /// Fresh search state under `budget`, with no work counted and no
+    /// quantifiers registered.
+    fn new(budget: &Budget, presat: bool) -> Shared {
+        Shared {
+            budget: budget.clone(),
+            stats: Stats::default(),
+            quant_ids: HashMap::new(),
+            quant_meta: Vec::new(),
+            fuel: None,
+            open_branch: None,
+            model: None,
+            presat,
+        }
+    }
 }
 
 /// Accumulating telemetry for one quantifier (rendered to a
@@ -1131,6 +1097,26 @@ struct Ctx {
 }
 
 impl Ctx {
+    /// An empty context: nothing asserted, no checkpoint active.
+    fn new() -> Ctx {
+        Ctx {
+            eg: EGraph::new(),
+            pending: Vec::new(),
+            splits: Vec::new(),
+            quants: Vec::new(),
+            quant_ids_present: HashSet::new(),
+            seen: HashSet::new(),
+            labels: Vec::new(),
+            deferred: false,
+            matched_upto: 0,
+            fresh_quants_from: 0,
+            full_pass_merges: u64::MAX,
+            trail: Vec::new(),
+            recording: 0,
+            match_cache: HashMap::new(),
+        }
+    }
+
     fn record(&mut self, entry: CtxUndo) {
         if self.recording > 0 {
             self.trail.push(entry);

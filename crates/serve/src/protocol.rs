@@ -43,7 +43,7 @@
 //! instead of queueing behind everyone else.
 
 use datagroups::CheckOptions;
-use oolong_engine::{diagnosis_to_json, label_to_json, stats_to_json, BatchReport, Json};
+use oolong_engine::{attribution_members, diagnosis_to_json, stats_to_json, BatchReport, Json};
 
 /// One parsed client request.
 #[derive(Debug, Clone)]
@@ -340,16 +340,7 @@ fn impl_json(o: &oolong_engine::ObligationReport) -> Json {
             Json::Array(branch.iter().map(|l| Json::Str(l.clone())).collect()),
         ));
     }
-    if let Some(refutation) = o.verdict.refutation() {
-        if let Some(primary) = &refutation.primary {
-            members.push((
-                "obligation_kind".to_string(),
-                Json::Str(primary.kind.as_str().to_string()),
-            ));
-            members.push(("label_id".to_string(), Json::Int(primary.id as i64)));
-            members.push(("label".to_string(), label_to_json(primary)));
-        }
-    }
+    members.extend(attribution_members(&o.verdict));
     if let Some(diagnosis) = &o.diagnosis {
         members.push(("diagnosis".to_string(), diagnosis_to_json(diagnosis)));
     }
@@ -389,16 +380,7 @@ pub fn explain_result_json(unit: &str, report: &BatchReport, proc: Option<&str>)
                 ),
                 ("cache_hit".to_string(), Json::Bool(o.cache_hit)),
             ];
-            if let Some(refutation) = o.verdict.refutation() {
-                if let Some(primary) = &refutation.primary {
-                    members.push((
-                        "obligation_kind".to_string(),
-                        Json::Str(primary.kind.as_str().to_string()),
-                    ));
-                    members.push(("label_id".to_string(), Json::Int(primary.id as i64)));
-                    members.push(("label".to_string(), label_to_json(primary)));
-                }
-            }
+            members.extend(attribution_members(&o.verdict));
             members.push((
                 "diagnosis".to_string(),
                 match &o.diagnosis {

@@ -3,10 +3,11 @@
 #
 #   scripts/cli_parity.sh OLD_BINARY NEW_BINARY
 #
-# Runs `check` (text, --json, --explain, --json --explain, and
-# --explain-unknown --max-instances 20), `explain --json` and
-# `stats --json` on every program `oolong corpus` lists, with each binary,
-# and diffs stdout plus the exit code. Prints nothing and exits 0 when
+# Runs `check` (text, --json, --naive, --explain, --json --explain, and
+# --explain-unknown --max-instances 20), `explain --json`, `stats --json`,
+# `axioms --json` and `vc` on every program `oolong corpus` lists, with
+# each binary, and diffs stdout plus the exit code. `vc` prints every
+# hypothesis with its fresh names, so it pins VC generation byte for byte. Prints nothing and exits 0 when
 # every invocation agrees byte for byte; otherwise prints the diff and
 # exits 1.
 set -euo pipefail
@@ -19,11 +20,14 @@ trap 'rm -rf "$out"' EXIT
 variants=(
     "check"
     "check --json"
+    "check --naive"
     "check --explain"
     "check --json --explain"
     "check --explain-unknown --max-instances 20"
     "explain --json"
     "stats --json"
+    "axioms --json"
+    "vc"
 )
 
 record() { # record BINARY DIR

@@ -6,7 +6,7 @@
 //! obligations whose VCs mention it).
 
 use oolong::datagroups::{CheckOptions, Checker, Verdict};
-use oolong::engine::{json, BatchUnit, Engine, EngineOptions, Json};
+use oolong::engine::{json, BatchUnit, CachedVerdict, Engine, EngineOptions, Json};
 use oolong::syntax::parse_program;
 
 fn corpus_units() -> Vec<BatchUnit> {
@@ -255,30 +255,78 @@ fn modifies_edit_invalidates_only_dependent_impls() {
 
 /// A changed budget is a changed obligation: warm runs under a different
 /// budget do not reuse verdicts.
+/// The verdict cache is sound only if an obligation's fingerprint covers
+/// everything its verdict depends on. Change each input the scope
+/// background and the VC are built from, one at a time: every obligation
+/// either gets a new fingerprint, or proves afresh to exactly the cache
+/// entry the unchanged run would serve it.
 #[test]
-fn budget_change_misses_the_cache() {
-    let src = "group g
+fn fingerprints_cover_what_the_background_is_built_from() {
+    const SRC: &str = "group g
          field f in g
+         field h
          proc p(r) modifies r.g
-         impl p(r) { r.f := 1 }";
-    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
-    let cold = engine.check_source("unit", src);
-    assert_eq!(cold.prover_calls, 1);
-
-    let starved = CheckOptions {
-        budget: oolong::prover::Budget::tiny(),
-        ..CheckOptions::default()
+         impl p(r) { r.f := 1 }
+         proc q(r) modifies r.g
+         impl q(r) { r.h := 2 }
+         proc c(r) modifies r.g
+         impl c(r) { p(r) }";
+    let run = |check: CheckOptions, src: &str| {
+        let engine = Engine::new(EngineOptions {
+            check,
+            ..EngineOptions::default()
+        })
+        .expect("in-memory engine");
+        let report = engine.check_source("unit", src);
+        assert!(report.unit_errors.is_empty(), "{:?}", report.unit_errors);
+        report
+            .obligations
+            .iter()
+            .map(|o| {
+                let entry = CachedVerdict::from_verdict(&o.proc_name, &o.verdict, None);
+                (o.fingerprint.expect("a proved obligation"), entry)
+            })
+            .collect::<Vec<_>>()
     };
-    let engine2 = Engine::new(EngineOptions {
-        check: starved,
-        ..EngineOptions::default()
-    })
-    .expect("in-memory engine");
-    let other = engine2.check_source("unit", src);
-    assert_ne!(
-        cold.obligations[0].fingerprint, other.obligations[0].fingerprint,
-        "budget participates in the fingerprint"
-    );
+    let base = run(CheckOptions::default(), SRC);
+    let option = |set: fn(&mut CheckOptions)| {
+        let mut options = CheckOptions::default();
+        set(&mut options);
+        (options, SRC.to_string())
+    };
+    let changes = [
+        ("a budget field", option(|o| o.budget.max_instances += 1)),
+        ("naive", option(|o| o.naive = true)),
+        ("null_checks", option(|o| o.null_checks = true)),
+        (
+            "force_arrays_level",
+            option(|o| o.force_arrays_level = true),
+        ),
+        // Puts `h` in `g`, which flips `q` from rejected to verified.
+        (
+            "an added `in` clause",
+            (
+                CheckOptions::default(),
+                SRC.replace("field h", "field h in g"),
+            ),
+        ),
+    ];
+    for (input, (options, src)) in changes {
+        let changed = run(options, &src);
+        assert_eq!(changed.len(), base.len());
+        let mut moved = 0;
+        for ((fp, entry), (new_fp, new_entry)) in base.iter().zip(&changed) {
+            if fp == new_fp {
+                assert_eq!(
+                    entry, new_entry,
+                    "{input}: same fingerprint, different fresh verdict"
+                );
+            } else {
+                moved += 1;
+            }
+        }
+        assert!(moved > 0, "{input}: no fingerprint changed");
+    }
 }
 
 /// Within one batch, obligations whose sliced scope background coincides

@@ -13,6 +13,8 @@
 //!    permitted `Formula::forall` call site is inside `fn declare` itself.
 //!    A new axiom written with a raw `Formula::forall` fails this test
 //!    with the offending line number, before any behavioural symptom.
+//!    The same scan pins the file to one public generator,
+//!    `background::axioms`, which the checker calls once.
 //! 2. A **runtime sweep** of every corpus program (both checker modes,
 //!    both language levels reachable from the corpus): each background
 //!    axiom's policy either declares at least one pattern, or the axiom is
@@ -94,6 +96,23 @@ fn background_quantifiers_are_built_only_through_declare() {
 }
 
 #[test]
+fn background_has_one_public_generator() {
+    // The checker builds the background once, through this one function;
+    // a second public builder would let a caller regenerate it per VC.
+    let source = include_str!("../crates/core/src/background.rs");
+    let public: Vec<&str> = source
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub fn "))
+        .filter_map(|l| l.split(['(', '<']).next())
+        .collect();
+    assert_eq!(
+        public,
+        ["axioms"],
+        "background.rs must expose exactly one generator"
+    );
+}
+
+#[test]
 fn every_background_axiom_declares_a_policy() {
     for p in corpus::all() {
         for naive in [false, true] {
@@ -103,16 +122,17 @@ fn every_background_axiom_declares_a_policy() {
                 ..CheckOptions::default()
             };
             let checker = Checker::new(&program, options).expect("corpus program analyses");
-            for (name, formula, policy) in checker.background_policies() {
-                if policy.is_declared() {
+            for axiom in checker.background() {
+                if axiom.policy.is_declared() {
                     continue;
                 }
                 assert!(
-                    !has_quantifier(&formula),
-                    "{} (naive={naive}): background axiom `{name}` is quantified \
+                    !has_quantifier(&axiom.formula),
+                    "{} (naive={naive}): background axiom `{}` is quantified \
                      but declares no PATS/MPAT patterns — it would fall back to \
                      heuristic trigger inference",
-                    p.name
+                    p.name,
+                    axiom.name
                 );
             }
         }
@@ -128,14 +148,15 @@ fn declared_triggers_are_the_formula_triggers() {
         let program = parse_program(p.source).expect("corpus program parses");
         let checker =
             Checker::new(&program, CheckOptions::default()).expect("corpus program analyses");
-        for (name, formula, policy) in checker.background_policies() {
-            if let Formula::Forall(_, triggers, _) = &formula {
+        for axiom in checker.background() {
+            if let Formula::Forall(_, triggers, _) = &axiom.formula {
                 assert_eq!(
                     triggers,
-                    &policy.all_triggers(),
-                    "{}: axiom `{name}`: the prover's trigger list and the \
+                    &axiom.policy.all_triggers(),
+                    "{}: axiom `{}`: the prover's trigger list and the \
                      declared policy disagree",
-                    p.name
+                    p.name,
+                    axiom.name
                 );
             }
         }

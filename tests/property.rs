@@ -358,7 +358,8 @@ proptest! {
              field cnt in elems
              field vec in contents maps elems into contents",
         ).expect("parses");
-        let scope = Scope::analyze(&program).expect("analyses");
+        let checker = oolong::datagroups::Checker::new(&program, Default::default()).expect("analyses");
+        let scope = checker.scope();
         let vec_attr = scope.attr("vec").unwrap();
         let contents = scope.attr("contents").unwrap();
 
@@ -370,9 +371,7 @@ proptest! {
         }
 
         // Ground description of the store for the prover.
-        let mut fresh = oolong::logic::FreshGen::new();
-        let mut hyps = oolong::datagroups::background::universal_background(true, false, &mut fresh);
-        hyps.extend(oolong::datagroups::background::scope_background(&scope, &mut fresh));
+        let mut hyps: Vec<Formula> = checker.background().iter().map(|a| a.formula.clone()).collect();
         let obj_term = |o: oolong::interp::ObjId| Term::var(format!("o{}", o.0));
         for (i, &oi) in objs.iter().enumerate() {
             // Distinct objects, all alive, none null.
@@ -393,7 +392,7 @@ proptest! {
 
         // Check agreement for the contents group of object 0.
         let root = Loc { obj: objs[0], attr: contents };
-        let denoted = included_locations(&scope, &store, root);
+        let denoted = included_locations(scope, &store, root);
         for (_, info) in scope.attrs() {
             let _ = info;
         }

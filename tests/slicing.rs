@@ -21,7 +21,7 @@
 //!   is exactly why the slicer only ever considers pure triggered
 //!   universals.
 //!
-//! Axiom names come from [`Checker::background_names`], which is
+//! Axiom names come from [`Checker::background`], which is
 //! index-aligned with `Vc::hypotheses[..background_hyps]`.
 
 use std::collections::{BTreeSet, HashSet};
@@ -106,10 +106,10 @@ fn dropping_a_needed_axiom_flips_the_verdict() {
     for &(prog, naive, proc, axiom) in WITNESSES {
         let p = corpus::by_name(prog).unwrap_or_else(|| panic!("unknown corpus program {prog}"));
         let checker = checker_for(p.source, naive);
-        let names = checker.background_names();
-        let idx = names
+        let idx = checker
+            .background()
             .iter()
-            .position(|n| n == axiom)
+            .position(|a| a.name == axiom)
             .unwrap_or_else(|| panic!("{prog}: no background axiom named `{axiom}`"));
         let impl_id = checker
             .scope()
@@ -158,9 +158,9 @@ fn fired_axioms_are_kept_across_the_corpus() {
     for p in corpus::all() {
         for naive in [false, true] {
             let checker = checker_for(p.source, naive);
-            let names = checker.background_names();
-            for n in &names {
-                all_families.insert(family(n).to_string());
+            let background = checker.background();
+            for a in background {
+                all_families.insert(family(&a.name).to_string());
             }
             let impls: Vec<_> = checker.scope().impls().map(|(id, _)| id).collect();
             for id in impls {
@@ -186,11 +186,11 @@ fn fired_axioms_are_kept_across_the_corpus() {
                         .iter()
                         .any(|q| fired.contains(q))
                     {
-                        fired_families.insert(family(&names[axiom]).to_string());
+                        fired_families.insert(family(&background[axiom].name).to_string());
                         assert!(
                             kept,
                             "{} ({}): slicer dropped `{}` but it matched in the full run",
-                            p.name, vc.proc_name, names[axiom]
+                            p.name, vc.proc_name, background[axiom].name
                         );
                     }
                 }
@@ -224,7 +224,7 @@ fn unsliceable_axioms_are_always_kept() {
     for p in corpus::all() {
         for naive in [false, true] {
             let checker = checker_for(p.source, naive);
-            let names = checker.background_names();
+            let background = checker.background();
             let impls: Vec<_> = checker.scope().impls().map(|(id, _)| id).collect();
             for id in impls {
                 let Ok(vc) = checker.vc(id) else { continue };
@@ -234,7 +234,7 @@ fn unsliceable_axioms_are_always_kept() {
                         assert!(
                             kept,
                             "{} ({}): unsliceable axiom `{}` was dropped",
-                            p.name, vc.proc_name, names[i]
+                            p.name, vc.proc_name, background[i].name
                         );
                     }
                 }

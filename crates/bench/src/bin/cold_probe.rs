@@ -1,5 +1,6 @@
-//! Cold-batch regression probe: the `e19_engine_cold` measurement as a
-//! plain binary, for CI gating and experiment records.
+//! Cold-batch regression probe: the E19 cold paper-corpus batch as a
+//! plain binary, for CI gating and experiment records. Timings beyond
+//! this gate come from the `oolong_bench` harness.
 //!
 //! Each sample constructs a fresh [`Engine`] (empty caches, empty context
 //! pool) and checks the full paper corpus through it — fingerprinting,

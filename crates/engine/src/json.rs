@@ -162,11 +162,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, and its input arrives from clients and cache files, so
+/// an unbounded nest would overflow a worker thread's stack; the deepest
+/// document this crate writes is a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -180,6 +187,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,8 +233,17 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(self.error("nesting too deep")),
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -406,6 +424,18 @@ mod tests {
     fn integral_floats_stay_floats() {
         let rendered = Json::Float(2.0).render();
         assert_eq!(parse(&rendered).expect("parses"), Json::Float(2.0));
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("nesting too deep", MAX_DEPTH)
+        );
+        assert!(parse(&"{\"a\":".repeat(10_000)).is_err());
     }
 
     #[test]

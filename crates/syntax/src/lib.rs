@@ -40,5 +40,5 @@ pub use ast::{
     MapsClause, ModuleDecl, ProcDecl, Program, UnaryOp,
 };
 pub use diag::{Diagnostic, Diagnostics, Severity};
-pub use parser::{parse_command, parse_expr, parse_program};
+pub use parser::{parse_command, parse_expr, parse_program, MAX_NESTING};
 pub use span::{LineCol, LineMap, Span};

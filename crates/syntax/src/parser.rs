@@ -37,12 +37,9 @@ use crate::token::{Token, TokenKind};
 /// Returns the accumulated [`Diagnostics`] if lexing or parsing failed.
 pub fn parse_program(source: &str) -> Result<Program, Diagnostics> {
     let (tokens, mut diags) = lex(source);
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        diags: Diagnostics::new(),
-    };
+    let mut parser = Parser::new(tokens);
     let program = parser.program();
+    parser.reject_tall_trees(&program.decls);
     diags.extend(parser.diags);
     if diags.has_errors() {
         Err(diags)
@@ -58,11 +55,7 @@ pub fn parse_program(source: &str) -> Result<Program, Diagnostics> {
 /// Returns diagnostics if the source is not exactly one command.
 pub fn parse_command(source: &str) -> Result<Cmd, Diagnostics> {
     let (tokens, mut diags) = lex(source);
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        diags: Diagnostics::new(),
-    };
+    let mut parser = Parser::new(tokens);
     let cmd = parser.command();
     parser.expect_eof();
     diags.extend(parser.diags);
@@ -79,11 +72,7 @@ pub fn parse_command(source: &str) -> Result<Cmd, Diagnostics> {
 /// Returns diagnostics if the source is not exactly one expression.
 pub fn parse_expr(source: &str) -> Result<Expr, Diagnostics> {
     let (tokens, mut diags) = lex(source);
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        diags: Diagnostics::new(),
-    };
+    let mut parser = Parser::new(tokens);
     let expr = parser.expr();
     parser.expect_eof();
     diags.extend(parser.diags);
@@ -93,13 +82,81 @@ pub fn parse_expr(source: &str) -> Result<Expr, Diagnostics> {
     }
 }
 
+/// Deepest nesting a program may have, counted in commands, expressions
+/// and modules: a `;` or `[]` sequence, a `.f` chain and each operator
+/// add one level apiece, as do parentheses and braces while parsing.
+/// Analysis, VC generation and proving all recurse over the tree, so the
+/// bound keeps every accepted program within a 2 MiB worker-thread stack.
+/// The paper corpus and the generated populations nest under 30 levels.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     diags: Diagnostics,
+    /// Commands, expressions and modules currently being parsed.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            diags: Diagnostics::new(),
+            depth: 0,
+        }
+    }
+
+    fn nesting_error(&mut self, span: Span) {
+        self.diags.push(Diagnostic::error(
+            format!("nesting deeper than {MAX_NESTING} levels"),
+            span,
+        ));
+    }
+
+    /// Runs `parse` one level deeper. Past [`MAX_NESTING`] it reports the
+    /// error and skips to the end of input instead, so nothing recurses
+    /// further.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        if self.depth == MAX_NESTING {
+            self.nesting_error(self.span());
+            self.pos = self.tokens.len() - 1;
+            return None;
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Reports every declaration whose command or expression trees are
+    /// taller than [`MAX_NESTING`]: left-nested `;`, `[]`, operator and
+    /// selection chains grow the tree without deepening the parse.
+    fn reject_tall_trees(&mut self, decls: &[Decl]) {
+        for decl in decls {
+            let tall = match decl {
+                Decl::Impl(d) => cmd_taller(&d.body, MAX_NESTING),
+                Decl::Proc(d) => d
+                    .modifies
+                    .iter()
+                    .chain(d.reads.iter().flatten())
+                    .any(|e| expr_taller(e, MAX_NESTING)),
+                Decl::Invariant(d) => expr_taller(&d.expr, MAX_NESTING),
+                Decl::Module(m) => {
+                    self.reject_tall_trees(&m.decls);
+                    false
+                }
+                Decl::Group(_) | Decl::Field(_) => false,
+            };
+            if tall {
+                // Point at the name: the whole declaration may be huge.
+                let start = decl.span().start;
+                self.nesting_error(decl.name().map_or(Span::new(start, start), |n| n.span));
+            }
+        }
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -257,7 +314,9 @@ impl Parser {
             Vec::new()
         };
         self.expect(&TokenKind::LBrace);
-        let decls = self.decl_list(false);
+        let decls = self
+            .nested(|p| Some(p.decl_list(false)))
+            .unwrap_or_default();
         self.expect(&TokenKind::RBrace);
         Some(ModuleDecl {
             name,
@@ -413,6 +472,10 @@ impl Parser {
     // ------------------------------------------------------------- commands
 
     fn command(&mut self) -> Option<Cmd> {
+        self.nested(Self::choice_command)
+    }
+
+    fn choice_command(&mut self) -> Option<Cmd> {
         let mut lhs = self.seq_command()?;
         while self.eat(&TokenKind::Choice) {
             let rhs = self.seq_command()?;
@@ -534,7 +597,7 @@ impl Parser {
     // ---------------------------------------------------------- expressions
 
     fn expr(&mut self) -> Option<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Option<Expr> {
@@ -630,7 +693,7 @@ impl Parser {
         match self.peek() {
             TokenKind::Bang => {
                 self.bump();
-                let operand = self.unary_expr()?;
+                let operand = self.nested(Self::unary_expr)?;
                 let span = start.to(operand.span());
                 Some(Expr::Unary {
                     op: UnaryOp::Not,
@@ -640,7 +703,7 @@ impl Parser {
             }
             TokenKind::Minus => {
                 self.bump();
-                let operand = self.unary_expr()?;
+                let operand = self.nested(Self::unary_expr)?;
                 let span = start.to(operand.span());
                 Some(Expr::Unary {
                     op: UnaryOp::Neg,
@@ -717,6 +780,50 @@ impl Parser {
                 None
             }
         }
+    }
+}
+
+/// Whether `cmd` is more than `room` nodes tall; recurses at most `room`
+/// deep.
+fn cmd_taller(cmd: &Cmd, room: usize) -> bool {
+    let Some(room) = room.checked_sub(1) else {
+        return true;
+    };
+    match cmd {
+        Cmd::Assert(e, _) | Cmd::Assume(e, _) | Cmd::AssignNew { lhs: e, .. } => {
+            expr_taller(e, room)
+        }
+        Cmd::Assign { lhs, rhs, .. } => expr_taller(lhs, room) || expr_taller(rhs, room),
+        Cmd::Var(_, body, _) => cmd_taller(body, room),
+        Cmd::Seq(a, b) | Cmd::Choice(a, b) => cmd_taller(a, room) || cmd_taller(b, room),
+        Cmd::Call { args, .. } => args.iter().any(|e| expr_taller(e, room)),
+        Cmd::Skip(_) => false,
+        Cmd::If {
+            cond,
+            then_branch,
+            else_branch,
+            ..
+        } => {
+            expr_taller(cond, room)
+                || cmd_taller(then_branch, room)
+                || cmd_taller(else_branch, room)
+        }
+    }
+}
+
+/// Whether `expr` is more than `room` nodes tall; recurses at most `room`
+/// deep.
+fn expr_taller(expr: &Expr, room: usize) -> bool {
+    let Some(room) = room.checked_sub(1) else {
+        return true;
+    };
+    match expr {
+        Expr::Const(..) | Expr::Id(_) => false,
+        Expr::Select { base, .. } | Expr::Unary { operand: base, .. } => expr_taller(base, room),
+        Expr::Index { base, index: b, .. }
+        | Expr::Binary {
+            lhs: base, rhs: b, ..
+        } => expr_taller(base, room) || expr_taller(b, room),
     }
 }
 

@@ -6,8 +6,12 @@
 //! obligations whose VCs mention it).
 
 use oolong::datagroups::{CheckOptions, Checker, Verdict};
-use oolong::engine::{json, BatchUnit, CachedVerdict, Engine, EngineOptions, Json};
-use oolong::syntax::parse_program;
+use oolong::engine::{
+    json, BatchUnit, CachedVerdict, ContextPool, Engine, EngineOptions, Json, MemoryTier,
+    DEFAULT_CONTEXT_CAPACITY,
+};
+use oolong::syntax::{parse_program, MAX_NESTING};
+use std::sync::Arc;
 
 fn corpus_units() -> Vec<BatchUnit> {
     oolong::corpus::all()
@@ -358,4 +362,75 @@ fn batch_reuses_scope_contexts() {
     assert_eq!(warm.prover_calls, 0);
     let m2 = engine.contexts().metrics();
     assert_eq!((m2.hits, m2.misses), (m.hits, m.misses));
+
+    // A resident engine whose store always misses (an edit that changes
+    // every fingerprint): each batch reproves every obligation, and the
+    // pooled scope context serves them across batches.
+    let resident = Engine::with_store_and_contexts(
+        EngineOptions::default(),
+        Arc::new(MemoryTier::with_capacity(0)),
+        Arc::new(ContextPool::with_capacity(DEFAULT_CONTEXT_CAPACITY)),
+    );
+    let mut hits = Vec::new();
+    for _ in 0..2 {
+        let report = resident.check_source("unit", src);
+        assert_eq!(report.prover_calls, 3, "every batch reproves");
+        assert_eq!(report.cache_hits, 0);
+        hits.push(resident.contexts().metrics().hits);
+    }
+    assert_eq!(resident.contexts().metrics().misses, 1);
+    assert!(hits[1] > hits[0], "later batches reuse the pooled context");
+}
+
+/// The deepest program of each shape the parser accepts still checks on a
+/// worker-sized 2 MiB stack, and one level deeper is a unit error rather
+/// than a stack overflow.
+#[test]
+fn deepest_accepted_programs_check_on_a_worker_stack() {
+    let unit = |body: String| {
+        format!("group g field f in g proc p(r) modifies r.g impl p(r) {{ {body} }}")
+    };
+    let body = |shape: &str, n: usize| match shape {
+        "parentheses" => format!("r.f := {}1{}", "(".repeat(n), ")".repeat(n)),
+        "arithmetic" => format!("r.f := {}1{}", "1 + (".repeat(n), ")".repeat(n)),
+        "field chain" => format!("r.f := r{}", ".f".repeat(n)),
+        "sequence" => vec!["r.f := 1"; n].join(" ; "),
+        _ => vec!["r.f := 1"; n].join(" [] "),
+    };
+    let worker = std::thread::Builder::new().stack_size(2 << 20);
+    let run = move || {
+        let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
+        for shape in [
+            "parentheses",
+            "arithmetic",
+            "field chain",
+            "sequence",
+            "choice",
+        ] {
+            // The deepest accepted size, by bisection on the parser alone.
+            let (mut lo, mut hi) = (1, 2 * MAX_NESTING);
+            while lo + 1 < hi {
+                let mid = (lo + hi) / 2;
+                match parse_program(&unit(body(shape, mid))) {
+                    Ok(_) => lo = mid,
+                    Err(_) => hi = mid,
+                }
+            }
+            assert!(lo + 8 > MAX_NESTING, "{shape}: only {lo} levels accepted");
+            let report = engine.check_source(shape, &unit(body(shape, lo)));
+            let verdicts: Vec<_> = report
+                .obligations
+                .iter()
+                .map(|o| o.verdict.label())
+                .collect();
+            assert_eq!(verdicts, ["verified"], "{shape} at {lo}");
+            let deeper = engine.check_source(shape, &unit(body(shape, lo + 1)));
+            assert_eq!(deeper.unit_errors.len(), 1, "{shape} at {}", lo + 1);
+        }
+    };
+    worker
+        .spawn(run)
+        .expect("spawns")
+        .join()
+        .expect("no overflow");
 }

@@ -1,8 +1,8 @@
 //! The experiment suite: every empirical claim of the paper, as a test.
 //!
 //! The experiment ids (E1–E10) are defined in `DESIGN.md`; `EXPERIMENTS.md`
-//! records the paper-vs-measured summary. Benchmarks regenerating the
-//! timing-flavoured experiments live in `crates/bench`.
+//! records the paper-vs-measured summary. Timings come from the
+//! `oolong_bench/` harness (`bash oolong_bench/run.sh run`).
 
 use oolong::corpus::{self, paper};
 use oolong::datagroups::{CheckOptions, Checker, Verdict};

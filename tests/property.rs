@@ -804,10 +804,7 @@ fn interned_payloads_are_not_built_from_raw_strings() {
             let path = entry.expect("dirent").path();
             if path.is_dir() {
                 // Vendored dev-dependency stubs don't touch the logic.
-                if path.ends_with("crates/proptest")
-                    || path.ends_with("crates/rand")
-                    || path.ends_with("crates/criterion")
-                {
+                if path.ends_with("crates/proptest") || path.ends_with("crates/rand") {
                     continue;
                 }
                 stack.push(path);

@@ -641,14 +641,26 @@ fn errors_are_answered_in_band() {
     let handle = spawn_server(&dir, ServeOptions::default());
     let mut client = Client::connect(handle.socket()).expect("connects");
 
+    // Over-deep JSON and over-deep sources once overflowed a worker's stack.
+    let inline = |body: String| {
+        let unit = "group g field f in g proc p(r) modifies r.g impl p(r)";
+        format!(r#"{{"cmd":"check","unit":{{"name":"deep","source":"{unit} {{ {body} }}"}}}}"#)
+    };
     for bad in [
-        "not json at all",
-        r#"{"cmd":"frobnicate"}"#,
-        r#"{"cmd":"check"}"#,
-        r#"{"cmd":"check","unit":"corpus:no_such_program"}"#,
-        r#"{"cmd":"check","unit":{"name":"inline","source":"group g\nfield f in"}}"#,
+        "not json at all".to_string(),
+        r#"{"cmd":"frobnicate"}"#.to_string(),
+        r#"{"cmd":"check"}"#.to_string(),
+        r#"{"cmd":"check","unit":"corpus:no_such_program"}"#.to_string(),
+        r#"{"cmd":"check","unit":{"name":"inline","source":"group g\nfield f in"}}"#.to_string(),
+        "[".repeat(10_000),
+        inline(format!(
+            "r.f := {}1{}",
+            "(".repeat(1_500),
+            ")".repeat(1_500)
+        )),
+        inline(vec!["r.f := 1"; 4_000].join(" ; ")),
     ] {
-        let response = client.request(bad).expect("answered");
+        let response = client.request(&bad).expect("answered");
         assert!(
             !response_ok(&response),
             "`{bad}` should be an error: {response:?}"

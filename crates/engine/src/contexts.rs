@@ -11,15 +11,17 @@
 //! Keys are stable 128-bit hashes over everything a context's behaviour
 //! depends on: the sliced background formula list (in order), its
 //! activation phases, the prover budget, and the search strategy (which
-//! has a single value). Entries are `Arc<Mutex<…>>` slots, so
-//! a context is only ever driven by one thread at a time while the pool
-//! itself stays contention-free; eviction (LRU, bounded capacity) merely
-//! drops the pool's reference — a checked-out context survives until its
-//! borrower finishes.
+//! has a single value). A key may hold several contexts, one per
+//! concurrent borrower: a checkout takes an idle context for the key, or
+//! a fresh empty slot when every context for it is busy, so same-scope
+//! obligations on different threads prove in parallel instead of queueing
+//! (the paper's §4 modular soundness makes them independent). A context is
+//! still only ever driven by one thread at a time. Eviction (LRU over
+//! contexts, bounded capacity) merely drops the pool's reference — a
+//! checked-out context survives until its borrower finishes.
 
 use oolong_logic::{Formula, Phase, StableHasher};
 use oolong_prover::{Budget, ScopeContext, SearchStrategy};
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -54,31 +56,33 @@ pub type ContextSlot = Arc<Mutex<Option<ScopeContext>>>;
 /// Usage counters for a [`ContextPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContextPoolMetrics {
-    /// Checkouts that found a warm slot.
+    /// Checkouts that found an idle slot for their key.
     pub hits: u64,
-    /// Checkouts that created a fresh slot.
+    /// Checkouts that created a fresh slot, because no slot for the key
+    /// was retained or every one was busy.
     pub misses: u64,
     /// Slots dropped to respect the capacity bound.
     pub evictions: u64,
-    /// Slots currently retained.
+    /// Slots currently retained (contexts, not keys).
     pub size: usize,
-}
-
-#[derive(Debug, Default)]
-struct PoolInner {
-    /// Key → slot. Recency is tracked by `order` (least recent first).
-    slots: HashMap<u128, ContextSlot>,
-    order: Vec<u128>,
 }
 
 /// A bounded, thread-safe LRU pool of scope contexts.
 #[derive(Debug)]
 pub struct ContextPool {
     capacity: usize,
-    inner: Mutex<PoolInner>,
+    /// Every retained slot with its key, least recently used first.
+    slots: Mutex<Vec<(u128, ContextSlot)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+}
+
+/// A slot is idle when the pool holds its only reference. Slots are
+/// cloned only under the pool lock, so a slot found idle there cannot be
+/// handed out twice.
+fn idle(slot: &ContextSlot) -> bool {
+    Arc::strong_count(slot) == 1
 }
 
 impl ContextPool {
@@ -86,35 +90,39 @@ impl ContextPool {
     pub fn with_capacity(capacity: usize) -> ContextPool {
         ContextPool {
             capacity: capacity.max(1),
-            inner: Mutex::new(PoolInner::default()),
+            slots: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// Checks out the slot for `key`, creating an empty one on a miss.
-    /// The caller locks the slot and builds the context into it if it is
-    /// still `None` — the build happens outside the pool lock, so a slow
-    /// saturation never blocks unrelated checkouts, while concurrent
-    /// requests for the *same* key queue on the slot and build it once.
+    /// Checks out an idle slot for `key`, or a fresh empty one when every
+    /// slot for the key is busy (or there is none). The caller locks the
+    /// slot and builds the context into it if it is still `None`; the
+    /// build happens outside the pool lock, so a slow saturation never
+    /// blocks other checkouts. Dropping the returned `Arc` returns the
+    /// slot. Contexts per key are thus bounded by concurrent borrowers.
     pub fn checkout(&self, key: u128) -> ContextSlot {
-        let mut inner = self.inner.lock().expect("context pool lock poisoned");
-        if let Some(slot) = inner.slots.get(&key) {
-            let slot = Arc::clone(slot);
-            // Refresh recency.
-            inner.order.retain(|&k| k != key);
-            inner.order.push(key);
+        let mut slots = self.slots.lock().expect("context pool lock poisoned");
+        // A proof that panicked poisoned its slot: drop it rather than
+        // hand a broken context to the next obligation.
+        slots.retain(|(_, slot)| !slot.is_poisoned());
+        if let Some(i) = slots.iter().rposition(|(k, slot)| *k == key && idle(slot)) {
+            let entry = slots.remove(i);
+            let slot = Arc::clone(&entry.1);
+            slots.push(entry);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return slot;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let slot: ContextSlot = Arc::new(Mutex::new(None));
-        inner.slots.insert(key, Arc::clone(&slot));
-        inner.order.push(key);
-        while inner.order.len() > self.capacity {
-            let victim = inner.order.remove(0);
-            inner.slots.remove(&victim);
+        slots.push((key, Arc::clone(&slot)));
+        while slots.len() > self.capacity {
+            // The least recently used idle slot goes first; with none idle,
+            // the least recent busy one, which lives on with its borrower.
+            let victim = slots.iter().position(|(_, slot)| idle(slot)).unwrap_or(0);
+            slots.remove(victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         slot
@@ -126,12 +134,7 @@ impl ContextPool {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            size: self
-                .inner
-                .lock()
-                .expect("context pool lock poisoned")
-                .slots
-                .len(),
+            size: self.slots.lock().expect("context pool lock poisoned").len(),
         }
     }
 }
@@ -172,29 +175,69 @@ mod tests {
     }
 
     #[test]
-    fn checkout_hits_after_miss_and_shares_the_slot() {
+    fn busy_slot_is_never_handed_to_a_second_borrower() {
         let pool = ContextPool::with_capacity(4);
-        let slot1 = pool.checkout(1);
-        let slot2 = pool.checkout(1);
-        assert!(Arc::ptr_eq(&slot1, &slot2));
+        let first = pool.checkout(1);
+        let second = pool.checkout(1);
+        assert!(!Arc::ptr_eq(&first, &second));
+        let m = pool.metrics();
+        assert_eq!((m.hits, m.misses, m.size), (0, 2, 2));
+    }
+
+    #[test]
+    fn released_slot_is_reused_as_a_hit() {
+        let pool = ContextPool::with_capacity(4);
+        let first = Arc::as_ptr(&pool.checkout(1));
+        let again = pool.checkout(1);
+        assert_eq!(Arc::as_ptr(&again), first);
         let m = pool.metrics();
         assert_eq!((m.hits, m.misses, m.size), (1, 1, 1));
     }
 
     #[test]
-    fn capacity_evicts_least_recently_used() {
-        let pool = ContextPool::with_capacity(2);
-        let first = pool.checkout(1);
-        pool.checkout(2);
-        pool.checkout(1); // refresh 1: 2 is now least recent
-        pool.checkout(3); // evicts 2
+    fn capacity_and_size_count_contexts_not_keys() {
+        let pool = ContextPool::with_capacity(3);
+        let held = [pool.checkout(1), pool.checkout(1), pool.checkout(2)];
+        assert_eq!(pool.metrics().size, 3);
+        // A fourth busy context exceeds the bound by one context, though
+        // only two keys are in use.
+        let fourth = pool.checkout(1);
         let m = pool.metrics();
-        assert_eq!((m.evictions, m.size), (1, 2));
-        // Key 2 is gone (fresh slot), key 1 survived.
-        assert!(Arc::ptr_eq(&first, &pool.checkout(1)));
-        let again = pool.checkout(2);
-        assert!(again.lock().unwrap().is_none());
-        assert_eq!(pool.metrics().misses, 4); // keys 1, 2, 3, and 2 again
+        assert_eq!((m.size, m.evictions, m.misses), (3, 1, 4));
+        drop((held, fourth));
+    }
+
+    #[test]
+    fn eviction_drops_least_recently_used_idle_contexts_first() {
+        let pool = ContextPool::with_capacity(2);
+        let busy = pool.checkout(1); // least recent, but busy
+        drop(pool.checkout(2)); // idle from here on
+        let _three = pool.checkout(3); // evicts key 2, not the busy key 1
+        assert_eq!(pool.metrics().evictions, 1);
+        let busy1 = Arc::as_ptr(&busy);
+        drop(busy);
+        assert_eq!(Arc::as_ptr(&pool.checkout(1)), busy1);
+        pool.checkout(2);
+        let m = pool.metrics();
+        assert_eq!((m.hits, m.misses), (1, 4)); // keys 1, 2, 3, and 2 again
+    }
+
+    #[test]
+    fn poisoned_slot_is_dropped_at_checkout() {
+        let pool = Arc::new(ContextPool::with_capacity(4));
+        let borrower = Arc::clone(&pool);
+        let panicked = std::thread::spawn(move || {
+            let slot = borrower.checkout(1);
+            let _guard = slot.lock().unwrap();
+            panic!("proof panicked while holding its context");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let slot = pool.checkout(1);
+        assert!(!slot.is_poisoned());
+        assert!(slot.lock().unwrap().is_none());
+        let m = pool.metrics();
+        assert_eq!((m.hits, m.misses, m.size), (0, 2, 1));
     }
 
     #[test]

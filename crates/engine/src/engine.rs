@@ -525,9 +525,9 @@ impl Engine {
         }
 
         // Prove inside a warm scope context from the pool, building (and
-        // thereby saturating) it only on the first encounter of this sliced
-        // background. The slot mutex keys same-scope obligations to one
-        // thread at a time; unrelated scopes proceed in parallel.
+        // thereby saturating) one only when no idle context for this sliced
+        // background is pooled. Each concurrent borrower gets its own
+        // context, so same-scope obligations prove in parallel too.
         let background = checker.sliced_background(&vc, &slice);
         let key = context_key(
             &background,

@@ -510,6 +510,8 @@ impl Shared {
             ),
             ("contexts".to_string(), {
                 let c = self.contexts.metrics();
+                // `warm` counts retained contexts, not keys: a key holds
+                // one context per concurrent borrower.
                 Json::Object(vec![
                     ("warm".to_string(), Json::Int(c.size as i64)),
                     ("hits".to_string(), Json::Int(c.hits as i64)),

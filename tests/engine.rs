@@ -348,7 +348,13 @@ fn batch_reuses_scope_contexts() {
          impl q(r) { r.f := 2 ; r.f := 3 }
          proc w(r) modifies r.g
          impl w(r) { r.f := 4 ; r.f := 5 ; r.f := 6 }";
-    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
+    // One worker: with more, overlapping proofs each get their own
+    // context and the exact counts below depend on the interleaving.
+    let options = EngineOptions {
+        workers: 1,
+        ..EngineOptions::default()
+    };
+    let engine = Engine::new(options.clone()).expect("in-memory engine");
     let report = engine.check_source("unit", src);
     assert_eq!(report.prover_calls, 3);
     let m = engine.contexts().metrics();
@@ -367,7 +373,7 @@ fn batch_reuses_scope_contexts() {
     // every fingerprint): each batch reproves every obligation, and the
     // pooled scope context serves them across batches.
     let resident = Engine::with_store_and_contexts(
-        EngineOptions::default(),
+        options,
         Arc::new(MemoryTier::with_capacity(0)),
         Arc::new(ContextPool::with_capacity(DEFAULT_CONTEXT_CAPACITY)),
     );
@@ -380,6 +386,41 @@ fn batch_reuses_scope_contexts() {
     }
     assert_eq!(resident.contexts().metrics().misses, 1);
     assert!(hits[1] > hits[0], "later batches reuse the pooled context");
+}
+
+/// Concurrent workers on one scope each prove in a context of their own,
+/// at most one per worker, and the report is the one-worker report:
+/// which context proves an obligation never shows in its verdict.
+#[test]
+fn concurrent_same_scope_proofs_match_one_worker() {
+    // Twelve store-only bodies over one vocabulary: distinct fingerprints,
+    // one context key.
+    let mut src = String::from("group g field f in g ");
+    for i in 1..=12 {
+        let body = vec!["r.f := 1"; i].join(" ; ");
+        src += &format!("proc p{i}(r) modifies r.g impl p{i}(r) {{ {body} }} ");
+    }
+    let run = |workers| {
+        let engine = Engine::new(EngineOptions {
+            workers,
+            ..EngineOptions::default()
+        })
+        .expect("in-memory engine");
+        let report = engine.check_source("unit", &src);
+        (report, engine.contexts().metrics())
+    };
+    let (one, one_pool) = run(1);
+    assert_eq!(one_pool.misses, 1, "one worker builds one context");
+    let (four, four_pool) = run(4);
+    assert!(four_pool.misses <= 4, "{four_pool:?}");
+    assert_eq!(four.prover_calls, 12);
+    assert_eq!(four.obligations.len(), one.obligations.len());
+    for (a, b) in one.obligations.iter().zip(&four.obligations) {
+        assert_eq!(a.proc_name, b.proc_name);
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert!(a.verdict.is_verified(), "{}", a.proc_name);
+        assert!(same_verdict(&a.verdict, &b.verdict), "{}", a.proc_name);
+    }
 }
 
 /// The deepest program of each shape the parser accepts still checks on a

@@ -962,7 +962,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
             .zip(matches.iter_mut())
             .enumerate()
         {
-            for q in &stats.per_quant {
+            for q in stats.per_quant.iter() {
                 if ctx.background_quants(axiom).contains(&q.id) {
                     *p += q.presat_instances as i64;
                     *g += q.goal_instances as i64;

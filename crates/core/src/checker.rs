@@ -293,6 +293,14 @@ impl Checker {
         &self.options
     }
 
+    /// Whether the scope is checked at the arrays language level. An
+    /// array access in any implementation body turns it on for the whole
+    /// scope, so it is the one input of a VC that other implementations'
+    /// bodies can change.
+    pub fn arrays_level(&self) -> bool {
+        self.arrays
+    }
+
     /// Generates (without proving) the VC for one implementation.
     ///
     /// # Errors

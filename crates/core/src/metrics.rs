@@ -229,7 +229,7 @@ pub fn prover_metrics(report: &Report) -> ProverMetrics {
         metrics.undone_merges += s.undone_merges;
         metrics.trail_depth_max = metrics.trail_depth_max.max(s.trail_depth_max as u64);
         metrics.sliced_axioms += s.sliced_axioms as u64;
-        for q in &s.per_quant {
+        for q in s.per_quant.iter() {
             let slot = kind_totals
                 .iter_mut()
                 .find(|(k, _)| *k == q.kind)

@@ -87,7 +87,8 @@ pub fn stats_from_json(value: &Json) -> Option<Stats> {
         .as_array()?
         .iter()
         .map(quant_profile_from_json)
-        .collect::<Option<_>>()?;
+        .collect::<Option<Vec<_>>>()?
+        .into();
     Some(stats)
 }
 
@@ -345,7 +346,8 @@ pub(crate) mod tests {
                     goal_instances: 5,
                     deferred: 2,
                     chain: vec!["A := #g, F := #next, B := #g".to_string()],
-                }],
+                }]
+                .into(),
                 ..Stats::default()
             },
             open_branch: Some(vec!["x ≠ null".to_string(), "a = b".to_string()]),

@@ -6,20 +6,25 @@
 //! unit becomes one obligation. Obligations are independent (the paper's
 //! modular-soundness result), so they are processed by a fixed-size worker
 //! pool pulling from a shared index; every proof runs in a warm scope
-//! context from the [`ContextPool`]. This is the only parallel checking
-//! path: `oolong check`, `batch`, `explain` and `serve` all run through it.
+//! context from the [`ContextPool`]. An obligation whose cutoff key
+//! ([`crate::cutoff`]) is remembered, and whose fingerprint is still
+//! cached, is served without generating its VC at all. This
+//! is the only parallel checking path: `oolong check`, `batch`, `explain`
+//! and `serve` all run through it.
 //! Results and events are reassembled in obligation order, so a batch
 //! report is deterministic regardless of thread interleaving.
 
 use crate::cache::{CachedOutcome, CachedVerdict};
 use crate::contexts::{context_key, ContextPool, DEFAULT_CONTEXT_CAPACITY};
+use crate::cutoff::{cutoff_keys, CutoffMap};
 use crate::diagjson::{attribution_members, diagnosis_to_json};
 use crate::events::{render_jsonl, Event};
 use crate::fingerprint::{fingerprint_vc, Fingerprint};
 use crate::json::Json;
 use crate::store::{TieredStore, VerdictStore, DEFAULT_MEMORY_CAPACITY};
-use datagroups::{CheckOptions, Checker, Verdict};
+use datagroups::{BackgroundSlice, CheckOptions, Checker, Vc, Verdict};
 use oolong_diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis};
+use oolong_logic::Phase;
 use oolong_syntax::parse_program;
 use std::io;
 use std::path::PathBuf;
@@ -100,6 +105,10 @@ pub struct BatchReport {
     pub events: Vec<Event>,
     /// Obligations served from the cache.
     pub cache_hits: usize,
+    /// Cache hits found by early cutoff: the implementation's cutoff key
+    /// was remembered, so no VC was generated for it. Not part of the
+    /// JSON report or the event log.
+    pub cutoff_hits: usize,
     /// Obligations that invoked the prover.
     pub prover_calls: usize,
     /// Batch wall-clock milliseconds.
@@ -213,23 +222,34 @@ struct TaskOutcome {
     report: ObligationReport,
     events: Vec<Event>,
     cache_hit: bool,
+    cutoff_hit: bool,
     prover_call: bool,
 }
 
+/// A unit that parsed and analysed: its checker, and the cutoff key of
+/// each of its implementations, in `scope().impls()` order.
+struct CheckedUnit {
+    checker: Checker,
+    cutoff_keys: Vec<u128>,
+}
+
 /// The incremental verification engine: a verdict store plus a batch
-/// scheduler plus a pool of warm scope contexts.
+/// scheduler plus a pool of warm scope contexts, fronted by an
+/// early-cutoff map.
 #[derive(Debug)]
 pub struct Engine {
     options: EngineOptions,
     store: Arc<dyn VerdictStore>,
     contexts: Arc<ContextPool>,
+    cutoffs: Arc<CutoffMap>,
 }
 
 impl Engine {
     /// Creates an engine over a private [`TieredStore`]: a bounded
     /// in-memory LRU tier, backed by a lazy on-disk tier when
     /// `options.cache_dir` is set. Opening is O(1) — entries are read
-    /// on demand, one file per lookup, never scanned up front.
+    /// on demand, one file per lookup, never scanned up front. The
+    /// private cutoff map has the memory tier's bound.
     ///
     /// # Errors
     ///
@@ -243,25 +263,30 @@ impl Engine {
             options,
             store,
             contexts: Arc::new(ContextPool::with_capacity(DEFAULT_CONTEXT_CAPACITY)),
+            cutoffs: Arc::new(CutoffMap::with_capacity(DEFAULT_MEMORY_CAPACITY)),
         })
     }
 
-    /// Creates an engine over a shared store handle and a shared pool of
-    /// warm scope contexts. This is the resident shape: a long-lived
-    /// process opens its cache once, then builds one cheap `Engine` per
-    /// request (each request may carry its own prover budget) against the
-    /// same store and pool, so background saturation is paid once per
-    /// scope, not once per request. `options.cache_dir` is ignored — the
-    /// store already decided where it persists.
+    /// Creates an engine over a shared store handle, a shared pool of
+    /// warm scope contexts and a shared cutoff map. This is the resident
+    /// shape: a long-lived process opens its cache once, then builds one
+    /// cheap `Engine` per request (each request may carry its own prover
+    /// budget) against the same store, pool and map, so background
+    /// saturation is paid once per scope, not once per request, and an
+    /// unchanged implementation is recognised without generating its VC.
+    /// `options.cache_dir` is ignored — the store already decided where
+    /// it persists.
     pub fn with_store_and_contexts(
         options: EngineOptions,
         store: Arc<dyn VerdictStore>,
         contexts: Arc<ContextPool>,
+        cutoffs: Arc<CutoffMap>,
     ) -> Engine {
         Engine {
             options,
             store,
             contexts,
+            cutoffs,
         }
     }
 
@@ -275,6 +300,11 @@ impl Engine {
         &self.contexts
     }
 
+    /// The engine's early-cutoff map.
+    pub fn cutoffs(&self) -> &Arc<CutoffMap> {
+        &self.cutoffs
+    }
+
     /// The engine's configuration.
     pub fn options(&self) -> &EngineOptions {
         &self.options
@@ -285,16 +315,21 @@ impl Engine {
     pub fn check_batch(&self, units: &[BatchUnit]) -> BatchReport {
         let batch_start = Instant::now();
         let mut unit_errors = Vec::new();
-        let mut checkers: Vec<Option<Checker>> = Vec::with_capacity(units.len());
+        let mut checkers: Vec<Option<CheckedUnit>> = Vec::with_capacity(units.len());
         for unit in units {
-            let checker = parse_program(&unit.source)
+            let checked = parse_program(&unit.source)
                 .map_err(|d| d.render(&unit.source))
                 .and_then(|program| {
-                    Checker::new(&program, self.options.check.clone())
-                        .map_err(|d| d.render(&unit.source))
+                    let checker = Checker::new(&program, self.options.check.clone())
+                        .map_err(|d| d.render(&unit.source))?;
+                    let cutoff_keys = cutoff_keys(&program, &checker);
+                    Ok(CheckedUnit {
+                        checker,
+                        cutoff_keys,
+                    })
                 });
-            match checker {
-                Ok(checker) => checkers.push(Some(checker)),
+            match checked {
+                Ok(checked) => checkers.push(Some(checked)),
                 Err(message) => {
                     unit_errors.push(UnitError {
                         unit: unit.name.clone(),
@@ -306,15 +341,21 @@ impl Engine {
         }
 
         // One task per implementation, in deterministic batch order.
-        let tasks: Vec<(usize, oolong_sema::ImplId)> = checkers
+        let tasks: Vec<Task> = checkers
             .iter()
             .enumerate()
-            .filter_map(|(unit_idx, checker)| checker.as_ref().map(|c| (unit_idx, c)))
-            .flat_map(|(unit_idx, checker)| {
-                checker
+            .filter_map(|(unit_idx, checked)| checked.as_ref().map(|c| (unit_idx, c)))
+            .flat_map(|(unit_idx, checked)| {
+                checked
+                    .checker
                     .scope()
                     .impls()
-                    .map(move |(impl_id, _)| (unit_idx, impl_id))
+                    .zip(&checked.cutoff_keys)
+                    .map(move |((impl_id, _), &cutoff_key)| Task {
+                        unit_idx,
+                        impl_id,
+                        cutoff_key,
+                    })
             })
             .collect();
 
@@ -338,6 +379,7 @@ impl Engine {
         }
         for outcome in outcomes {
             report.cache_hits += usize::from(outcome.cache_hit);
+            report.cutoff_hits += usize::from(outcome.cutoff_hit);
             report.prover_calls += usize::from(outcome.prover_call);
             report.events.extend(outcome.events);
             report.obligations.push(outcome.report);
@@ -365,19 +407,24 @@ impl Engine {
     fn run_tasks(
         &self,
         units: &[BatchUnit],
-        checkers: &[Option<Checker>],
-        tasks: &[(usize, oolong_sema::ImplId)],
+        checkers: &[Option<CheckedUnit>],
+        tasks: &[Task],
         workers: usize,
     ) -> Vec<TaskOutcome> {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
+        let run = |seq: usize, task: &Task| {
+            let checker = &checkers[task.unit_idx]
+                .as_ref()
+                .expect("tasks are only created for well-formed units")
+                .checker;
+            self.process_task(seq, &units[task.unit_idx], checker, task)
+        };
         if workers <= 1 || tasks.len() <= 1 {
             return tasks
                 .iter()
                 .enumerate()
-                .map(|(seq, &(unit_idx, impl_id))| {
-                    self.process_task(seq, &units[unit_idx], checkers[unit_idx].as_ref(), impl_id)
-                })
+                .map(|(seq, task)| run(seq, task))
                 .collect();
         }
         let next = AtomicUsize::new(0);
@@ -387,15 +434,10 @@ impl Engine {
             for _ in 0..workers.min(tasks.len()) {
                 scope.spawn(|| loop {
                     let seq = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(unit_idx, impl_id)) = tasks.get(seq) else {
+                    let Some(task) = tasks.get(seq) else {
                         break;
                     };
-                    let outcome = self.process_task(
-                        seq,
-                        &units[unit_idx],
-                        checkers[unit_idx].as_ref(),
-                        impl_id,
-                    );
+                    let outcome = run(seq, task);
                     *slots[seq]
                         .lock()
                         .expect("no panics while holding slot lock") = Some(outcome);
@@ -412,16 +454,28 @@ impl Engine {
             .collect()
     }
 
-    /// Processes one obligation: restriction check, VC generation,
-    /// fingerprint, cache lookup, and (on a miss) the prover.
+    /// The store entry for `fingerprint`, if it can serve this run. A hit
+    /// that predates diagnosis (or was cached with diagnosis off) cannot
+    /// serve an `--explain` run: the candidate model needed to build a
+    /// diagnosis is not cached, so it is re-proved instead.
+    fn cached(&self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
+        self.store.get(fingerprint).filter(|hit| {
+            !(self.options.diagnose
+                && hit.outcome == CachedOutcome::NotProved
+                && hit.diagnosis.is_none())
+        })
+    }
+
+    /// Processes one obligation: early cutoff, then restriction check, VC
+    /// generation, fingerprint, cache lookup, and (on a miss) the prover.
     fn process_task(
         &self,
         seq: usize,
         unit: &BatchUnit,
-        checker: Option<&Checker>,
-        impl_id: oolong_sema::ImplId,
+        checker: &Checker,
+        task: &Task,
     ) -> TaskOutcome {
-        let checker = checker.expect("tasks are only created for well-formed units");
+        let impl_id = task.impl_id;
         let scope = checker.scope();
         let proc_name = scope.proc_info(scope.impl_info(impl_id).proc).name.clone();
         let start = Instant::now();
@@ -431,6 +485,45 @@ impl Engine {
             proc: proc_name.clone(),
             fingerprint,
         };
+        let served = |fingerprint: Fingerprint, hit: CachedVerdict, cutoff_hit: bool| TaskOutcome {
+            events: vec![
+                started(Some(fingerprint)),
+                Event::CacheHit {
+                    seq,
+                    outcome: hit.outcome.as_str(),
+                    stats: hit.stats.clone(),
+                },
+                Event::ProverProfile {
+                    seq,
+                    cached: true,
+                    stats: hit.stats.clone(),
+                },
+            ],
+            report: ObligationReport {
+                unit: unit.name.clone(),
+                proc_name: proc_name.clone(),
+                fingerprint: Some(fingerprint),
+                verdict: hit.to_verdict(),
+                cache_hit: true,
+                millis: start.elapsed().as_secs_f64() * 1_000.0,
+                diagnosis: hit.diagnosis,
+            },
+            cache_hit: true,
+            cutoff_hit,
+            prover_call: false,
+        };
+
+        // Early cutoff: an unchanged scope and body produce the fingerprint
+        // they produced before, so a remembered one still in the store is
+        // served without restriction checking, vcgen or slicing.
+        let remembered = self.cutoffs.get(task.cutoff_key);
+        if let Some(fingerprint) = remembered {
+            if let Some(hit) = self.cached(fingerprint) {
+                #[cfg(debug_assertions)]
+                assert_cutoff_is_sound(checker, impl_id, fingerprint);
+                return served(fingerprint, hit, true);
+            }
+        }
 
         let violations = checker.restriction_violations(impl_id);
         if !violations.is_empty() {
@@ -459,6 +552,7 @@ impl Engine {
                     diagnosis,
                 },
                 cache_hit: false,
+                cutoff_hit: false,
                 prover_call: false,
             };
         }
@@ -479,49 +573,19 @@ impl Engine {
                         diagnosis: None,
                     },
                     cache_hit: false,
+                    cutoff_hit: false,
                     prover_call: false,
                 };
             }
         };
 
-        let slice = checker.background_slice(&vc);
-        let phases = checker.sliced_phases(&slice);
-        let fingerprint = fingerprint_vc(&vc, &checker.options().budget, &slice.keep, &phases);
-        // A hit that predates diagnosis (or was cached with diagnosis off)
-        // cannot serve an `--explain` run: the candidate model needed to
-        // build a diagnosis is not cached, so re-prove instead.
-        let hit = self.store.get(fingerprint).filter(|hit| {
-            !(self.options.diagnose
-                && hit.outcome == CachedOutcome::NotProved
-                && hit.diagnosis.is_none())
-        });
-        if let Some(hit) = hit {
-            return TaskOutcome {
-                events: vec![
-                    started(Some(fingerprint)),
-                    Event::CacheHit {
-                        seq,
-                        outcome: hit.outcome.as_str(),
-                        stats: hit.stats.clone(),
-                    },
-                    Event::ProverProfile {
-                        seq,
-                        cached: true,
-                        stats: hit.stats.clone(),
-                    },
-                ],
-                report: ObligationReport {
-                    unit: unit.name.clone(),
-                    proc_name,
-                    fingerprint: Some(fingerprint),
-                    verdict: hit.to_verdict(),
-                    cache_hit: true,
-                    millis: start.elapsed().as_secs_f64() * 1_000.0,
-                    diagnosis: hit.diagnosis.clone(),
-                },
-                cache_hit: true,
-                prover_call: false,
-            };
+        let (slice, phases, fingerprint) = fingerprint_of(checker, &vc);
+        self.cutoffs.insert(task.cutoff_key, fingerprint);
+        // A remembered fingerprint was already looked up above.
+        if remembered != Some(fingerprint) {
+            if let Some(hit) = self.cached(fingerprint) {
+                return served(fingerprint, hit, false);
+            }
         }
 
         // Prove inside a warm scope context from the pool, building (and
@@ -595,7 +659,48 @@ impl Engine {
                 diagnosis,
             },
             cache_hit: false,
+            cutoff_hit: false,
             prover_call: true,
         }
     }
+}
+
+/// One obligation of a batch: an implementation of a well-formed unit.
+struct Task {
+    unit_idx: usize,
+    impl_id: oolong_sema::ImplId,
+    cutoff_key: u128,
+}
+
+/// The relevance slice, activation phases and fingerprint of `vc`.
+fn fingerprint_of(checker: &Checker, vc: &Vc) -> (BackgroundSlice, Vec<Phase>, Fingerprint) {
+    let slice = checker.background_slice(vc);
+    let phases = checker.sliced_phases(&slice);
+    let fingerprint = fingerprint_vc(vc, &checker.options().budget, &slice.keep, &phases);
+    (slice, phases, fingerprint)
+}
+
+/// The debug guard behind early cutoff: a cutoff-key hit must be an
+/// obligation that passes the restriction check and has exactly the
+/// remembered fingerprint. Every debug-build test that re-checks a unit
+/// thereby checks the key's soundness.
+#[cfg(debug_assertions)]
+fn assert_cutoff_is_sound(
+    checker: &Checker,
+    impl_id: oolong_sema::ImplId,
+    remembered: Fingerprint,
+) {
+    assert!(
+        checker.restriction_violations(impl_id).is_empty(),
+        "cutoff key hit on an obligation that violates the restrictions"
+    );
+    let vc = checker
+        .vc(impl_id)
+        .expect("cutoff key hit on an obligation whose VC does not translate");
+    assert_eq!(
+        fingerprint_of(checker, &vc).2,
+        remembered,
+        "cutoff key hit with a different fingerprint for `{}`",
+        vc.proc_name
+    );
 }

@@ -6,15 +6,20 @@
 //! prover [`Budget`] (a starved budget can turn `Proved` into `Unknown`,
 //! so budgets are part of the obligation's identity, not metadata). The
 //! [`Fingerprint`] is a stable 128-bit structural hash over exactly those
-//! inputs plus a format version.
+//! inputs plus a format version, and it is the verdict store's key.
 //!
-//! Invalidation is purely fingerprint mismatch: there is no dependency
-//! graph to maintain. Editing a declaration (a group, a `modifies` clause,
-//! a pivot field) changes the generated hypotheses or goal of exactly the
-//! implementations whose scope or license the declaration participates in,
-//! so precisely those obligations re-run — the engine-level reflection of
-//! the paper's modular-soundness property that a verdict depends only on
-//! an implementation's scope.
+//! There is no dependency graph to maintain. Editing a declaration (a
+//! group, a `modifies` clause, a pivot field) changes the generated
+//! hypotheses or goal of exactly the implementations whose scope or
+//! license the declaration participates in, so precisely those
+//! obligations get new fingerprints and re-run — the engine-level
+//! reflection of the paper's modular-soundness property that a verdict
+//! depends only on an implementation's scope. Computing a fingerprint
+//! still costs a VC generation, so the engine first consults a
+//! source-level cutoff key ([`crate::cutoff`]): when an implementation's
+//! scope and body are unchanged, the fingerprint it produced last time is
+//! reused without generating the VC. The fingerprint stays the only
+//! cache key; the cutoff key only decides whether it must be recomputed.
 
 use datagroups::Vc;
 use oolong_logic::{Phase, StableHasher};

@@ -8,9 +8,13 @@
 //!   128-bit structural hash over the clausified verification condition
 //!   (which embeds the exact background-axiom set of the implementation's
 //!   scope) and the prover [`Budget`](oolong_prover::Budget);
+//! * [`cutoff`] — early cutoff: a source-level key per implementation
+//!   (options, scope declarations, own body) that remembers the
+//!   fingerprint it produced, so unchanged implementations skip VC
+//!   generation altogether;
 //! * [`cache`] — the cached verdict entry and its one-JSON-file-per-entry
-//!   format; invalidation is purely fingerprint mismatch, with no
-//!   dependency graph to maintain;
+//!   format; invalidation is fingerprint mismatch, with no dependency
+//!   graph to maintain;
 //! * [`store`] — the verdict store: a bounded in-memory tier in front of
 //!   an optional lazy on-disk tier;
 //! * [`engine`] — a batch scheduler that fans obligations across worker
@@ -55,6 +59,7 @@
 
 pub mod cache;
 pub mod contexts;
+pub mod cutoff;
 pub mod diagjson;
 pub mod engine;
 pub mod events;
@@ -68,6 +73,7 @@ pub use cache::{
 pub use contexts::{
     context_key, ContextPool, ContextPoolMetrics, ContextSlot, DEFAULT_CONTEXT_CAPACITY,
 };
+pub use cutoff::CutoffMap;
 pub use diagjson::{
     attribution_members, diagnosis_from_json, diagnosis_to_json, label_from_json, label_to_json,
 };

@@ -29,6 +29,7 @@ use oolong_logic::transform::{to_nnf, FreshGen, Nnf};
 use oolong_logic::{Atom, Formula, Phase, Symbol, Term, Trigger};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Resource limits for one proof attempt.
 ///
@@ -304,7 +305,9 @@ pub struct Stats {
     /// When the outcome was [`Outcome::Unknown`]: which limit tripped.
     pub exhausted: Option<UnknownReason>,
     /// Per-quantifier instantiation telemetry, ordered by stable id.
-    pub per_quant: Vec<QuantProfile>,
+    /// Shared, so copying a `Stats` (a cache hit replays one into its
+    /// events and its verdict) does not copy the table.
+    pub per_quant: Arc<[QuantProfile]>,
 }
 
 impl Stats {
@@ -600,7 +603,7 @@ fn outcome_of(branch: Branch, fuel: Option<UnknownReason>) -> Outcome {
 
 /// Renders the accumulated per-quantifier telemetry as [`QuantProfile`]
 /// rows ordered by stable id.
-fn render_per_quant(quant_meta: &[QuantMeta]) -> Vec<QuantProfile> {
+fn render_per_quant(quant_meta: &[QuantMeta]) -> Arc<[QuantProfile]> {
     quant_meta
         .iter()
         .enumerate()

@@ -38,8 +38,8 @@ use crate::protocol::{
 };
 use datagroups::CheckOptions;
 use oolong_engine::{
-    BatchReport, BatchUnit, ContextPool, Engine, EngineOptions, EventLogWriter, Json, TieredStore,
-    VerdictStore, DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
+    BatchReport, BatchUnit, ContextPool, CutoffMap, Engine, EngineOptions, EventLogWriter, Json,
+    TieredStore, VerdictStore, DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
 };
 use oolong_prover::Budget;
 use std::io::{BufRead, BufReader, Write};
@@ -137,6 +137,9 @@ struct Shared {
     /// Warm scope contexts, shared across requests: the first obligation
     /// of a scope saturates its background, later requests reuse it.
     contexts: Arc<ContextPool>,
+    /// Cutoff keys remembered across requests, bounded like the memory
+    /// tier: an unchanged implementation skips VC generation.
+    cutoffs: Arc<CutoffMap>,
     metrics: Metrics,
     stop: AtomicBool,
     started: Instant,
@@ -192,8 +195,8 @@ impl Shared {
         }
     }
 
-    /// An engine over the shared store and warm contexts, with the
-    /// request's effective options.
+    /// An engine over the shared store, warm contexts and cutoff map,
+    /// with the request's effective options.
     fn engine_for(&self, check: CheckOptions, diagnose: bool) -> Engine {
         Engine::with_store_and_contexts(
             EngineOptions {
@@ -206,6 +209,7 @@ impl Shared {
             },
             self.store.clone() as Arc<dyn VerdictStore>,
             self.contexts.clone(),
+            self.cutoffs.clone(),
         )
     }
 
@@ -598,6 +602,7 @@ impl Server {
             shared: Arc::new(Shared {
                 store,
                 contexts: Arc::new(ContextPool::with_capacity(DEFAULT_CONTEXT_CAPACITY)),
+                cutoffs: Arc::new(CutoffMap::with_capacity(options.mem_capacity)),
                 metrics: Metrics::default(),
                 stop: AtomicBool::new(false),
                 started: Instant::now(),

@@ -5,12 +5,17 @@
 //! selectivity (editing one procedure's modifies clause re-runs only the
 //! obligations whose VCs mention it).
 
-use oolong::datagroups::{CheckOptions, Checker, Verdict};
+use oolong::corpus::{generate_unannotated_source, UnannotatedConfig};
+use oolong::datagroups::{CheckOptions, Checker, ObligationKind, Verdict};
 use oolong::engine::{
-    json, BatchUnit, CachedVerdict, ContextPool, Engine, EngineOptions, Json, MemoryTier,
-    DEFAULT_CONTEXT_CAPACITY,
+    json, BatchReport, BatchUnit, CachedVerdict, ContextPool, CutoffMap, Engine, EngineOptions,
+    Fingerprint, Json, MemoryTier, DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
 };
+use oolong::prover::Stats;
 use oolong::syntax::{parse_program, MAX_NESTING};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn corpus_units() -> Vec<BatchUnit> {
@@ -257,8 +262,6 @@ fn modifies_edit_invalidates_only_dependent_impls() {
     assert_eq!(edited.prover_calls, 2);
 }
 
-/// A changed budget is a changed obligation: warm runs under a different
-/// budget do not reuse verdicts.
 /// The verdict cache is sound only if an obligation's fingerprint covers
 /// everything its verdict depends on. Change each input the scope
 /// background and the VC are built from, one at a time: every obligation
@@ -376,6 +379,7 @@ fn batch_reuses_scope_contexts() {
         options,
         Arc::new(MemoryTier::with_capacity(0)),
         Arc::new(ContextPool::with_capacity(DEFAULT_CONTEXT_CAPACITY)),
+        Arc::new(CutoffMap::with_capacity(DEFAULT_MEMORY_CAPACITY)),
     );
     let mut hits = Vec::new();
     for _ in 0..2 {
@@ -474,4 +478,357 @@ fn deepest_accepted_programs_check_on_a_worker_stack() {
         .expect("spawns")
         .join()
         .expect("no overflow");
+}
+
+/// A generated 200-procedure unit — a wide scope and a deep call DAG, the
+/// shape of the benchmark's scaled units — in which every implementation
+/// verifies.
+fn generated_unit() -> BatchUnit {
+    let config = UnannotatedConfig {
+        groups: 8,
+        fields: 24,
+        procs: 200,
+        keep_includes: true,
+    };
+    let generated = generate_unannotated_source(7, &config);
+    BatchUnit {
+        name: generated.name,
+        source: generated.annotated,
+    }
+}
+
+/// `source` with `assume k = k ;` inserted as the first command of the
+/// implementation of `p<proc>` in a generated unit. The assumption is
+/// true, but it enters the VC: only that obligation changes.
+fn edit_body(source: &str, proc: usize, k: u64) -> String {
+    let at = source
+        .find(&format!("\nimpl p{proc}("))
+        .expect("every generated procedure is implemented");
+    let body = at + source[at..].find("{\n").expect("bodies open with a brace") + 2;
+    format!(
+        "{}  assume {k} = {k} ;\n{}",
+        &source[..body],
+        &source[body..]
+    )
+}
+
+/// What the cache replays of an obligation: its fingerprint, outcome,
+/// primary label (id, kind and detail; spans are not cached) and every
+/// prover counter.
+type Observed = (
+    String,
+    String,
+    Option<Fingerprint>,
+    &'static str,
+    Option<(u32, ObligationKind, String)>,
+    Option<Stats>,
+);
+
+fn observe(report: &BatchReport) -> Vec<Observed> {
+    assert!(report.unit_errors.is_empty(), "{:?}", report.unit_errors);
+    report
+        .obligations
+        .iter()
+        .map(|o| {
+            let primary = o
+                .verdict
+                .refutation()
+                .and_then(|r| r.primary.as_ref())
+                .map(|p| (p.id, p.kind, p.detail.clone()));
+            (
+                o.unit.clone(),
+                o.proc_name.clone(),
+                o.fingerprint,
+                o.verdict.label(),
+                primary,
+                o.verdict.stats().cloned(),
+            )
+        })
+        .collect()
+}
+
+/// One step of the early-cutoff walk.
+enum Step {
+    /// `assume k = k ;` at the top of a seeded generated implementation.
+    Body,
+    /// Replace `from` by `to` in the named unit.
+    Replace(&'static str, &'static str, &'static str, &'static str),
+    /// Move a group declaration to the top of `stack_module`, and the
+    /// first generated implementation to the end of its unit.
+    Reorder,
+    /// Re-check under a larger budget, through a second engine sharing
+    /// the store, the context pool and the cutoff map, as serve does.
+    Budget,
+}
+
+/// Early cutoff is invisible: a resident engine that walks a seeded edit
+/// sequence reports, after every step, exactly what a fresh engine
+/// reports. Each step edits one kind of input a verdict depends on.
+/// Debug builds additionally recompute the fingerprint of every cutoff
+/// hit and assert that it agrees.
+#[test]
+fn early_cutoff_matches_a_fresh_engine() {
+    use Step::{Body, Budget, Reorder, Replace};
+    let steps = [
+        Body,
+        Replace(
+            "value-only edit",
+            "stack_module",
+            "v.cnt := 0",
+            "v.cnt := 7",
+        ),
+        Body,
+        Replace(
+            "a modifies clause",
+            "stack_module",
+            "proc vinit(v) modifies v.elems",
+            "proc vinit(v)",
+        ),
+        Replace(
+            "a reads clause",
+            "example2",
+            "proc twice(t) modifies t.g",
+            "proc twice(t) modifies t.g reads t.g",
+        ),
+        Replace("an `in` clause", "example1", "field f\n", "field f in g\n"),
+        Replace(
+            "a `maps … into` clause",
+            "example3",
+            "field value in g",
+            "field value in g\nfield other maps g into g",
+        ),
+        Replace(
+            "a `maps elem … into` clause",
+            "registry",
+            "field listeners in rstate maps elem lstate into rstate",
+            "field listeners in rstate maps elem lstate into rstate\n  \
+             field spare in rstate maps elem lstate into rstate",
+        ),
+        Replace(
+            "an invariant",
+            "rational",
+            "field den in value",
+            "field den in value\ninvariant this.den != 0",
+        ),
+        Replace(
+            "a module import",
+            "modular_stack",
+            "module vector_impl imports vector_interface {",
+            "module vector_impl imports vector_interface, stack_interface {",
+        ),
+        Reorder,
+        Replace(
+            "an array access in another body",
+            "stack_module",
+            "v.cnt := v.cnt + 1 }",
+            "v.cnt := v.cnt + 1 ; v.cnt[0] := 1 }",
+        ),
+        Budget,
+        Body,
+    ];
+
+    let mut units = corpus_units();
+    units.push(generated_unit());
+    let resident = Engine::new(EngineOptions::default()).expect("in-memory engine");
+    let mut larger = CheckOptions::default();
+    larger.budget.max_instances += 1;
+
+    // Fresh verdicts depend only on a unit's text and options: check each
+    // distinct pair once, each time with a fresh engine.
+    let mut fresh: HashMap<(String, bool), Vec<Observed>> = HashMap::new();
+    let mut fresh_batch = |units: &[BatchUnit], budget: bool| -> Vec<Observed> {
+        let check = if budget {
+            larger.clone()
+        } else {
+            CheckOptions::default()
+        };
+        units
+            .iter()
+            .flat_map(|unit| {
+                fresh
+                    .entry((unit.source.clone(), budget))
+                    .or_insert_with(|| {
+                        let engine = Engine::new(EngineOptions {
+                            check: check.clone(),
+                            ..EngineOptions::default()
+                        })
+                        .expect("in-memory engine");
+                        observe(&engine.check_source(&unit.name, &unit.source))
+                    })
+                    .clone()
+            })
+            .collect()
+    };
+
+    let cold = resident.check_batch(&units);
+    assert_eq!(cold.cutoff_hits, 0, "nothing is remembered yet");
+    assert_eq!(observe(&cold), fresh_batch(&units, false));
+
+    let mut rng = StdRng::seed_from_u64(17);
+    let generated = units.len() - 1;
+    let mut by_proc_before: HashMap<(String, String), Option<Fingerprint>> = HashMap::new();
+    for step in &steps {
+        let (what, report, budget) = match *step {
+            Body => {
+                let proc = rng.gen_range(0..200usize);
+                let k = rng.gen_range(1..1_000u64);
+                units[generated].source = edit_body(&units[generated].source, proc, k);
+                ("a body edit", resident.check_batch(&units), false)
+            }
+            Replace(what, unit, from, to) => {
+                let unit = units
+                    .iter_mut()
+                    .find(|u| u.name == unit)
+                    .expect("a corpus unit");
+                assert!(unit.source.contains(from), "{what}: `{from}` not found");
+                unit.source = unit.source.replacen(from, to, 1);
+                (what, resident.check_batch(&units), false)
+            }
+            Reorder => {
+                let stack = units
+                    .iter_mut()
+                    .find(|u| u.name == "stack_module")
+                    .expect("a corpus unit");
+                stack.source = format!(
+                    "group contents\n{}",
+                    stack.source.replacen("\ngroup contents\n", "\n", 1)
+                );
+                let source = &mut units[generated].source;
+                let start = source.find("impl p0(").expect("p0 is implemented");
+                let end = start + source[start..].find("\n}\n").expect("bodies close") + 3;
+                let first: String = source.drain(start..end).collect();
+                source.push_str(&first);
+                (
+                    "reordered declarations",
+                    resident.check_batch(&units),
+                    false,
+                )
+            }
+            Budget => {
+                let shared = Engine::with_store_and_contexts(
+                    EngineOptions {
+                        check: larger.clone(),
+                        ..EngineOptions::default()
+                    },
+                    resident.store().clone(),
+                    resident.contexts().clone(),
+                    resident.cutoffs().clone(),
+                );
+                let report = shared.check_batch(&units);
+                assert_eq!(report.cutoff_hits, 0, "a budget change changes every key");
+                ("a budget change", report, true)
+            }
+        };
+        let observed = observe(&report);
+        let expected = fresh_batch(&units, budget);
+        assert_eq!(observed.len(), expected.len(), "{what}");
+        for (got, want) in observed.iter().zip(&expected) {
+            assert_eq!(got, want, "after {what}: early cutoff diverged");
+        }
+        if !budget {
+            assert!(report.cutoff_hits > 0, "{what}: no cutoff hits");
+        }
+        if what == "an array access in another body" {
+            // `sinit`'s own text and scope are unchanged, but vgrow's array
+            // access lifts the whole unit to the arrays level.
+            let sinit = ("stack_module".to_string(), "sinit".to_string());
+            let now = observed
+                .iter()
+                .find(|o| (&o.0, &o.1) == (&sinit.0, &sinit.1))
+                .expect("sinit is checked");
+            assert_ne!(by_proc_before[&sinit], now.2, "sinit kept its fingerprint");
+        }
+        by_proc_before = observed
+            .iter()
+            .map(|o| ((o.0.clone(), o.1.clone()), o.2))
+            .collect();
+    }
+}
+
+/// A one-implementation body edit in a 200-implementation unit is one
+/// prover call and 199 cutoff hits on a resident engine; a fresh engine
+/// has nothing to cut off.
+#[test]
+fn early_cutoff_serves_every_unchanged_implementation() {
+    let unit = generated_unit();
+    let edited = edit_body(&unit.source, 57, 3);
+    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
+    // Identical obligations within a unit may already share one proof.
+    let cold = engine.check_source(&unit.name, &unit.source);
+    assert_eq!(cold.cutoff_hits, 0);
+    assert_eq!(cold.prover_calls + cold.cache_hits, 200);
+    let warm = engine.check_source(&unit.name, &edited);
+    assert_eq!(warm.cutoff_hits, 199);
+    assert_eq!((warm.cache_hits, warm.prover_calls), (199, 1));
+    let fresh = Engine::new(EngineOptions::default())
+        .expect("in-memory engine")
+        .check_source(&unit.name, &edited);
+    assert_eq!(fresh.cutoff_hits, 0);
+    assert_eq!(fresh.prover_calls + fresh.cache_hits, 200);
+}
+
+/// Under `diagnose`, a remembered key whose cached refutation carries no
+/// diagnosis is proved again, exactly as a fingerprint hit would be.
+#[test]
+fn early_cutoff_reproves_refutations_that_lack_a_diagnosis() {
+    let src = "group g
+         field f in g
+         field h
+         proc p(r) modifies r.g
+         impl p(r) { r.f := 1 }
+         proc q(r) modifies r.g
+         impl q(r) { r.h := 2 }";
+    let plain = Engine::new(EngineOptions::default()).expect("in-memory engine");
+    let cold = plain.check_source("unit", src);
+    assert_eq!(cold.tally(), (1, 1, 0), "q writes outside its license");
+    let explaining = Engine::with_store_and_contexts(
+        EngineOptions {
+            diagnose: true,
+            ..EngineOptions::default()
+        },
+        plain.store().clone(),
+        plain.contexts().clone(),
+        plain.cutoffs().clone(),
+    );
+    let report = explaining.check_source("unit", src);
+    assert_eq!((report.cutoff_hits, report.prover_calls), (1, 1));
+    let q = &report.obligations[1];
+    assert_eq!(q.proc_name, "q");
+    assert!(
+        !q.cache_hit && q.diagnosis.is_some(),
+        "q is proved and diagnosed"
+    );
+    // Now the cached refutation carries its diagnosis, so the key serves.
+    let again = explaining.check_source("unit", src);
+    assert_eq!((again.cutoff_hits, again.prover_calls), (2, 0));
+    assert!(again.obligations[1].diagnosis.is_some());
+}
+
+/// The cutoff map is bounded by the memory tier's capacity, and a
+/// resident engine with a small map still serves correct verdicts.
+#[test]
+fn cutoff_map_stays_within_the_memory_tier_bound() {
+    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
+    assert_eq!(
+        engine.cutoffs().capacity(),
+        engine.store().metrics().mem_capacity
+    );
+    let capacity = 16;
+    let small = Engine::with_store_and_contexts(
+        EngineOptions::default(),
+        Arc::new(MemoryTier::with_capacity(DEFAULT_MEMORY_CAPACITY)),
+        Arc::new(ContextPool::with_capacity(DEFAULT_CONTEXT_CAPACITY)),
+        Arc::new(CutoffMap::with_capacity(capacity)),
+    );
+    let unit = generated_unit();
+    for k in 1..=3 {
+        let report = small.check_source(&unit.name, &edit_body(&unit.source, 0, k));
+        assert!(report.cutoff_hits <= capacity);
+        assert_eq!(report.prover_calls + report.cache_hits, 200);
+        assert!(
+            small.cutoffs().len() <= capacity,
+            "{}",
+            small.cutoffs().len()
+        );
+    }
 }

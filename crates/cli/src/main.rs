@@ -14,7 +14,6 @@
 //! oolong stats   <file|corpus:NAME> [--json]
 //! oolong axioms  <file|corpus:NAME> [--json]
 //! oolong corpus
-//! oolong experiments
 //! ```
 //!
 //! Sources can be file paths or `corpus:NAME` references into the embedded
@@ -47,8 +46,6 @@ use oolong_serve::{Client, ServeOptions, Server};
 use oolong_syntax::parse_program;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-mod experiments;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,8 +81,7 @@ fn usage() -> String {
                  [--max-instances N] [--max-gen N]
   oolong axioms  <file|corpus:NAME> [--json] [--naive] [--null-checks]
                  [--max-instances N] [--max-gen N]
-  oolong corpus
-  oolong experiments"
+  oolong corpus"
         .to_string()
 }
 
@@ -107,10 +103,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "stats" => cmd_stats(&args[1..]),
         "axioms" => cmd_axioms(&args[1..]),
         "corpus" => cmd_corpus(),
-        "experiments" => {
-            experiments::run_all();
-            Ok(ExitCode::SUCCESS)
-        }
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(ExitCode::SUCCESS)
@@ -237,17 +229,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let spec = positional(args)?;
     let source = load_source(spec)?;
     let options = check_options(args)?;
-    if flag(args, "--modular") {
-        let program = parse_program(&source).map_err(|e| e.render(&source))?;
-        let report =
-            datagroups::check_modular(&program, &options).map_err(|e| e.render(&source))?;
-        println!("{report}");
-        return Ok(if report.all_verified() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
-    }
     let explain = flag(args, "--explain");
     let engine = Engine::new(EngineOptions {
         check: options,
@@ -256,6 +237,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         diagnose: explain,
     })
     .map_err(|e| format!("cannot open cache: {e}"))?;
+    if flag(args, "--modular") {
+        return check_modular(&engine, spec, &source, args);
+    }
     let report = engine.check_source(spec, &source);
     if let Some(error) = report.unit_errors.first() {
         return Err(error.message.clone());
@@ -298,6 +282,49 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let (v, r, u) = report.tally();
     println!("{v} verified, {r} rejected, {u} unknown");
     Ok(status)
+}
+
+/// `oolong check --modular` — each module against its own scope, printed
+/// as one section per module. The text report is the only output.
+fn check_modular(
+    engine: &Engine,
+    spec: &str,
+    source: &str,
+    args: &[String],
+) -> Result<ExitCode, String> {
+    if let Some(unsupported) = ["--json", "--explain", "--explain-unknown"]
+        .into_iter()
+        .find(|f| flag(args, f))
+    {
+        return Err(format!("`--modular` does not support `{unsupported}`"));
+    }
+    let program = parse_program(source).map_err(|e| e.render(source))?;
+    let modules = engine
+        .check_modular(spec, source, &program)
+        .map_err(|e| e.render(source))?;
+    if let Some(error) = modules.iter().find_map(|(_, r)| r.unit_errors.first()) {
+        return Err(error.message.clone());
+    }
+    let sections: Vec<String> = modules
+        .iter()
+        .map(|(name, report)| {
+            let shown = if name.is_empty() { "(top level)" } else { name };
+            let mut section = format!("module {shown}:");
+            for o in &report.obligations {
+                section += &format!("\n  impl {}: {}", o.proc_name, o.verdict);
+            }
+            if report.obligations.is_empty() {
+                section += "\n  (no implementations)";
+            }
+            section
+        })
+        .collect();
+    println!("{}", sections.join("\n"));
+    Ok(if modules.iter().all(|(_, r)| r.all_verified()) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// Human-readable lines for one diagnosis.
@@ -784,13 +811,39 @@ fn cmd_vc(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// `oolong stats` — the program's shape and specification overhead, plus
+/// the prover telemetry of checking it through the engine.
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
-    let source = load_source(positional(args)?)?;
+    let name = positional(args)?;
+    let source = load_source(name)?;
     let program = parse_program(&source).map_err(|e| e.render(&source))?;
     let spec = overhead(&program);
-    let checker = Checker::new(&program, check_options(args)?).map_err(|e| e.render(&source))?;
+    let options = check_options(args)?;
+    let checker = Checker::new(&program, options.clone()).map_err(|e| e.render(&source))?;
     let scope = checker.scope();
-    let metrics = prover_metrics(&checker.check_all());
+    let engine = Engine::new(EngineOptions {
+        check: options,
+        ..EngineOptions::default()
+    })
+    .map_err(|e| format!("cannot open cache: {e}"))?;
+    let report = engine.check_program(name, &source, &program);
+    // Obligation kinds are counted over the VCs that were generated: the
+    // obligations that carry a fingerprint.
+    let mut kind_counts = Vec::new();
+    for ((impl_id, _), o) in scope.impls().zip(&report.obligations) {
+        if o.fingerprint.is_some() {
+            kind_counts.extend(
+                checker
+                    .vc(impl_id)
+                    .map_err(|e| e.to_string())?
+                    .kind_counts(),
+            );
+        }
+    }
+    let metrics = prover_metrics(
+        report.obligations.iter().filter_map(|o| o.verdict.stats()),
+        kind_counts,
+    );
     if flag(args, "--json") {
         println!(
             "{}",

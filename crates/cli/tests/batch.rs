@@ -130,6 +130,24 @@ fn unknown_flags_are_rejected() {
 }
 
 #[test]
+fn modular_check_rejects_report_flags() {
+    // `check --modular` prints only its text report; a flag asking for
+    // another report is an error naming the flag, not silently dropped.
+    let dir = std::env::temp_dir();
+    for unsupported in ["--json", "--explain", "--explain-unknown"] {
+        let args = ["check", "corpus:modular_stack", "--modular", unsupported];
+        let out = oolong(&args, &dir);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(unsupported), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing was checked");
+    }
+    let out = oolong(&["check", "corpus:modular_stack", "--modular"], &dir);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("module stack_impl:"));
+}
+
+#[test]
 fn vc_honours_checking_flags() {
     let dir = std::env::temp_dir();
     let vc = |flag: Option<&str>| {

@@ -1,16 +1,16 @@
-//! The modular side-effect checker: the user-facing driver tying together
-//! scope analysis, the pivot-uniqueness restriction, VC generation, and the
-//! theorem prover.
+//! The modular side-effect checker: the per-obligation steps tying
+//! together scope analysis, the pivot-uniqueness restriction, VC
+//! generation, axiom slicing and the theorem prover. The engine
+//! (`oolong-engine`) drives them, one implementation per obligation.
 
 use crate::background::Axiom;
 use crate::restrict::check_pivot_uniqueness;
 use crate::slice::{slice_background, BackgroundSlice};
-use crate::vcgen::{scope_uses_arrays, ObligationKind, ObligationLabel, Vc, VcGen};
+use crate::vcgen::{scope_uses_arrays, ObligationLabel, Vc, VcGen};
 use oolong_logic::{Formula, FreshGen, Phase};
 use oolong_prover::{Budget, CandidateModel, Outcome, ScopeContext, SearchStrategy, Stats};
 use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{Diagnostic, Diagnostics, Program};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Configuration for a [`Checker`].
@@ -167,78 +167,13 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// The verdict for one implementation, with identification.
-#[derive(Debug, Clone)]
-pub struct ImplReport {
-    /// Which implementation.
-    pub impl_id: ImplId,
-    /// Name of the implemented procedure.
-    pub proc_name: String,
-    /// The verdict.
-    pub verdict: Verdict,
-    /// Labeled obligation conjuncts per kind embedded in the VC (empty
-    /// when no VC was generated — restriction violations and translation
-    /// errors).
-    pub kind_counts: Vec<(ObligationKind, u32)>,
-}
-
-/// The results of checking every implementation in a scope.
-#[derive(Debug, Clone, Default)]
-pub struct Report {
-    /// Per-implementation results, in declaration order.
-    pub impls: Vec<ImplReport>,
-}
-
-impl Report {
-    /// Whether every implementation verified.
-    pub fn all_verified(&self) -> bool {
-        self.impls.iter().all(|r| r.verdict.is_verified())
-    }
-
-    /// The report for the (first) implementation of the named procedure.
-    pub fn for_proc(&self, name: &str) -> Option<&ImplReport> {
-        self.impls.iter().find(|r| r.proc_name == name)
-    }
-
-    /// Count of implementations with each outcome, as
-    /// `(verified, rejected, unknown)`.
-    pub fn tally(&self) -> (usize, usize, usize) {
-        let mut v = 0;
-        let mut r = 0;
-        let mut u = 0;
-        for rep in &self.impls {
-            match rep.verdict {
-                Verdict::Verified(_) => v += 1,
-                Verdict::Unknown(_) => u += 1,
-                _ => r += 1,
-            }
-        }
-        (v, r, u)
-    }
-}
-
-impl fmt::Display for Report {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.impls.is_empty() {
-            return write!(f, "no implementations to check");
-        }
-        for (i, rep) in self.impls.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "impl {}: {}", rep.proc_name, rep.verdict)?;
-        }
-        Ok(())
-    }
-}
-
 /// The modular side-effect checker for one scope.
 ///
 /// Every obligation is proved the same way: its scope background is
-/// sliced to the axioms relevant to the VC (see [`crate::slice`]),
-/// obligations with equal slices share one prover context saturated once,
-/// and each proof runs inside a trail frame of that context, with
-/// goal-directed axioms armed only inside the frame.
+/// sliced to the axioms relevant to the VC (see [`crate::slice`]), a
+/// prover context holding that slice is saturated once and may serve every
+/// obligation with the same slice, and each proof runs inside a trail frame
+/// of that context, with goal-directed axioms armed only inside the frame.
 ///
 /// The scope background (`UBP ∧ BP_D`) is a pure function of the scope and
 /// options, so the checker builds it once; every VC it generates starts
@@ -394,370 +329,20 @@ impl Checker {
     /// Proves an already-generated verification condition and maps the
     /// proof outcome to a [`Verdict`].
     ///
-    /// Builds a one-shot scope context: the same code path as shared
-    /// checking, so outcomes and statistics agree exactly with
-    /// [`Checker::check_all`].
+    /// Builds a one-shot scope context: the same code path as the
+    /// engine's pooled contexts, so outcomes and statistics agree exactly
+    /// with a checked batch.
     pub fn verdict_for_vc(&self, vc: &Vc) -> Verdict {
         let slice = self.background_slice(vc);
         let mut ctx = self.context_for_slice(vc, &slice);
         self.verdict_for_vc_in(&mut ctx, vc, slice.dropped())
     }
-
-    /// Checks a single implementation: pivot uniqueness first (unless
-    /// naive), then the verification condition in a one-shot context.
-    pub fn check_impl(&self, impl_id: ImplId) -> ImplReport {
-        self.check_impl_with(impl_id, |vc, slice| {
-            let mut ctx = self.context_for_slice(vc, slice);
-            self.verdict_for_vc_in(&mut ctx, vc, slice.dropped())
-        })
-    }
-
-    /// Checks every implementation in the scope, in declaration order.
-    ///
-    /// Obligations whose slice keeps the same background axioms share one
-    /// scope context, saturated on first use; every proof runs inside a
-    /// trail frame of it. Every VC of one checker starts with the same
-    /// background list (clones of the checker's prebuilt axioms), so equal
-    /// keep-masks mean equal sliced backgrounds.
-    pub fn check_all(&self) -> Report {
-        let mut contexts: HashMap<Vec<bool>, ScopeContext> = HashMap::new();
-        let impls = self
-            .scope
-            .impls()
-            .map(|(impl_id, _)| {
-                self.check_impl_with(impl_id, |vc, slice| {
-                    let ctx = contexts
-                        .entry(slice.keep.clone())
-                        .or_insert_with(|| self.context_for_slice(vc, slice));
-                    self.verdict_for_vc_in(ctx, vc, slice.dropped())
-                })
-            })
-            .collect();
-        Report { impls }
-    }
-
-    /// The per-implementation pipeline: the restriction check, VC
-    /// generation and the background slice, then `prove` for the verdict of
-    /// a VC that got that far.
-    fn check_impl_with(
-        &self,
-        impl_id: ImplId,
-        prove: impl FnOnce(&Vc, &BackgroundSlice) -> Verdict,
-    ) -> ImplReport {
-        let proc_name = self
-            .scope
-            .proc_info(self.scope.impl_info(impl_id).proc)
-            .name
-            .clone();
-        let violations = self.restriction_violations(impl_id);
-        let (verdict, kind_counts) = if !violations.is_empty() {
-            (Verdict::RestrictionViolation(violations), Vec::new())
-        } else {
-            match self.vc(impl_id) {
-                Err(d) => (Verdict::TranslationError(d), Vec::new()),
-                Ok(vc) => (prove(&vc, &self.background_slice(&vc)), vc.kind_counts()),
-            }
-        };
-        ImplReport {
-            impl_id,
-            proc_name,
-            verdict,
-            kind_counts,
-        }
-    }
-}
-
-/// The results of checking a program module by module (the `module`
-/// extension): each module's implementations verified against its own
-/// import-closure scope.
-#[derive(Debug, Clone, Default)]
-pub struct ModularReport {
-    /// Per-module reports, in declaration order. Top-level implementations
-    /// (outside any module) appear under the pseudo-module name `""`.
-    pub modules: Vec<(String, Report)>,
-}
-
-impl ModularReport {
-    /// Whether every implementation of every module verified.
-    pub fn all_verified(&self) -> bool {
-        self.modules.iter().all(|(_, r)| r.all_verified())
-    }
-
-    /// The report for a named module.
-    pub fn for_module(&self, name: &str) -> Option<&Report> {
-        self.modules.iter().find(|(n, _)| n == name).map(|(_, r)| r)
-    }
-}
-
-impl fmt::Display for ModularReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, (name, report)) in self.modules.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            let shown = if name.is_empty() { "(top level)" } else { name };
-            write!(f, "module {shown}:")?;
-            for rep in &report.impls {
-                write!(f, "\n  impl {}: {}", rep.proc_name, rep.verdict)?;
-            }
-            if report.impls.is_empty() {
-                write!(f, "\n  (no implementations)")?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Checks a program module by module: each module's implementations are
-/// verified against the module's own scope (its declarations plus
-/// transitively imported modules plus top-level declarations) — the
-/// piecewise checking the paper's modular soundness licenses.
-///
-/// # Errors
-///
-/// Returns diagnostics if the module structure is invalid or any module
-/// scope fails analysis.
-pub fn check_modular(
-    program: &Program,
-    options: &CheckOptions,
-) -> Result<ModularReport, Diagnostics> {
-    use oolong_syntax::Decl;
-    let infos = oolong_sema::modules::modules(program)?;
-    let mut modules = Vec::new();
-
-    // Top-level implementations check against the whole program.
-    let top_impls: Vec<&oolong_syntax::ImplDecl> = program
-        .decls
-        .iter()
-        .filter_map(|d| match d {
-            Decl::Impl(i) => Some(i),
-            _ => None,
-        })
-        .collect();
-    if !top_impls.is_empty() {
-        let flat = oolong_sema::flatten(program);
-        let checker = Checker::new(&flat, options.clone())?;
-        let report = Report {
-            impls: checker
-                .scope()
-                .impls()
-                .filter(|(_, info)| {
-                    let name = &checker.scope().proc_info(info.proc).name;
-                    top_impls
-                        .iter()
-                        .any(|ti| &ti.name.text == name && ti.body == info.body)
-                })
-                .map(|(id, _)| checker.check_impl(id))
-                .collect(),
-        };
-        modules.push((String::new(), report));
-    }
-
-    for info in infos {
-        let visible = oolong_sema::visible_program(program, &info.name)?;
-        let checker = Checker::new(&visible, options.clone())?;
-        modules.push((info.name, checker.check_all()));
-    }
-    Ok(ModularReport { modules })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use oolong_syntax::parse_program;
-
-    fn check(src: &str) -> Report {
-        Checker::new(&parse_program(src).unwrap(), CheckOptions::default())
-            .unwrap()
-            .check_all()
-    }
-
-    #[test]
-    fn report_on_verifying_program() {
-        let report = check(
-            "group value
-             field num in value
-             proc bump(r) modifies r.value
-             impl bump(r) { r.num := 3 }",
-        );
-        assert!(report.all_verified());
-        let (v, r, u) = report.tally();
-        assert_eq!((v, r, u), (1, 0, 0));
-        assert!(report.to_string().contains("impl bump: verified"));
-    }
-
-    #[test]
-    fn report_on_violating_program() {
-        let report = check(
-            "field f
-             proc sneaky(r)
-             impl sneaky(r) { r.f := 3 }",
-        );
-        assert!(!report.all_verified());
-        assert_eq!(
-            report.for_proc("sneaky").unwrap().verdict.label(),
-            "not verified"
-        );
-    }
-
-    #[test]
-    fn restriction_violations_reported_before_proving() {
-        let report = check(
-            "group g
-             field vec maps g into g
-             proc p(st, r) modifies r.g
-             field obj in g
-             impl p(st, r) { r.obj := st.vec }",
-        );
-        let rep = report.for_proc("p").unwrap();
-        assert_eq!(rep.verdict.label(), "restriction violation");
-    }
-
-    #[test]
-    fn naive_mode_skips_restriction() {
-        let src = "group g
-             field vec maps g into g
-             proc p(st, r) modifies r.g
-             field obj in g
-             impl p(st, r) { r.obj := st.vec }";
-        let checker = Checker::new(
-            &parse_program(src).unwrap(),
-            CheckOptions {
-                naive: true,
-                ..CheckOptions::default()
-            },
-        )
-        .unwrap();
-        let report = checker.check_all();
-        let rep = report.for_proc("p").unwrap();
-        assert_ne!(rep.verdict.label(), "restriction violation");
-    }
-
-    #[test]
-    fn empty_scope_reports_nothing() {
-        let report = check("group g");
-        assert!(report.impls.is_empty());
-        assert!(report.all_verified());
-        assert_eq!(report.to_string(), "no implementations to check");
-    }
-
-    const MODULAR: &str = "
-module vector_interface {
-  group elems
-  field cnt in elems
-  proc vgrow(v) modifies v.elems
-}
-module vector_impl imports vector_interface {
-  impl vgrow(v) { assume v != null ; v.cnt := v.cnt + 1 }
-}
-module stack_interface imports vector_interface {
-  group contents
-  proc push(s, o) modifies s.contents
-}
-module stack_impl imports stack_interface {
-  field vec in contents maps elems into contents
-  impl push(s, o) { assume s != null && s.vec != null ; vgrow(s.vec) }
-}
-";
-
-    #[test]
-    fn modular_check_verifies_each_module_in_its_scope() {
-        let program = parse_program(MODULAR).unwrap();
-        let report = check_modular(&program, &CheckOptions::default()).expect("checks");
-        assert!(report.all_verified(), "{report}");
-        assert_eq!(report.modules.len(), 4);
-        let stack = report.for_module("stack_impl").expect("module exists");
-        assert_eq!(stack.impls.len(), 1);
-        assert!(report.to_string().contains("module stack_impl:"));
-    }
-
-    #[test]
-    fn modular_check_catches_module_local_violations() {
-        // vector_impl writes a field it has no license for.
-        let bad = MODULAR.replace(
-            "impl vgrow(v) { assume v != null ; v.cnt := v.cnt + 1 }",
-            "field secret
-             impl vgrow(v) { assume v != null ; v.secret := 1 }",
-        );
-        let program = parse_program(&bad).unwrap();
-        let report = check_modular(&program, &CheckOptions::default()).expect("checks");
-        assert!(!report.all_verified());
-        assert!(!report.for_module("vector_impl").unwrap().all_verified());
-        assert!(report.for_module("stack_impl").unwrap().all_verified());
-    }
-
-    #[test]
-    fn whole_program_check_flattens_modules() {
-        let program = parse_program(MODULAR).unwrap();
-        let report = Checker::new(&program, CheckOptions::default())
-            .expect("flattens")
-            .check_all();
-        assert!(report.all_verified());
-        assert_eq!(report.impls.len(), 2);
-    }
-
-    #[test]
-    fn top_level_impls_report_under_pseudo_module() {
-        let program = parse_program(
-            "module m { group g }
-             field f in g
-             proc p(t) modifies t.g
-             impl p(t) { assume t != null ; t.f := 1 }",
-        )
-        .unwrap();
-        let report = check_modular(&program, &CheckOptions::default()).expect("checks");
-        assert!(report.all_verified(), "{report}");
-        assert!(report.for_module("").is_some());
-    }
-
-    #[test]
-    fn shared_contexts_agree_with_one_shot_checks() {
-        let program = parse_program(
-            "group g field f in g
-             proc p(t) modifies t.g
-             impl p(t) { t.f := 1 }
-             proc bad(t)
-             impl bad(t) { t.f := 1 }
-             proc q(t) modifies t.g
-             impl q(t) { t.f := 2 ; t.f := 3 }",
-        )
-        .unwrap();
-        let checker = Checker::new(&program, CheckOptions::default()).unwrap();
-        let shared = checker.check_all();
-        assert_eq!(shared.impls.len(), 3);
-        for rep in &shared.impls {
-            let alone = checker.check_impl(rep.impl_id);
-            assert_eq!(rep.proc_name, alone.proc_name);
-            assert_eq!(rep.verdict.label(), alone.verdict.label());
-            assert_eq!(rep.verdict.stats(), alone.verdict.stats());
-            assert_eq!(rep.kind_counts, alone.kind_counts);
-        }
-    }
-
-    #[test]
-    fn plain_programs_verify_at_the_arrays_level_too() {
-        // force_arrays_level adds the extended axioms; a plain program's
-        // verdicts must not change (only the work grows).
-        let src = "group g
-             field f in g
-             proc p(t) modifies t.g
-             impl p(t) { assume t != null ; t.f := 1 ; assert t.f = 1 }";
-        let program = parse_program(src).unwrap();
-        let plain = Checker::new(&program, CheckOptions::default())
-            .unwrap()
-            .check_all();
-        let leveled = Checker::new(
-            &program,
-            CheckOptions {
-                force_arrays_level: true,
-                ..CheckOptions::default()
-            },
-        )
-        .unwrap()
-        .check_all();
-        assert!(plain.all_verified());
-        assert!(leveled.all_verified(), "{leveled}");
-    }
 
     #[test]
     fn ill_formed_program_is_an_error() {

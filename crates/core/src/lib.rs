@@ -13,11 +13,16 @@
 //!   of Figures 2 and 3 — [`translate`], [`vcgen`];
 //! * the universal and scope-dependent **background predicates** with
 //!   axioms (4), (6), (7), (8), (9) — [`background`];
-//! * the modular **checker driver** with its naive (restriction-free)
-//!   baseline — [`checker`];
+//! * the per-obligation **checker** steps with their naive
+//!   (restriction-free) baseline — [`checker`];
 //! * **specification-overhead metrics** — [`metrics`].
 //!
 //! # Example
+//!
+//! The per-obligation steps, driven by hand: generate each
+//! implementation's VC and prove it. `oolong-engine` runs the same steps
+//! for every obligation, with the restriction check, caching and pooled
+//! prover contexts.
 //!
 //! ```
 //! use datagroups::{CheckOptions, Checker};
@@ -31,7 +36,10 @@
 //!      impl bump(r) { r.num := r.num + 1 }",
 //! )?;
 //! let checker = Checker::new(&program, CheckOptions::default())?;
-//! assert!(checker.check_all().all_verified());
+//! for (impl_id, _) in checker.scope().impls() {
+//!     let vc = checker.vc(impl_id)?;
+//!     assert!(checker.verdict_for_vc(&vc).is_verified());
+//! }
 //! # Ok(())
 //! # }
 //! ```
@@ -45,9 +53,7 @@ pub mod slice;
 pub mod translate;
 pub mod vcgen;
 
-pub use checker::{
-    check_modular, CheckOptions, Checker, ImplReport, ModularReport, Refutation, Report, Verdict,
-};
+pub use checker::{CheckOptions, Checker, Refutation, Verdict};
 pub use effects::{ModEntry, ModList};
 pub use metrics::{overhead, prover_metrics, HotAxiom, OverheadReport, ProverMetrics};
 pub use restrict::check_pivot_uniqueness;

@@ -10,12 +10,11 @@
 //!   `maps … into …` clauses, and `modifies` lists) rather than executable
 //!   code.
 //! * **Prover telemetry aggregation** (experiment E14). [`prover_metrics`]
-//!   folds the per-obligation [`oolong_prover::Stats`] of a checking
-//!   [`Report`] into scope-level totals, per-axiom-kind instantiation
-//!   counts, and a hottest-axioms table — the measurement layer under the
-//!   `oolong stats` subcommand.
+//!   folds the per-obligation [`oolong_prover::Stats`] of a checking run
+//!   into scope-level totals, per-axiom-kind instantiation counts, and a
+//!   hottest-axioms table — the measurement layer under the `oolong stats`
+//!   subcommand.
 
-use crate::checker::Report;
 use crate::vcgen::ObligationKind;
 use oolong_prover::{QuantKind, Stats};
 use oolong_syntax::lexer::lex;
@@ -197,15 +196,16 @@ impl fmt::Display for ProverMetrics {
     }
 }
 
-/// Aggregates the prover telemetry of a checking report: totals across
-/// obligations, instantiation counts per axiom kind, and a hottest-axioms
-/// table merged by (kind, trigger).
-pub fn prover_metrics(report: &Report) -> ProverMetrics {
-    let stats: Vec<&Stats> = report
-        .impls
-        .iter()
-        .filter_map(|rep| rep.verdict.stats())
-        .collect();
+/// Aggregates the prover telemetry of a checking run: totals across the
+/// `stats` of the obligations that reached the prover, instantiation counts
+/// per axiom kind, and a hottest-axioms table merged by (kind, trigger).
+/// `kind_counts` are the labeled obligation conjuncts of every generated VC
+/// ([`crate::Vc::kind_counts`]), summed per kind.
+pub fn prover_metrics<'a>(
+    stats: impl IntoIterator<Item = &'a Stats>,
+    kind_counts: impl IntoIterator<Item = (ObligationKind, u32)>,
+) -> ProverMetrics {
+    let stats: Vec<&Stats> = stats.into_iter().collect();
     let mut metrics = ProverMetrics {
         obligations: stats.len(),
         unknown: stats.iter().filter(|s| s.exhausted.is_some()).count(),
@@ -259,10 +259,8 @@ pub fn prover_metrics(report: &Report) -> ProverMetrics {
     }
     metrics.by_kind = kind_totals.to_vec();
     let mut obligation_totals: HashMap<ObligationKind, u64> = HashMap::new();
-    for rep in &report.impls {
-        for &(kind, n) in &rep.kind_counts {
-            *obligation_totals.entry(kind).or_default() += n as u64;
-        }
+    for (kind, n) in kind_counts {
+        *obligation_totals.entry(kind).or_default() += n as u64;
     }
     metrics.obligation_kinds = ObligationKind::ALL
         .iter()
@@ -397,8 +395,8 @@ mod tests {
     }
 
     #[test]
-    fn prover_metrics_aggregate_a_checked_report() {
-        use crate::checker::{CheckOptions, Checker};
+    fn prover_metrics_aggregate_checked_obligations() {
+        use crate::checker::{CheckOptions, Checker, Verdict};
         let p = parse_program(
             "group value
              field num in value
@@ -408,11 +406,18 @@ mod tests {
              impl twice(r) { bump(r) ; bump(r) }",
         )
         .unwrap();
-        let report = Checker::new(&p, CheckOptions::default())
-            .unwrap()
-            .check_all();
-        assert!(report.all_verified());
-        let m = prover_metrics(&report);
+        let checker = Checker::new(&p, CheckOptions::default()).unwrap();
+        let vcs: Vec<_> = checker
+            .scope()
+            .impls()
+            .map(|(id, _)| checker.vc(id).unwrap())
+            .collect();
+        let verdicts: Vec<_> = vcs.iter().map(|vc| checker.verdict_for_vc(vc)).collect();
+        assert!(verdicts.iter().all(Verdict::is_verified));
+        let m = prover_metrics(
+            verdicts.iter().filter_map(Verdict::stats),
+            vcs.iter().flat_map(|vc| vc.kind_counts()),
+        );
         assert_eq!(m.obligations, 2);
         assert_eq!(m.unknown, 0);
         assert!(m.instances > 0);

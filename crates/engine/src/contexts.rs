@@ -2,11 +2,11 @@
 //!
 //! Building a [`ScopeContext`] asserts and saturates a scope's (sliced)
 //! background axioms — by far the most expensive fixed cost of an
-//! obligation. Within one `Checker::check_all` run that cost is amortized
-//! by slice-grouping; this pool amortizes it across *runs*: a resident
-//! process (`oolong serve`) keeps contexts warm between requests, so a
-//! re-verification of an edited implementation pays only for its own
-//! trail frame, not for background saturation.
+//! obligation. The pool pays it once per sliced background: obligations of
+//! one batch with equal slices reuse the context, and so do later runs —
+//! a resident process (`oolong serve`) keeps contexts warm between
+//! requests, so a re-verification of an edited implementation pays only
+//! for its own trail frame, not for background saturation.
 //!
 //! Keys are stable 128-bit hashes over everything a context's behaviour
 //! depends on: the sliced background formula list (in order), its

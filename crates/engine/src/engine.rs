@@ -9,8 +9,9 @@
 //! context from the [`ContextPool`]. An obligation whose cutoff key
 //! ([`crate::cutoff`]) is remembered, and whose fingerprint is still
 //! cached, is served without generating its VC at all. This
-//! is the only parallel checking path: `oolong check`, `batch`, `explain`
-//! and `serve` all run through it.
+//! is the only checking path: `oolong check` (module by module too),
+//! `batch`, `explain`, `stats` and `serve` all run through it, as do the
+//! callers that hold a parsed program ([`Engine::check_program`]).
 //! Results and events are reassembled in obligation order, so a batch
 //! report is deterministic regardless of thread interleaving.
 
@@ -25,7 +26,8 @@ use crate::store::{TieredStore, VerdictStore, DEFAULT_MEMORY_CAPACITY};
 use datagroups::{BackgroundSlice, CheckOptions, Checker, Vc, Verdict};
 use oolong_diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis};
 use oolong_logic::Phase;
-use oolong_syntax::parse_program;
+use oolong_sema::ImplId;
+use oolong_syntax::{parse_program, Decl, Diagnostics, ImplDecl, Program};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -226,11 +228,11 @@ struct TaskOutcome {
     prover_call: bool,
 }
 
-/// A unit that parsed and analysed: its checker, and the cutoff key of
-/// each of its implementations, in `scope().impls()` order.
+/// A unit that passed the front end: its checker, and the implementations
+/// to check with their cutoff keys, in `scope().impls()` order.
 struct CheckedUnit {
     checker: Checker,
-    cutoff_keys: Vec<u128>,
+    impls: Vec<(ImplId, u128)>,
 }
 
 /// The incremental verification engine: a verdict store plus a batch
@@ -314,20 +316,113 @@ impl Engine {
     /// obligations from the cache.
     pub fn check_batch(&self, units: &[BatchUnit]) -> BatchReport {
         let batch_start = Instant::now();
+        let checked = units
+            .iter()
+            .map(|unit| {
+                parse_program(&unit.source)
+                    .map_err(|d| d.render(&unit.source))
+                    .and_then(|program| self.front_end(&program, &unit.source))
+            })
+            .collect();
+        self.run_units(batch_start, units, checked)
+    }
+
+    /// Convenience wrapper: one anonymous unit.
+    pub fn check_source(&self, name: &str, source: &str) -> BatchReport {
+        self.check_batch(&[unit(name, source)])
+    }
+
+    /// Checks every implementation of an already-parsed program as one
+    /// unit named `name`. The program's spans must point into `source`,
+    /// which diagnostics and diagnoses are rendered against: a module view
+    /// ([`oolong_sema::visible_program`]) or a declaration subset
+    /// ([`oolong_sema::subset_program`]) of a parsed source qualifies.
+    pub fn check_program(&self, name: &str, source: &str, program: &Program) -> BatchReport {
+        let batch_start = Instant::now();
+        let checked = self.front_end(program, source);
+        self.run_units(batch_start, &[unit(name, source)], vec![checked])
+    }
+
+    /// Checks a program module by module: each module's implementations
+    /// against the module's own scope (its declarations, those of the
+    /// modules it transitively imports, and the top-level declarations),
+    /// the piecewise checking the paper's modular soundness licenses.
+    /// Top-level implementations check against the whole flattened
+    /// program and report first, under the pseudo-module name `""`; the
+    /// modules follow in declaration order. A module whose scope does not
+    /// analyse reports a unit error.
+    ///
+    /// # Errors
+    ///
+    /// Returns the diagnostics if the module structure is invalid.
+    pub fn check_modular(
+        &self,
+        name: &str,
+        source: &str,
+        program: &Program,
+    ) -> Result<Vec<(String, BatchReport)>, Diagnostics> {
+        let infos = oolong_sema::modules::modules(program)?;
+        let mut reports = Vec::new();
+        let top_impls: Vec<&ImplDecl> = program
+            .decls
+            .iter()
+            .filter_map(|d| match d {
+                Decl::Impl(i) => Some(i),
+                _ => None,
+            })
+            .collect();
+        if !top_impls.is_empty() {
+            let batch_start = Instant::now();
+            let checked =
+                self.front_end(&oolong_sema::flatten(program), source)
+                    .map(|mut checked| {
+                        let scope = checked.checker.scope();
+                        checked.impls.retain(|&(impl_id, _)| {
+                            let info = scope.impl_info(impl_id);
+                            let proc = &scope.proc_info(info.proc).name;
+                            top_impls
+                                .iter()
+                                .any(|ti| &ti.name.text == proc && ti.body == info.body)
+                        });
+                        checked
+                    });
+            let report = self.run_units(batch_start, &[unit(name, source)], vec![checked]);
+            reports.push((String::new(), report));
+        }
+        for info in infos {
+            let visible = oolong_sema::visible_program(program, &info.name)?;
+            reports.push((info.name, self.check_program(name, source, &visible)));
+        }
+        Ok(reports)
+    }
+
+    /// The per-unit front end every entry point shares: scope analysis,
+    /// then the cutoff key of each implementation. Errors are rendered
+    /// against `source`.
+    fn front_end(&self, program: &Program, source: &str) -> Result<CheckedUnit, String> {
+        let checker =
+            Checker::new(program, self.options.check.clone()).map_err(|d| d.render(source))?;
+        let impls = checker
+            .scope()
+            .impls()
+            .map(|(impl_id, _)| impl_id)
+            .zip(cutoff_keys(program, &checker))
+            .collect();
+        Ok(CheckedUnit { checker, impls })
+    }
+
+    /// Checks the implementations of the units that passed the front end,
+    /// in parallel, and assembles the report: unit errors first, then the
+    /// obligations in unit order.
+    fn run_units(
+        &self,
+        batch_start: Instant,
+        units: &[BatchUnit],
+        checked: Vec<Result<CheckedUnit, String>>,
+    ) -> BatchReport {
         let mut unit_errors = Vec::new();
         let mut checkers: Vec<Option<CheckedUnit>> = Vec::with_capacity(units.len());
-        for unit in units {
-            let checked = parse_program(&unit.source)
-                .map_err(|d| d.render(&unit.source))
-                .and_then(|program| {
-                    let checker = Checker::new(&program, self.options.check.clone())
-                        .map_err(|d| d.render(&unit.source))?;
-                    let cutoff_keys = cutoff_keys(&program, &checker);
-                    Ok(CheckedUnit {
-                        checker,
-                        cutoff_keys,
-                    })
-                });
+        for (checked, unit) in checked.into_iter().zip(units) {
             match checked {
                 Ok(checked) => checkers.push(Some(checked)),
                 Err(message) => {
@@ -347,11 +442,9 @@ impl Engine {
             .filter_map(|(unit_idx, checked)| checked.as_ref().map(|c| (unit_idx, c)))
             .flat_map(|(unit_idx, checked)| {
                 checked
-                    .checker
-                    .scope()
-                    .impls()
-                    .zip(&checked.cutoff_keys)
-                    .map(move |((impl_id, _), &cutoff_key)| Task {
+                    .impls
+                    .iter()
+                    .map(move |&(impl_id, cutoff_key)| Task {
                         unit_idx,
                         impl_id,
                         cutoff_key,
@@ -393,14 +486,6 @@ impl Engine {
             millis: report.millis,
         });
         report
-    }
-
-    /// Convenience wrapper: one anonymous unit.
-    pub fn check_source(&self, name: &str, source: &str) -> BatchReport {
-        self.check_batch(&[BatchUnit {
-            name: name.to_string(),
-            source: source.to_string(),
-        }])
     }
 
     /// Runs the worker pool and returns outcomes in task order.
@@ -665,10 +750,18 @@ impl Engine {
     }
 }
 
+/// A batch unit named `name` over `source`.
+fn unit(name: &str, source: &str) -> BatchUnit {
+    BatchUnit {
+        name: name.to_string(),
+        source: source.to_string(),
+    }
+}
+
 /// One obligation of a batch: an implementation of a well-formed unit.
 struct Task {
     unit_idx: usize,
-    impl_id: oolong_sema::ImplId,
+    impl_id: ImplId,
     cutoff_key: u128,
 }
 
@@ -685,11 +778,7 @@ fn fingerprint_of(checker: &Checker, vc: &Vc) -> (BackgroundSlice, Vec<Phase>, F
 /// remembered fingerprint. Every debug-build test that re-checks a unit
 /// thereby checks the key's soundness.
 #[cfg(debug_assertions)]
-fn assert_cutoff_is_sound(
-    checker: &Checker,
-    impl_id: oolong_sema::ImplId,
-    remembered: Fingerprint,
-) {
+fn assert_cutoff_is_sound(checker: &Checker, impl_id: ImplId, remembered: Fingerprint) {
     assert!(
         checker.restriction_violations(impl_id).is_empty(),
         "cutoff key hit on an obligation that violates the restrictions"

@@ -8,7 +8,7 @@
 //! ```
 
 use oolong::corpus::paper::ARRAY_TABLE;
-use oolong::datagroups::{CheckOptions, Checker};
+use oolong::engine::{Engine, EngineOptions};
 use oolong::interp::{ExecConfig, FirstOracle, Interp, Loc, Value};
 use oolong::sema::Scope;
 use oolong::syntax::parse_program;
@@ -20,10 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Static checking: every implementation verifies — including
     //    `observer`, whose assertion about a foreign bucket `x` is
     //    protected by the elementwise owner-exclusion clauses.
-    let report = Checker::new(&program, CheckOptions::default())
-        .map_err(|e| e.render(source))?
-        .check_all();
-    println!("static checker:\n{report}\n");
+    let report =
+        Engine::new(EngineOptions::default())?.check_program("array_table", source, &program);
+    println!("static checker:");
+    for o in &report.obligations {
+        println!("impl {}: {}", o.proc_name, o.verdict);
+    }
+    println!();
 
     // 2. Run the pipeline under the effect monitor: installing buckets and
     //    bumping one through the elem-pivot closure is licensed.

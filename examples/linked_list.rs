@@ -14,7 +14,8 @@
 //! ```
 
 use oolong::corpus::paper::EXAMPLE3;
-use oolong::datagroups::{CheckOptions, Checker, Verdict};
+use oolong::datagroups::{CheckOptions, Verdict};
+use oolong::engine::{Engine, EngineOptions};
 use oolong::interp::{ExecConfig, Interp, Loc, RngOracle, Value};
 use oolong::prover::Budget;
 use oolong::sema::Scope;
@@ -26,10 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. The default budget verifies updateAll despite the cyclic
     //    inclusion.
-    let report = Checker::new(&program, CheckOptions::default())
-        .map_err(|e| e.render(source))?
-        .check_all();
-    println!("default budget:\n{report}\n");
+    let report =
+        Engine::new(EngineOptions::default())?.check_program("linked_list", source, &program);
+    let verdict = &report.obligations[0].verdict;
+    println!("default budget:\nimpl updateAll: {verdict}\n");
     assert!(report.all_verified());
 
     // 2. A starved budget reproduces the divergence as Unknown-with-stats.
@@ -37,8 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         budget: Budget::tiny(),
         ..CheckOptions::default()
     };
-    let report = Checker::new(&program, starved)?.check_all();
-    let verdict = &report.for_proc("updateAll").expect("checked").verdict;
+    let report = Engine::new(EngineOptions {
+        check: starved,
+        ..EngineOptions::default()
+    })?
+    .check_program("linked_list", source, &program);
+    let verdict = &report.obligations[0].verdict;
     println!("starved budget: {}", verdict.label());
     match verdict {
         Verdict::Unknown(stats) => {

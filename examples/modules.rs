@@ -4,16 +4,17 @@
 //! transitively imports").
 //!
 //! The program is the stack-over-vector system split into interface and
-//! implementation modules. `check_modular` verifies each module against
-//! exactly its import closure: the vector implementation never sees the
-//! stack, and neither implementation module sees the other's body.
+//! implementation modules. `Engine::check_modular` verifies each module
+//! against exactly its import closure: the vector implementation never
+//! sees the stack, and neither implementation module sees the other's
+//! body.
 //!
 //! ```sh
 //! cargo run --example modules
 //! ```
 
 use oolong::corpus::paper::MODULAR_STACK;
-use oolong::datagroups::{check_modular, CheckOptions, Checker};
+use oolong::engine::{Engine, EngineOptions};
 use oolong::sema::{modules, visible_program};
 use oolong::syntax::parse_program;
 
@@ -39,19 +40,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Modular verification: each module in its own scope.
-    let report = check_modular(&program, &CheckOptions::default())?;
-    println!("\nmodular check:\n{report}");
-    assert!(report.all_verified());
+    let engine = Engine::new(EngineOptions::default())?;
+    println!("\nmodular check:");
+    for (module, report) in engine.check_modular("modular_stack", source, &program)? {
+        println!("module {module}:");
+        for o in &report.obligations {
+            println!("  impl {}: {}", o.proc_name, o.verdict);
+        }
+        assert!(report.all_verified());
+    }
 
     // Whole-program verification agrees (scope monotonicity in practice:
     // flattening only grows every module's scope).
-    let whole = Checker::new(&program, CheckOptions::default())?.check_all();
-    println!("\nwhole-program check:\n{whole}");
+    let whole = engine.check_program("modular_stack", source, &program);
+    println!("\nwhole-program check:");
+    for o in &whole.obligations {
+        println!("impl {}: {}", o.proc_name, o.verdict);
+    }
     assert!(whole.all_verified());
 
     // The module system rejects structural errors.
-    let broken = parse_program("module a imports ghost { group g }")?;
-    let err = check_modular(&broken, &CheckOptions::default()).unwrap_err();
+    let broken = "module a imports ghost { group g }";
+    let err = engine
+        .check_modular("broken", broken, &parse_program(broken)?)
+        .unwrap_err();
     println!("\nbroken import: {err}");
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use oolong::datagroups::{CheckOptions, Checker};
+use oolong::engine::{Engine, EngineOptions};
 use oolong::interp::{ExecConfig, Interp, RngOracle};
 use oolong::sema::Scope;
 use oolong::syntax::parse_program;
@@ -37,9 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = parse_program(SOURCE).map_err(|e| e.render(SOURCE))?;
 
     // 1. Statically check every implementation against its modifies list.
-    let checker = Checker::new(&program, CheckOptions::default()).map_err(|e| e.render(SOURCE))?;
-    let report = checker.check_all();
-    println!("static checker:\n{report}\n");
+    let engine = Engine::new(EngineOptions::default())?;
+    let report = engine.check_program("quickstart", SOURCE, &program);
+    println!("static checker:");
+    for o in &report.obligations {
+        println!("impl {}: {}", o.proc_name, o.verdict);
+    }
     assert!(report.all_verified());
 
     // 2. Run the program under the interpreter's runtime effect monitor.
@@ -49,18 +52,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let outcome = interp.run_proc_fresh("observe");
         assert!(outcome.is_acceptable(), "seed {seed}: {outcome:?}");
     }
-    println!("interpreter: 10 random runs of `observe`, no violations");
+    println!("\ninterpreter: 10 random runs of `observe`, no violations");
 
     // 3. A buggy variant — writing without a license — is rejected.
-    let buggy = parse_program(
-        "group state
+    let buggy = "group state
          field ticks in state
          proc observe(c)
-         impl observe(c) { assume c != null ; c.ticks := 0 }",
-    )
-    .expect("parses");
-    let report = Checker::new(&buggy, CheckOptions::default())?.check_all();
-    println!("\nbuggy variant:\n{report}");
-    assert!(!report.all_verified());
+         impl observe(c) { assume c != null ; c.ticks := 0 }";
+    let report = engine.check_source("buggy", buggy);
+    let observe = &report.obligations[0];
+    println!("\nbuggy variant:\nimpl observe: {}", observe.verdict);
+    assert!(!observe.verdict.is_verified());
     Ok(())
 }

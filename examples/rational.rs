@@ -10,7 +10,8 @@
 //! cargo run --example rational
 //! ```
 
-use oolong::datagroups::{overhead, CheckOptions, Checker};
+use oolong::datagroups::overhead;
+use oolong::engine::{Engine, EngineOptions};
 use oolong::syntax::parse_program;
 
 /// The public interface: the abstract group and the operations' frames.
@@ -55,13 +56,13 @@ impl set_tag(r) { assume r != null ; r.tag := 7 }
 
 fn check(label: &str, source: &str) -> Result<(), Box<dyn std::error::Error>> {
     let program = parse_program(source).map_err(|e| e.render(source))?;
-    let report = Checker::new(&program, CheckOptions::default())
-        .map_err(|e| e.render(source))?
-        .check_all();
-    println!("{label}:\n{report}\n");
+    let report = Engine::new(EngineOptions::default())?.check_program(label, source, &program);
+    println!("{label}:");
+    for o in &report.obligations {
+        println!("impl {}: {}", o.proc_name, o.verdict);
+    }
     assert!(report.all_verified(), "{label} should verify");
-    let program = parse_program(source)?;
-    println!("  {}\n", overhead(&program));
+    println!("\n  {}\n", overhead(&program));
     Ok(())
 }
 

@@ -14,7 +14,8 @@
 //! cargo run --example unsound_naive
 //! ```
 
-use oolong::datagroups::{CheckOptions, Checker};
+use oolong::datagroups::CheckOptions;
+use oolong::engine::{Engine, EngineOptions};
 use oolong::interp::{ExecConfig, Interp, RngOracle, RunOutcome, WrongKind};
 use oolong::sema::Scope;
 use oolong::syntax::parse_program;
@@ -57,20 +58,18 @@ impl setup(st, r) {
 ";
 
 fn verdict(source: &str, proc: &str, naive: bool) -> String {
-    let program = parse_program(source).expect("parses");
-    let options = CheckOptions {
+    let check = CheckOptions {
         naive,
         ..CheckOptions::default()
     };
-    let report = Checker::new(&program, options)
-        .expect("analyses")
-        .check_all();
-    report
-        .for_proc(proc)
-        .expect("checked")
-        .verdict
-        .label()
-        .to_string()
+    let engine = Engine::new(EngineOptions {
+        check,
+        ..EngineOptions::default()
+    })
+    .expect("in-memory engine");
+    let report = engine.check_source(proc, source);
+    let checked = report.obligations.iter().find(|o| o.proc_name == proc);
+    checked.expect("checked").verdict.label().to_string()
 }
 
 fn main() {

@@ -3,9 +3,10 @@
 #
 #   scripts/cli_parity.sh OLD_BINARY NEW_BINARY
 #
-# Runs `check` (text, --json, --naive, --explain, --json --explain, and
-# --explain-unknown --max-instances 20), `explain --json`, `stats --json`,
-# `axioms --json` and `vc` on every program `oolong corpus` lists, with
+# Runs `check` (text, --json, --naive, --explain, --json --explain,
+# --explain-unknown --max-instances 20, and --modular), `explain --json`,
+# `stats` (text and --json), `axioms --json` and `vc` on every program
+# `oolong corpus` lists, with
 # each binary, and diffs stdout plus the exit code. `vc` prints every
 # hypothesis with its fresh names, so it pins VC generation byte for byte. Prints nothing and exits 0 when
 # every invocation agrees byte for byte; otherwise prints the diff and
@@ -24,7 +25,9 @@ variants=(
     "check --explain"
     "check --json --explain"
     "check --explain-unknown --max-instances 20"
+    "check --modular"
     "explain --json"
+    "stats"
     "stats --json"
     "axioms --json"
     "vc"

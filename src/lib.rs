@@ -6,19 +6,24 @@
 //! [`prover`] for the Simplify-style theorem prover, and [`interp`] for the
 //! reference interpreter with its runtime effect monitor.
 //!
+//! Every check runs through [`engine`]: one obligation per
+//! implementation, proved in parallel against its scope and cached by
+//! fingerprint.
+//!
 //! ```
-//! use oolong::datagroups::{Checker, CheckOptions};
-//! use oolong::syntax::parse_program;
+//! use oolong::engine::{Engine, EngineOptions};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let program = parse_program(
+//! let engine = Engine::new(EngineOptions::default())?;
+//! let report = engine.check_source(
+//!     "bump.oo",
 //!     "group value
 //!      field num in value
 //!      proc bump(r) modifies r.value
 //!      impl bump(r) { assume r != null ; r.num := r.num + 1 }",
-//! )?;
-//! let report = Checker::new(&program, CheckOptions::default())?.check_all();
+//! );
 //! assert!(report.all_verified());
+//! assert_eq!(report.obligations[0].verdict.label(), "verified");
 //! # Ok(())
 //! # }
 //! ```

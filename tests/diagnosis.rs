@@ -7,30 +7,22 @@
 
 use oolong::corpus::{self, SeededBug};
 use oolong::datagroups::{CheckOptions, Checker, Vc, Verdict};
-use oolong::diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis, Replay};
+use oolong::diagnose::Replay;
+use oolong::engine::{Engine, EngineOptions, ObligationReport};
 use oolong::syntax::parse_program;
 
-/// Builds the diagnosis for one (rejected) implementation report, the same
-/// way the engine does.
-fn diagnose(
-    checker: &Checker,
-    source: &str,
-    rep: &oolong::datagroups::ImplReport,
-) -> Option<Diagnosis> {
-    match &rep.verdict {
-        Verdict::NotVerified(_, refutation) => {
-            let vc = checker.vc(rep.impl_id).ok()?;
-            diagnose_refutation(checker.scope(), source, &vc, refutation)
-        }
-        Verdict::RestrictionViolation(violations) => diagnose_restriction(
-            checker.scope(),
-            source,
-            rep.impl_id,
-            &rep.proc_name,
-            violations,
-        ),
-        _ => None,
-    }
+/// Checks `source` through an engine with diagnosis on, exactly as
+/// `oolong check --explain` and the serve `explain` command do: every
+/// rejected obligation carries the diagnosis those tools ship.
+fn check_diagnosed(source: &str) -> Vec<ObligationReport> {
+    let engine = Engine::new(EngineOptions {
+        diagnose: true,
+        ..EngineOptions::default()
+    })
+    .expect("in-memory engine");
+    let report = engine.check_source("test", source);
+    assert!(report.unit_errors.is_empty(), "{:?}", report.unit_errors);
+    report.obligations
 }
 
 fn checker_for(source: &str) -> Checker {
@@ -44,8 +36,7 @@ fn checker_for(source: &str) -> Checker {
 fn paper_corpus_rejections_diagnose_confirmed() {
     let mut rejections = 0;
     for p in corpus::all() {
-        let checker = checker_for(p.source);
-        for rep in &checker.check_all().impls {
+        for rep in &check_diagnosed(p.source) {
             if !matches!(
                 rep.verdict,
                 Verdict::NotVerified(..) | Verdict::RestrictionViolation(_)
@@ -53,7 +44,7 @@ fn paper_corpus_rejections_diagnose_confirmed() {
                 continue;
             }
             rejections += 1;
-            let d = diagnose(&checker, p.source, rep).unwrap_or_else(|| {
+            let d = rep.diagnosis.as_ref().unwrap_or_else(|| {
                 panic!(
                     "{}/{}: rejection without a diagnosis",
                     p.name, rep.proc_name
@@ -85,14 +76,12 @@ fn paper_corpus_rejections_diagnose_confirmed() {
 #[test]
 fn section31_bad_call_diagnosis_names_the_call() {
     let p = corpus::by_name("section31_bad_call").expect("corpus program exists");
-    let checker = checker_for(p.source);
-    let report = checker.check_all();
+    let report = check_diagnosed(p.source);
     let rep = report
-        .impls
         .iter()
         .find(|r| matches!(r.verdict, Verdict::NotVerified(..)))
         .expect("bad_caller is refuted");
-    let d = diagnose(&checker, p.source, rep).expect("diagnosis");
+    let d = rep.diagnosis.as_ref().expect("diagnosis");
     assert_eq!(d.kind.as_str(), "owner-exclusion");
     let snippet = &p.source[d.span.start as usize..d.span.end as usize];
     assert!(
@@ -111,10 +100,8 @@ fn section31_bad_call_diagnosis_names_the_call() {
 fn seeded_violations_diagnose_to_ground_truth() {
     for seed in 0..15u64 {
         let v = corpus::generate_seeded_violation_source(seed);
-        let checker = checker_for(&v.source);
-        let report = checker.check_all();
+        let report = check_diagnosed(&v.source);
         let rep = report
-            .impls
             .iter()
             .find(|r| r.proc_name == v.proc_name)
             .expect("seeded impl present");
@@ -127,7 +114,9 @@ fn seeded_violations_diagnose_to_ground_truth() {
             v.bug,
             rep.verdict
         );
-        let d = diagnose(&checker, &v.source, rep)
+        let d = rep
+            .diagnosis
+            .as_ref()
             .unwrap_or_else(|| panic!("seed {seed}: no diagnosis for {:?}", v.bug));
         assert_eq!(
             d.kind.as_str(),
@@ -253,8 +242,7 @@ fn invariant_and_read_effect_populations_verify() {
             ("invariant", corpus::generate_invariant_source(seed)),
             ("reads", corpus::generate_read_effect_source(seed)),
         ] {
-            let checker = checker_for(&source);
-            for rep in &checker.check_all().impls {
+            for rep in &check_diagnosed(&source) {
                 assert!(
                     matches!(rep.verdict, Verdict::Verified(_)),
                     "{family} seed {seed}: `{}` did not verify: {}\n{source}",

@@ -1,12 +1,13 @@
 //! Integration tests for the incremental verification engine: verdict
-//! equivalence with the from-scratch checker over the whole paper corpus,
+//! equivalence with a fresh single-worker engine over the whole paper
+//! corpus,
 //! warm-vs-cold batch behaviour (zero prover calls on unchanged impls,
 //! established by counting event kinds in the JSONL log), and invalidation
 //! selectivity (editing one procedure's modifies clause re-runs only the
 //! obligations whose VCs mention it).
 
 use oolong::corpus::{generate_unannotated_source, UnannotatedConfig};
-use oolong::datagroups::{CheckOptions, Checker, ObligationKind, Verdict};
+use oolong::datagroups::{CheckOptions, ObligationKind, Verdict};
 use oolong::engine::{
     json, BatchReport, BatchUnit, CachedVerdict, ContextPool, CutoffMap, Engine, EngineOptions,
     Fingerprint, Json, MemoryTier, DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
@@ -35,25 +36,32 @@ fn same_verdict(a: &Verdict, b: &Verdict) -> bool {
     a.label() == b.label() && a.stats() == b.stats() && a.open_branch() == b.open_branch()
 }
 
-/// The engine's verdicts — cold *and* warm — match a fresh `Checker` on
-/// every program of the embedded paper corpus.
+/// The engine's verdicts — cold *and* warm, at four workers — match a
+/// fresh single-worker engine on every program of the embedded paper
+/// corpus: the worker count changes neither verdicts nor counters.
 #[test]
 fn cache_equivalence_over_the_paper_corpus() {
     let units = corpus_units();
-    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
+    let engine = Engine::new(EngineOptions {
+        workers: 4,
+        ..EngineOptions::default()
+    })
+    .expect("in-memory engine");
     let cold = engine.check_batch(&units);
     let warm = engine.check_batch(&units);
     assert!(cold.unit_errors.is_empty(), "corpus programs all analyse");
     assert_eq!(cold.obligations.len(), warm.obligations.len());
 
-    let mut fresh = Vec::new();
-    for unit in &units {
-        let program = parse_program(&unit.source).expect("corpus parses");
-        let checker = Checker::new(&program, CheckOptions::default()).expect("corpus analyses");
-        for rep in checker.check_all().impls {
-            fresh.push((unit.name.clone(), rep.proc_name, rep.verdict));
-        }
-    }
+    let fresh: Vec<_> = Engine::new(EngineOptions {
+        workers: 1,
+        ..EngineOptions::default()
+    })
+    .expect("in-memory engine")
+    .check_batch(&units)
+    .obligations
+    .into_iter()
+    .map(|o| (o.unit, o.proc_name, o.verdict))
+    .collect();
     assert_eq!(fresh.len(), cold.obligations.len());
     for ((unit, proc, verdict), (c, w)) in fresh
         .iter()
@@ -65,13 +73,13 @@ fn cache_equivalence_over_the_paper_corpus() {
         );
         assert!(
             same_verdict(verdict, &c.verdict),
-            "cold {unit}/{proc}: engine said {}, checker said {}",
+            "cold {unit}/{proc}: engine said {}, one worker said {}",
             c.verdict.label(),
             verdict.label()
         );
         assert!(
             same_verdict(verdict, &w.verdict),
-            "warm {unit}/{proc}: engine said {}, checker said {}",
+            "warm {unit}/{proc}: engine said {}, one worker said {}",
             w.verdict.label(),
             verdict.label()
         );

@@ -5,30 +5,63 @@
 //! `oolong_bench/` harness (`bash oolong_bench/run.sh run`).
 
 use oolong::corpus::{self, paper};
-use oolong::datagroups::{CheckOptions, Checker, Verdict};
+use oolong::datagroups::{CheckOptions, Verdict};
+use oolong::engine::{BatchReport, Engine, EngineOptions};
 use oolong::interp::{ExecConfig, Interp, RngOracle, RunOutcome, WrongKind};
 use oolong::prover::Budget;
 use oolong::sema::{closure_for_impl, subset_program, Scope};
 use oolong::syntax::{parse_program, pretty};
 
-fn check_with(source: &str, options: CheckOptions) -> oolong::datagroups::Report {
-    let program = parse_program(source).expect("parses");
-    Checker::new(&program, options)
-        .expect("analyses")
-        .check_all()
+/// A fresh engine, so no verdict is served from an earlier check.
+fn engine(check: CheckOptions) -> Engine {
+    Engine::new(EngineOptions {
+        check,
+        ..EngineOptions::default()
+    })
+    .expect("in-memory engine")
 }
 
-fn check(source: &str) -> oolong::datagroups::Report {
+fn check_with(source: &str, options: CheckOptions) -> BatchReport {
+    let report = engine(options).check_source("test", source);
+    assert!(report.unit_errors.is_empty(), "{:?}", report.unit_errors);
+    report
+}
+
+fn check(source: &str) -> BatchReport {
     check_with(source, CheckOptions::default())
 }
 
-fn label(report: &oolong::datagroups::Report, proc: &str) -> String {
-    report
-        .for_proc(proc)
+/// The verdict of the (first) implementation of `proc`.
+fn verdict<'a>(report: &'a BatchReport, proc: &str) -> &'a Verdict {
+    &report
+        .obligations
+        .iter()
+        .find(|o| o.proc_name == proc)
         .expect("proc checked")
         .verdict
-        .label()
-        .to_string()
+}
+
+fn label(report: &BatchReport, proc: &str) -> String {
+    verdict(report, proc).label().to_string()
+}
+
+/// Every module of `source` checked against its own scope, or the first
+/// verdict that is not `verified`.
+fn modules_verify(source: &str) -> Result<(), String> {
+    let program = parse_program(source).expect("parses");
+    let modules = engine(CheckOptions::default())
+        .check_modular("test", source, &program)
+        .expect("module structure is valid");
+    for (module, report) in &modules {
+        assert!(report.unit_errors.is_empty(), "{:?}", report.unit_errors);
+        if let Some(o) = report.obligations.iter().find(|o| !o.verdict.is_verified()) {
+            return Err(format!(
+                "module {module:?}: impl {}: {}",
+                o.proc_name, o.verdict
+            ));
+        }
+    }
+    Ok(())
 }
 
 // --------------------------------------------------------------------- E1
@@ -181,7 +214,7 @@ fn e6_cyclic_inclusion() {
         ..CheckOptions::default()
     };
     let report = check_with(paper::EXAMPLE3.source, starved);
-    match &report.for_proc("updateAll").expect("checked").verdict {
+    match verdict(&report, "updateAll") {
         Verdict::Unknown(stats) => {
             assert!(
                 stats.instances > 0,
@@ -215,9 +248,10 @@ fn e7_scope_monotonicity_corpus() {
                 force_arrays_level: arrays_level,
                 ..CheckOptions::default()
             };
-            let small = Checker::new(&sub, options)
-                .expect("closure analyses")
-                .check_all();
+            // The subset keeps the program's spans: it is checked against
+            // the original source text.
+            let small = engine(options).check_program(p.name, p.source, &sub);
+            assert!(small.unit_errors.is_empty(), "{:?}", small.unit_errors);
             let small_label = label(&small, &im.name.text);
             if small_label == "verified" {
                 let full_label = label(&full_report, &im.name.text);
@@ -264,10 +298,8 @@ fn e7_scope_monotonicity_generated() {
 /// by module, each against exactly its import closure.
 #[test]
 fn e11_modular_checking() {
+    modules_verify(paper::MODULAR_STACK.source).unwrap();
     let program = parse_program(paper::MODULAR_STACK.source).expect("parses");
-    let report = oolong::datagroups::check_modular(&program, &CheckOptions::default())
-        .expect("module structure is valid");
-    assert!(report.all_verified(), "{report}");
     // The vector implementation's scope must not see the stack module.
     let visible = oolong::sema::visible_program(&program, "vector_impl").expect("resolves");
     let scope = Scope::analyze(&visible).expect("analyses");
@@ -280,12 +312,9 @@ fn e11_modular_checking() {
 /// element update (`fire_first`).
 #[test]
 fn e11_e12_registry_capstone() {
-    let program = parse_program(paper::REGISTRY.source).expect("parses");
-    let report = oolong::datagroups::check_modular(&program, &CheckOptions::default())
-        .expect("module structure valid");
-    assert!(report.all_verified(), "{report}");
+    modules_verify(paper::REGISTRY.source).unwrap();
     let whole = check(paper::REGISTRY.source);
-    assert!(whole.all_verified(), "{whole}");
+    assert!(whole.all_verified(), "{:?}", whole.tally());
 }
 
 // -------------------------------------------------------------------- E12
@@ -409,9 +438,7 @@ fn pivot_discipline_rejects_linked_insertion() {
            end
          }",
     );
-    let rep = report.for_proc("push_front").expect("checked");
-    assert_eq!(rep.verdict.label(), "restriction violation");
-    match &rep.verdict {
+    match verdict(&report, "push_front") {
         Verdict::RestrictionViolation(diags) => {
             // The insertion violates two rules at once: the pivot target
             // rule (next may only take new()/null) and the pivot-copy rule

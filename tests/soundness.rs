@@ -10,12 +10,29 @@
 //! brevity", and so does ours by default).
 
 use oolong::corpus::{self, GenConfig};
-use oolong::datagroups::{CheckOptions, Checker};
+use oolong::datagroups::CheckOptions;
+use oolong::engine::{BatchReport, Engine, EngineOptions};
 use oolong::interp::{
     audit_acyclicity, audit_pivot_uniqueness, ExecConfig, Interp, RngOracle, RunOutcome, WrongKind,
 };
 use oolong::sema::Scope;
 use oolong::syntax::parse_program;
+
+/// Checks `source` with a fresh engine under `options`.
+fn check(name: &str, source: &str, options: CheckOptions) -> BatchReport {
+    let engine = Engine::new(EngineOptions {
+        check: options,
+        ..EngineOptions::default()
+    })
+    .expect("in-memory engine");
+    let report = engine.check_source(name, source);
+    assert!(
+        report.unit_errors.is_empty(),
+        "{name}: {:?}",
+        report.unit_errors
+    );
+    report
+}
 
 /// Runs every procedure of a fully-verified program under many oracles and
 /// asserts the paper's guarantee.
@@ -27,9 +44,7 @@ fn assert_sound(name: &str, source: &str, seeds: u64) {
     let mut options = CheckOptions::default();
     options.budget.max_instances = 8_000;
     options.budget.max_branches = 8_000;
-    let checker = Checker::new(&program, options).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let report = checker.check_all();
-    if !report.all_verified() {
+    if !check(name, source, options).all_verified() {
         return; // the guarantee only covers checker-approved programs
     }
     let scope = Scope::analyze(&program).expect("analyses");
@@ -128,14 +143,12 @@ fn starved_cyclic_rep_programs_diverge_soundly() {
     let mut saw_unknown = false;
     for seed in 0..12 {
         let source = corpus::generate_cyclic_source(seed);
-        let program = parse_program(&source).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let options = CheckOptions {
             budget: Budget::tiny(),
             ..CheckOptions::default()
         };
-        let checker =
-            Checker::new(&program, options).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        for rep in &checker.check_all().impls {
+        let report = check(&format!("cyclic-{seed}"), &source, options);
+        for rep in &report.obligations {
             // Running out of budget must surface as `unknown`, never as a
             // refutation: every write and call in these programs is
             // licensed through the pivot cycle.

@@ -428,7 +428,6 @@ fn field_rep_axioms(
             obj2: Term::var(y),
             attr2: Term::var(b),
         };
-        let _ = updated;
         // Query-driven: one trigger on the post-update side only. Nothing
         // in a goalless background contains an update term, so the axiom
         // is goal-directed — it can only fire once an obligation's
@@ -979,7 +978,6 @@ fn succ_preserves_inc(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
         obj2: Term::var(y),
         attr2: Term::var(b),
     };
-    let _ = (&inc_base, succ);
     // Query-driven: one trigger on the post-allocation side only.
     declare(
         vec![s, x, a, y, b],

@@ -178,8 +178,14 @@ pub struct EgMark {
 pub struct EGraph {
     nodes: Vec<Node>,
     parent: Vec<NodeId>,
-    classes: HashMap<NodeId, ClassData>,
+    /// Class data of each root, indexed by node id (dense: node ids are
+    /// allocation-ordered); `None` for nodes absorbed into another class.
+    classes: Vec<Option<ClassData>>,
     /// Canonical signature (sym, canonical children) → node.
+    ///
+    /// This map, `by_sym` and the touch stamps are keyed by [`Sym`], whose
+    /// literals and names come from the checked program, so they keep the
+    /// standard keyed hasher rather than the prover's unkeyed one.
     sig_table: HashMap<(Sym, Vec<NodeId>), NodeId>,
     /// Hash-consed term arena id → node, paged and sparse. Turns repeat
     /// interning of a term (the prover re-asserts shared hypotheses and
@@ -237,7 +243,7 @@ impl EGraph {
         let mut eg = EGraph {
             nodes: Vec::new(),
             parent: Vec::new(),
-            classes: HashMap::new(),
+            classes: Vec::new(),
             sig_table: HashMap::new(),
             term_memo: Vec::new(),
             by_sym: HashMap::new(),
@@ -411,7 +417,7 @@ impl EGraph {
                 self.touch_clock += 1;
                 self.bump_sym(node.sym);
                 self.parent.pop();
-                self.classes.remove(&id);
+                self.classes.pop();
                 // Merges recorded after this node's creation are already
                 // unwound, so the children canonicalize to the same
                 // representatives as when `add` built the signature.
@@ -428,11 +434,7 @@ impl EGraph {
                 // (duplicates included).
                 for &c in &node.children {
                     let root = self.find(c);
-                    self.classes
-                        .get_mut(&root)
-                        .expect("child class exists")
-                        .parents
-                        .pop();
+                    self.class_mut(root).parents.pop();
                 }
             }
             Undo::Union {
@@ -445,7 +447,7 @@ impl EGraph {
                 big_parents_len,
                 big_diseqs_len,
             } => {
-                let big_data = self.classes.get_mut(&big).expect("big class exists");
+                let big_data = self.class_mut(big);
                 let gen_restored = big_data.gen != big_gen;
                 big_data.nodes.truncate(big_nodes_len);
                 big_data.parents.truncate(big_parents_len);
@@ -458,13 +460,13 @@ impl EGraph {
                 self.touch_clock += 1;
                 self.bump_class_syms(&small_data);
                 if gen_restored {
-                    let n = self.classes[&big].parents.len();
+                    let n = self.class(big).parents.len();
                     for i in 0..n {
-                        let sym = self.nodes[self.classes[&big].parents[i] as usize].sym;
+                        let sym = self.nodes[self.class(big).parents[i] as usize].sym;
                         self.bump_sym(sym);
                     }
                 }
-                self.classes.insert(small, small_data);
+                self.classes[small as usize] = Some(small_data);
                 self.undone_merges += 1;
             }
             Undo::SigInsert { node } => {
@@ -480,8 +482,8 @@ impl EGraph {
                 debug_assert_eq!(removed, Some(node));
             }
             Undo::Diseq { a, b } => {
-                self.classes.get_mut(&a).expect("class exists").diseqs.pop();
-                self.classes.get_mut(&b).expect("class exists").diseqs.pop();
+                self.class_mut(a).diseqs.pop();
+                self.class_mut(b).diseqs.pop();
             }
             Undo::MemoInsert { term } => {
                 self.term_memo[term as usize / MEMO_PAGE]
@@ -513,6 +515,19 @@ impl EGraph {
         self.record(Undo::MemoInsert { term: term.id() });
     }
 
+    /// The data of the class rooted at `root`.
+    fn class(&self, root: NodeId) -> &ClassData {
+        self.classes[root as usize]
+            .as_ref()
+            .expect("class root has data")
+    }
+
+    fn class_mut(&mut self, root: NodeId) -> &mut ClassData {
+        self.classes[root as usize]
+            .as_mut()
+            .expect("class root has data")
+    }
+
     /// Sets the generation stamped onto classes created from now on.
     pub fn set_generation(&mut self, gen: u32) {
         self.current_gen = gen;
@@ -520,7 +535,7 @@ impl EGraph {
 
     /// The matching generation of a class (see `set_generation`).
     pub fn class_gen(&self, id: NodeId) -> u32 {
-        self.classes[&self.find(id)].gen
+        self.class(self.find(id)).gen
     }
 
     /// The node record for `id`.
@@ -557,17 +572,39 @@ impl EGraph {
                 return true;
             }
         }
-        self.classes[&ra].diseqs.iter().any(|&d| self.find(d) == rb)
+        self.class(ra).diseqs.iter().any(|&d| self.find(d) == rb)
     }
 
     /// The interpreted value of a class, if any.
     pub fn class_value(&self, id: NodeId) -> Option<&Cst> {
-        self.classes[&self.find(id)].value.as_ref()
+        self.class(self.find(id)).value.as_ref()
     }
 
     /// Member nodes of `id`'s class.
     pub fn class_nodes(&self, id: NodeId) -> &[NodeId] {
-        &self.classes[&self.find(id)].nodes
+        &self.class(self.find(id)).nodes
+    }
+
+    /// The node of a leaf term — a free constant or an interpreted
+    /// literal — if the graph has one.
+    ///
+    /// A leaf's signature is its symbol alone, so the graph holds at most
+    /// one node per leaf term. Any term interned through
+    /// [`EGraph::intern`] is found by one load from the term memo. The
+    /// leaves created directly by `add` — `true` and `false` in
+    /// [`EGraph::new`], and literals that arithmetic evaluation produces —
+    /// carry no memo entry until interned, so a memo miss falls back to
+    /// the symbol bucket.
+    pub fn leaf_node(&self, term: Term) -> Option<NodeId> {
+        if let Some(id) = self.memo_get(term) {
+            return Some(id);
+        }
+        let sym = match term.node() {
+            TermNode::Var(v) => Sym::Var(*v),
+            TermNode::Const(c) => Sym::Lit(*c),
+            TermNode::App(..) => return None,
+        };
+        self.nodes_with_sym(&sym).first().copied()
     }
 
     /// All nodes with the given head symbol (across all classes).
@@ -694,10 +731,11 @@ impl EGraph {
             return Ok(existing);
         }
         let id = self.nodes.len() as NodeId;
-        self.nodes.push(Node {
-            sym,
-            children: children.clone(),
-        });
+        for &c in &children {
+            let root = self.find(c);
+            self.class_mut(root).parents.push(id);
+        }
+        self.nodes.push(Node { sym, children });
         self.parent.push(id);
         let mut data = ClassData {
             gen: self.current_gen,
@@ -710,19 +748,12 @@ impl EGraph {
             data.gen = 0;
         }
         data.nodes.push(id);
-        self.classes.insert(id, data);
+        debug_assert_eq!(self.classes.len(), id as usize);
+        self.classes.push(Some(data));
         self.sig_table.insert(key, id);
         self.by_sym.entry(sym).or_default().push(id);
         self.touch_clock += 1;
         self.bump_add_sym(sym);
-        for &c in &children {
-            let root = self.find(c);
-            self.classes
-                .get_mut(&root)
-                .expect("child class exists")
-                .parents
-                .push(id);
-        }
         self.record(Undo::NewNode);
         self.try_eval(id)?;
         Ok(id)
@@ -745,8 +776,8 @@ impl EGraph {
                 continue;
             }
             // Conflict checks.
-            let va = self.classes[&ra].value;
-            let vb = self.classes[&rb].value;
+            let va = self.class(ra).value;
+            let vb = self.class(rb).value;
             if let (Some(x), Some(y)) = (&va, &vb) {
                 if x != y {
                     return Err(Conflict(format!(
@@ -754,8 +785,8 @@ impl EGraph {
                     )));
                 }
             }
-            if self.classes[&ra].diseqs.iter().any(|&d| self.find(d) == rb)
-                || self.classes[&rb].diseqs.iter().any(|&d| self.find(d) == ra)
+            if self.class(ra).diseqs.iter().any(|&d| self.find(d) == rb)
+                || self.class(rb).diseqs.iter().any(|&d| self.find(d) == ra)
             {
                 return Err(Conflict(
                     "merge violates an asserted disequality".to_string(),
@@ -763,7 +794,7 @@ impl EGraph {
             }
 
             // Union: attach the smaller class under the larger.
-            let (big, small) = if self.classes[&ra].nodes.len() >= self.classes[&rb].nodes.len() {
+            let (big, small) = if self.class(ra).nodes.len() >= self.class(rb).nodes.len() {
                 (ra, rb)
             } else {
                 (rb, ra)
@@ -771,22 +802,24 @@ impl EGraph {
             self.merges += 1;
             self.merges_performed += 1;
             self.parent[small as usize] = big;
-            let small_data = self.classes.remove(&small).expect("small class exists");
+            let small_data = self.classes[small as usize]
+                .take()
+                .expect("small class exists");
             self.touch_clock += 1;
             self.bump_class_syms(&small_data);
             // A generation drop on the surviving class re-prices bindings
             // bound to it, which only its parents' triggers can observe.
-            if small_data.gen < self.classes[&big].gen {
-                let n = self.classes[&big].parents.len();
+            if small_data.gen < self.class(big).gen {
+                let n = self.class(big).parents.len();
                 for i in 0..n {
-                    let sym = self.nodes[self.classes[&big].parents[i] as usize].sym;
+                    let sym = self.nodes[self.class(big).parents[i] as usize].sym;
                     self.bump_sym(sym);
                 }
             }
             let big_parents_len;
             let small_parent_count = small_data.parents.len();
             {
-                let big_data = self.classes.get_mut(&big).expect("big class exists");
+                let big_data = self.class_mut(big);
                 let big_gen = big_data.gen;
                 let big_nodes_len = big_data.nodes.len();
                 let big_diseqs_len = big_data.diseqs.len();
@@ -816,7 +849,7 @@ impl EGraph {
             // the merged class. They sit at the tail of `big`'s parent
             // list (indices stay valid: the list only grows from here).
             for k in 0..small_parent_count {
-                let p = self.classes[&big].parents[big_parents_len + k];
+                let p = self.class(big).parents[big_parents_len + k];
                 let node = &self.nodes[p as usize];
                 let key = (
                     node.sym,
@@ -838,8 +871,9 @@ impl EGraph {
                 self.try_eval_queued(p, &mut queue)?;
             }
             // New value may enable evaluating parents of the big class too.
-            let parents: Vec<NodeId> = self.classes[&big].parents.clone();
-            for p in parents {
+            // (Evaluation only ever adds leaves, so the list is stable.)
+            for i in 0..self.class(big).parents.len() {
+                let p = self.class(big).parents[i];
                 self.try_eval_queued(p, &mut queue)?;
             }
         }
@@ -857,8 +891,8 @@ impl EGraph {
         if ra == rb {
             return Err(Conflict("disequality between equal terms".to_string()));
         }
-        self.classes.get_mut(&ra).expect("class").diseqs.push(rb);
-        self.classes.get_mut(&rb).expect("class").diseqs.push(ra);
+        self.class_mut(ra).diseqs.push(rb);
+        self.class_mut(rb).diseqs.push(ra);
         self.record(Undo::Diseq { a: ra, b: rb });
         Ok(())
     }
@@ -879,20 +913,19 @@ impl EGraph {
         id: NodeId,
         queue: &mut Vec<(NodeId, NodeId)>,
     ) -> Result<(), Conflict> {
-        let node = self.nodes[id as usize].clone();
-        let int_of = |eg: &EGraph, c: NodeId| -> Option<i64> {
-            match eg.class_value(c) {
+        let node = &self.nodes[id as usize];
+        let sym = node.sym;
+        let first = node.children.first().copied();
+        let second = node.children.get(1).copied();
+        let int_of = |eg: &EGraph, c: Option<NodeId>| -> Option<i64> {
+            match eg.class_value(c?) {
                 Some(Cst::Int(n)) => Some(*n),
                 _ => None,
             }
         };
-        let binary = |eg: &EGraph| -> Option<(i64, i64)> {
-            Some((
-                int_of(eg, node.children[0])?,
-                int_of(eg, *node.children.get(1)?)?,
-            ))
-        };
-        let result: Option<Cst> = match node.sym {
+        let binary =
+            |eg: &EGraph| -> Option<(i64, i64)> { Some((int_of(eg, first)?, int_of(eg, second)?)) };
+        let result: Option<Cst> = match sym {
             Sym::Add => binary(self)
                 .and_then(|(a, b)| a.checked_add(b))
                 .map(Cst::Int),
@@ -902,16 +935,16 @@ impl EGraph {
             Sym::Mul => binary(self)
                 .and_then(|(a, b)| a.checked_mul(b))
                 .map(Cst::Int),
-            Sym::Neg => int_of(self, node.children[0])
-                .and_then(i64::checked_neg)
-                .map(Cst::Int),
+            Sym::Neg => int_of(self, first).and_then(i64::checked_neg).map(Cst::Int),
             Sym::PLt => binary(self).map(|(a, b)| Cst::Bool(a < b)),
             Sym::PLe => binary(self).map(|(a, b)| Cst::Bool(a <= b)),
             // Interpreted constants are never object references.
-            Sym::PIsObj => self.class_value(node.children[0]).map(|_| Cst::Bool(false)),
+            Sym::PIsObj => first
+                .and_then(|c| self.class_value(c))
+                .map(|_| Cst::Bool(false)),
             // Integers satisfy isInt; other interpreted constants do not.
-            Sym::PIsInt => self
-                .class_value(node.children[0])
+            Sym::PIsInt => first
+                .and_then(|c| self.class_value(c))
                 .map(|c| Cst::Bool(matches!(c, Cst::Int(_)))),
             _ => return Ok(()),
         };
@@ -945,9 +978,8 @@ impl EGraph {
                 self.find(id as NodeId)
             );
         }
-        let mut classes: Vec<_> = self.classes.iter().collect();
-        classes.sort_by_key(|(id, _)| **id);
-        for (id, data) in classes {
+        let classes = self.classes.iter().enumerate();
+        for (id, data) in classes.filter_map(|(id, c)| Some((id, c.as_ref()?))) {
             let _ = writeln!(
                 out,
                 "class {id}: value={:?} gen={} nodes={:?} parents={:?} diseqs={:?}",
@@ -1159,6 +1191,71 @@ mod tests {
         eg.intern(&T::select(T::store(), T::var("b"), T::attr("f")))
             .unwrap();
         assert_eq!(eg.nodes_with_sym(&Sym::Select).len(), 2);
+    }
+
+    /// The bucket scan [`EGraph::leaf_node`] replaces in the matcher: is
+    /// the node of `term`'s leaf symbol in the class of `class`?
+    fn bucket_in_class(eg: &EGraph, term: Term, class: NodeId) -> bool {
+        let sym = match term.node() {
+            TermNode::Var(v) => Sym::Var(*v),
+            TermNode::Const(c) => Sym::Lit(*c),
+            TermNode::App(..) => unreachable!("not a leaf"),
+        };
+        eg.nodes_with_sym(&sym)
+            .iter()
+            .any(|&leaf| eg.find(leaf) == eg.find(class))
+    }
+
+    fn memo_in_class(eg: &EGraph, term: Term, class: NodeId) -> bool {
+        eg.leaf_node(term)
+            .is_some_and(|leaf| eg.find(leaf) == eg.find(class))
+    }
+
+    fn lookups_agree(eg: &EGraph, term: Term, class: NodeId, expected: bool) {
+        assert_eq!(
+            bucket_in_class(eg, term, class),
+            expected,
+            "bucket: {term:?}"
+        );
+        assert_eq!(memo_in_class(eg, term, class), expected, "memo: {term:?}");
+    }
+
+    #[test]
+    fn memo_leaf_lookup_agrees_with_the_bucket_scan() {
+        let mut eg = EGraph::new();
+        let x = eg.intern(&T::var("x")).unwrap();
+        let y = eg.intern(&T::var("y")).unwrap();
+        // An absent constant.
+        assert_eq!(eg.leaf_node(T::var("absent")), None);
+        lookups_agree(&eg, T::var("absent"), x, false);
+        // Present, in another class.
+        lookups_agree(&eg, T::var("y"), x, false);
+        // Present, in this class.
+        eg.merge(x, y).unwrap();
+        lookups_agree(&eg, T::var("y"), x, true);
+        // `true` and `false`, which `EGraph::new` makes with `add` and so
+        // without memo entries.
+        let (t, f) = (T::lit(Cst::Bool(true)), T::lit(Cst::Bool(false)));
+        assert_eq!(eg.leaf_node(t), Some(eg.true_id()));
+        assert_eq!(eg.leaf_node(f), Some(eg.false_id()));
+        lookups_agree(&eg, t, eg.true_id(), true);
+        lookups_agree(&eg, f, eg.true_id(), false);
+        // A literal that arithmetic evaluation made with `add`.
+        let sum = eg.intern(&T::add(T::var("u"), T::int(3))).unwrap();
+        let u = eg.intern(&T::var("u")).unwrap();
+        let two = eg.intern(&T::int(2)).unwrap();
+        eg.merge(u, two).unwrap();
+        lookups_agree(&eg, T::int(5), sum, true);
+        // A leaf created inside a frame and undone by its pop.
+        let mark = eg.push();
+        let w = eg.intern(&T::var("w")).unwrap();
+        lookups_agree(&eg, T::var("w"), w, true);
+        eg.pop(mark);
+        assert_eq!(eg.leaf_node(T::var("w")), None);
+        lookups_agree(&eg, T::var("w"), x, false);
+        let w = eg.intern(&T::var("w")).unwrap();
+        lookups_agree(&eg, T::var("w"), w, true);
+        lookups_agree(&eg, T::var("w"), x, false);
     }
 
     #[test]

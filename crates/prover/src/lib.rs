@@ -32,6 +32,7 @@
 //! ```
 
 pub mod egraph;
+mod fxhash;
 pub mod matcher;
 pub mod prover;
 pub mod triggers;

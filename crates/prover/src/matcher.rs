@@ -7,36 +7,85 @@
 //! turns that fragility into a measurable `Unknown` outcome).
 
 use crate::egraph::{EGraph, NodeId, Sym};
+use crate::fxhash::{FxHashSet, IdKey};
 use oolong_logic::{Atom, FnSym, Pattern, Symbol, Term, TermNode, Trigger};
 use std::borrow::Borrow;
-use std::collections::HashSet;
 
 /// A match of a trigger: each quantified variable — identified by its
 /// *hole index*, i.e. its position in the quantifier's variable list —
 /// bound to an E-graph class.
 ///
-/// Bindings are cloned at every step of the matching search, so the
-/// representation matters: a small vector sorted by hole index clones as
-/// one allocation and probes with a short scan, where the previous
-/// `BTreeMap<String, NodeId>` allocated a tree node per variable and
-/// compared strings on every lookup.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct Binding(Vec<(u16, NodeId)>);
+/// Every completed match is copied out of the search, so classes are
+/// stored by hole index, inline for up to [`INLINE_HOLES`] holes: copying
+/// a binding allocates nothing and probing a hole is one load.
+#[derive(Debug, Clone, Default)]
+pub struct Binding {
+    /// Number of holes bound.
+    len: usize,
+    slots: Slots,
+}
+
+/// How many holes a [`Binding`] stores without allocating. Background
+/// quantifiers bind at most nine variables.
+const INLINE_HOLES: usize = 10;
+
+/// Marks an unbound hole.
+const UNBOUND: NodeId = NodeId::MAX;
+
+/// The class bound to each hole, indexed by hole.
+#[derive(Debug, Clone)]
+enum Slots {
+    Inline([NodeId; INLINE_HOLES]),
+    /// Quantifiers with more holes than fit inline.
+    Spilled(Vec<NodeId>),
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        Slots::Inline([UNBOUND; INLINE_HOLES])
+    }
+}
+
+impl Slots {
+    fn as_slice(&self) -> &[NodeId] {
+        match self {
+            Slots::Inline(ids) => ids,
+            Slots::Spilled(ids) => ids,
+        }
+    }
+
+    /// The slot of `hole`, growing (and spilling) the table to reach it.
+    fn slot_mut(&mut self, hole: usize) -> &mut NodeId {
+        if hole >= self.as_slice().len() {
+            let mut ids = self.as_slice().to_vec();
+            ids.resize(hole + 1, UNBOUND);
+            *self = Slots::Spilled(ids);
+        }
+        match self {
+            Slots::Inline(ids) => &mut ids[hole],
+            Slots::Spilled(ids) => &mut ids[hole],
+        }
+    }
+}
 
 impl Binding {
     /// The class bound to hole `hole`, if any.
     pub fn node(&self, hole: u16) -> Option<NodeId> {
-        self.0.iter().find(|&&(h, _)| h == hole).map(|&(_, id)| id)
+        self.slots
+            .as_slice()
+            .get(usize::from(hole))
+            .copied()
+            .filter(|&id| id != UNBOUND)
     }
 
     /// Number of holes bound.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.len
     }
 
     /// Whether no hole is bound.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
     }
 
     /// The class bound to the variable named `name` under `vars` (the
@@ -46,24 +95,40 @@ impl Binding {
         self.node(hole)
     }
 
+    /// The bound `(hole, class)` pairs in hole order.
+    fn bound(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        self.slots
+            .as_slice()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &id)| id != UNBOUND)
+            .map(|(hole, &id)| (hole, id))
+    }
+
     fn insert(&mut self, hole: u16, id: NodeId) {
-        match self.0.binary_search_by_key(&hole, |&(h, _)| h) {
-            Ok(_) => debug_assert!(false, "hole {hole} bound twice"),
-            Err(pos) => self.0.insert(pos, (hole, id)),
-        }
+        let slot = self.slots.slot_mut(usize::from(hole));
+        debug_assert_eq!(*slot, UNBOUND, "hole {hole} bound twice");
+        *slot = id;
+        self.len += 1;
     }
 
     /// Undoes an [`insert`](Self::insert) during the backtracking match
     /// search.
     fn remove(&mut self, hole: u16) {
-        match self.0.binary_search_by_key(&hole, |&(h, _)| h) {
-            Ok(pos) => {
-                self.0.remove(pos);
-            }
-            Err(_) => debug_assert!(false, "hole {hole} not bound"),
-        }
+        let slot = self.slots.slot_mut(usize::from(hole));
+        debug_assert_ne!(*slot, UNBOUND, "hole {hole} not bound");
+        *slot = UNBOUND;
+        self.len -= 1;
     }
 }
+
+impl PartialEq for Binding {
+    fn eq(&self, other: &Binding) -> bool {
+        self.len == other.len && self.bound().eq(other.bound())
+    }
+}
+
+impl Eq for Binding {}
 
 /// Pre-resolved hole names: maps a pattern variable to its hole index by
 /// scanning the (tiny) quantifier variable list.
@@ -77,10 +142,50 @@ impl Holes<'_> {
     }
 }
 
+/// The static data of one trigger that matching consults on every pass,
+/// compiled once when its quantifier is registered or parked (the
+/// "compiled trigger" of efficient E-matching). Recomputing it per pass —
+/// per anchor, for anchored matching — was a measurable share of the
+/// prover's time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TriggerPlan {
+    /// The E-graph head symbol of each pattern, by position (`None` for a
+    /// pattern that can only match nothing: an equality atom or a bare
+    /// variable or constant).
+    pub pattern_heads: Vec<Option<Sym>>,
+    /// The distinct head symbols, as [`trigger_heads`] computes them.
+    pub heads: Vec<Sym>,
+    /// Every symbol a full match consults, as [`trigger_syms`] computes
+    /// them.
+    pub syms: Vec<Sym>,
+    /// The head of a single-pattern trigger, as [`trigger_single_head`]
+    /// computes it.
+    pub single_head: Option<Sym>,
+}
+
+impl TriggerPlan {
+    /// Compiles the plan of `trigger` under the quantified `vars`.
+    pub fn compile(vars: &[Symbol], trigger: &Trigger) -> TriggerPlan {
+        TriggerPlan {
+            pattern_heads: trigger.0.iter().map(pattern_head).collect(),
+            heads: trigger_heads(trigger),
+            syms: trigger_syms(vars, trigger),
+            single_head: trigger_single_head(trigger),
+        }
+    }
+}
+
 /// Finds all bindings of `vars` under which every pattern of `trigger`
 /// matches a term (or atom) present in the E-graph.
 pub fn match_trigger(eg: &EGraph, vars: &[Symbol], trigger: &Trigger) -> Vec<Binding> {
-    match_trigger_impl(eg, vars, trigger, None)
+    let holes = Holes { vars };
+    let mut all = Vec::new();
+    if trigger.0.is_empty() {
+        all.push(Binding::default());
+    } else {
+        join(eg, &holes, trigger, None, &mut all);
+    }
+    complete_and_dedup(eg, vars, all)
 }
 
 /// Like [`match_trigger`], but *anchored*: at least one pattern of the
@@ -92,75 +197,92 @@ pub fn match_trigger_anchored(
     trigger: &Trigger,
     anchor: NodeId,
 ) -> Vec<Binding> {
-    match_trigger_impl(eg, vars, trigger, Some(anchor))
+    let plan = TriggerPlan::compile(vars, trigger);
+    match_trigger_anchored_with(eg, vars, trigger, &plan, anchor)
 }
 
-fn match_trigger_impl(
+/// [`match_trigger_anchored`] under the trigger's compiled `plan`.
+pub(crate) fn match_trigger_anchored_with(
     eg: &EGraph,
     vars: &[Symbol],
     trigger: &Trigger,
-    anchor: Option<NodeId>,
+    plan: &TriggerPlan,
+    anchor: NodeId,
 ) -> Vec<Binding> {
     let holes = Holes { vars };
-    let positions: Vec<Option<usize>> = match anchor {
-        None => vec![None],
-        Some(anchor) => {
-            // Each pattern position whose head symbol matches the anchor
-            // gets a run with that pattern pinned to the anchor node.
-            let anchor_sym = &eg.node(anchor).sym;
-            let hits: Vec<Option<usize>> = trigger
-                .0
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| pattern_head(p).as_ref() == Some(anchor_sym))
-                .map(|(i, _)| Some(i))
-                .collect();
-            if hits.is_empty() {
-                return Vec::new();
-            }
-            hits
-        }
-    };
+    let anchor_sym = eg.node(anchor).sym;
     let mut all = Vec::new();
-    for pinned in positions {
-        // Match the pinned pattern *first*: the anchor fixes its holes, so
-        // every other pattern's bucket scan runs under an already-constrained
-        // binding instead of enumerating its full cross-product. The
-        // conjunction join is commutative and the final dedup is by
-        // canonical binding, so the resulting binding set is order-
-        // independent; only the search cost changes. The remaining patterns
-        // keep their declared order (MPAT declarations put the most
-        // selective premise first).
-        let order: Vec<usize> = match pinned {
-            None => (0..trigger.0.len()).collect(),
-            Some(p) => std::iter::once(p)
-                .chain((0..trigger.0.len()).filter(|&i| i != p))
-                .collect(),
-        };
-        let mut bindings = vec![Binding::default()];
-        for i in order {
-            let pattern = &trigger.0[i];
-            let mut next = Vec::new();
-            for binding in &bindings {
-                if pinned == Some(i) {
-                    let node = anchor.expect("pinned implies anchor");
-                    match_pattern_at(eg, &holes, pattern, node, binding, &mut next);
-                } else {
-                    match_pattern_top(eg, &holes, pattern, binding, &mut next);
-                }
-            }
-            bindings = next;
-            if bindings.is_empty() {
-                break;
-            }
+    // Each pattern position whose head symbol matches the anchor gets a
+    // run with that pattern pinned to the anchor node.
+    for (pinned, head) in plan.pattern_heads.iter().enumerate() {
+        if *head == Some(anchor_sym) {
+            join(eg, &holes, trigger, Some((pinned, anchor)), &mut all);
         }
-        all.extend(bindings);
     }
-    // A trigger that leaves some variable unbound cannot drive a complete
-    // instantiation; drop such bindings. (A binding can never bind a
-    // non-hole, so completeness is just a length check.)
+    complete_and_dedup(eg, vars, all)
+}
+
+/// Joins the patterns of `trigger` into complete-or-partial bindings,
+/// appended to `out`.
+///
+/// With `pinned = Some((p, anchor))`, pattern `p` is matched *first*, at
+/// `anchor`: the anchor fixes its holes, so every other pattern's bucket
+/// scan runs under an already-constrained binding instead of enumerating
+/// its full cross-product. The conjunction join is commutative and the
+/// final dedup is by canonical binding, so the resulting binding set is
+/// order-independent; only the search cost changes. The remaining
+/// patterns keep their declared order (MPAT declarations put the most
+/// selective premise first). Unpinned, the patterns join in declared
+/// order.
+fn join(
+    eg: &EGraph,
+    holes: &Holes,
+    trigger: &Trigger,
+    pinned: Option<(usize, NodeId)>,
+    out: &mut Vec<Binding>,
+) {
+    let first = pinned.map_or(0, |(p, _)| p);
+    let mut bindings = Vec::new();
+    match pinned {
+        Some((_, anchor)) => match_pattern_at(
+            eg,
+            holes,
+            &trigger.0[first],
+            anchor,
+            &Binding::default(),
+            &mut bindings,
+        ),
+        None => match_pattern_top(
+            eg,
+            holes,
+            &trigger.0[first],
+            &Binding::default(),
+            &mut bindings,
+        ),
+    }
+    for (i, pattern) in trigger.0.iter().enumerate() {
+        if i == first {
+            continue;
+        }
+        if bindings.is_empty() {
+            return;
+        }
+        let mut next = Vec::new();
+        for binding in &bindings {
+            match_pattern_top(eg, holes, pattern, binding, &mut next);
+        }
+        bindings = next;
+    }
+    out.append(&mut bindings);
+}
+
+/// Drops bindings that leave some variable unbound — a trigger that does
+/// so cannot drive a complete instantiation (a binding never binds a
+/// non-hole, so completeness is a length check) — then deduplicates.
+fn complete_and_dedup(eg: &EGraph, vars: &[Symbol], mut all: Vec<Binding>) -> Vec<Binding> {
     all.retain(|b| b.len() == vars.len());
-    dedup_bindings(eg, all)
+    dedup_bindings(eg, &mut all);
+    all
 }
 
 /// The E-graph head symbol a pattern matches on, if any.
@@ -178,7 +300,7 @@ fn pattern_head(pattern: &Pattern) -> Option<Sym> {
 /// can only succeed at nodes carrying one of these, so callers sweeping
 /// many candidate anchors use this to skip nodes that cannot pin any
 /// pattern.
-pub(crate) fn trigger_heads(trigger: &Trigger) -> Vec<Sym> {
+pub fn trigger_heads(trigger: &Trigger) -> Vec<Sym> {
     let mut heads: Vec<Sym> = Vec::new();
     for head in trigger.0.iter().filter_map(pattern_head) {
         if !heads.contains(&head) {
@@ -192,7 +314,7 @@ pub(crate) fn trigger_heads(trigger: &Trigger) -> Vec<Sym> {
 /// triggers support suffix extension of a cached match set: their full
 /// match is an in-order scan of one symbol bucket, so new matches can only
 /// come from nodes appended to that bucket.
-pub(crate) fn trigger_single_head(trigger: &Trigger) -> Option<Sym> {
+pub fn trigger_single_head(trigger: &Trigger) -> Option<Sym> {
     match trigger.0.as_slice() {
         [p] => pattern_head(p),
         _ => None,
@@ -237,14 +359,14 @@ pub(crate) fn match_trigger_extend(
                 return;
             };
             for &node in &bucket[from..] {
-                match_children(eg, &holes, &args, node, &binding, &mut fresh);
+                match_children(eg, &holes, args.as_slice(), node, &binding, &mut fresh);
             }
         }
     }
     fresh.retain(|b| b.len() == vars.len());
     // Keep-first dedup across the prefix (already deduped) and the suffix,
     // exactly as a full rescan's final dedup would.
-    let mut seen: HashSet<Vec<(u16, NodeId)>> = base.iter().map(|b| canon_key(eg, b)).collect();
+    let mut seen: FxHashSet<IdKey> = base.iter().map(|b| canon_key(eg, b)).collect();
     for b in fresh {
         if seen.insert(canon_key(eg, &b)) {
             base.push(b);
@@ -257,7 +379,7 @@ pub(crate) fn match_trigger_extend(
 /// the quantified holes in `vars`. If none of these symbols has been
 /// touched (see `EGraph::syms_unchanged_since`), the trigger's full match
 /// set is unchanged.
-pub(crate) fn trigger_syms(vars: &[Symbol], trigger: &Trigger) -> Vec<Sym> {
+pub fn trigger_syms(vars: &[Symbol], trigger: &Trigger) -> Vec<Sym> {
     fn walk_term(vars: &[Symbol], t: &Term, out: &mut Vec<Sym>) {
         match t.node() {
             TermNode::Var(v) => {
@@ -281,7 +403,7 @@ pub(crate) fn trigger_syms(vars: &[Symbol], trigger: &Trigger) -> Vec<Sym> {
             Pattern::Atom(atom) => {
                 if let Some((sym, args)) = atom_shape(atom) {
                     out.push(sym);
-                    for a in args {
+                    for a in args.as_slice() {
                         walk_term(vars, a, &mut out);
                     }
                 }
@@ -315,25 +437,33 @@ fn match_pattern_at(
         }
         Pattern::Atom(atom) => {
             if let Some((_, args)) = atom_shape(atom) {
-                match_children(eg, holes, &args, node, binding, out);
+                match_children(eg, holes, args.as_slice(), node, binding, out);
             }
         }
     }
 }
 
-fn canon_key(eg: &EGraph, b: &Binding) -> Vec<(u16, NodeId)> {
-    b.0.iter().map(|&(h, id)| (h, eg.find(id))).collect()
+/// The dedup key of a complete binding: its classes' representatives in
+/// hole order. Complete bindings of one quantifier bind the same holes,
+/// so the hole indices themselves need not enter the key.
+fn canon_key(eg: &EGraph, b: &Binding) -> IdKey {
+    IdKey::new(b.bound().map(|(_, id)| eg.find(id)))
 }
 
-fn dedup_bindings(eg: &EGraph, bindings: Vec<Binding>) -> Vec<Binding> {
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    for b in bindings {
-        if seen.insert(canon_key(eg, &b)) {
-            out.push(b);
+/// Keep-first deduplication of complete bindings by canonical key.
+fn dedup_bindings(eg: &EGraph, bindings: &mut Vec<Binding>) {
+    match bindings.len() {
+        0 | 1 => {}
+        2 => {
+            if canon_key(eg, &bindings[0]) == canon_key(eg, &bindings[1]) {
+                bindings.pop();
+            }
+        }
+        _ => {
+            let mut seen = FxHashSet::default();
+            bindings.retain(|b| seen.insert(canon_key(eg, b)));
         }
     }
-    out
 }
 
 fn match_pattern_top(
@@ -365,10 +495,11 @@ fn match_pattern_top(
             let Some((sym, args)) = atom_shape(atom) else {
                 return;
             };
+            let args = args.as_slice();
             for &node in eg.nodes_with_sym(&sym) {
                 let children = &eg.node(node).children;
                 if children.len() == args.len() {
-                    match_args(eg, holes, &args, children, 0, &mut work, &mut emit);
+                    match_args(eg, holes, args, children, 0, &mut work, &mut emit);
                 }
             }
         }
@@ -379,36 +510,58 @@ fn fn_sym(f: &FnSym) -> Sym {
     Sym::from_fn(f)
 }
 
+/// The argument terms of an atom pattern, held inline: an atom has at
+/// most five (`Inc`), so the shape is built without a heap vector.
+struct AtomArgs<'a> {
+    len: usize,
+    terms: [&'a Term; 5],
+}
+
+impl<'a> AtomArgs<'a> {
+    fn new(args: &[&'a Term]) -> AtomArgs<'a> {
+        let mut terms = [args[0]; 5];
+        terms[..args.len()].copy_from_slice(args);
+        AtomArgs {
+            len: args.len(),
+            terms,
+        }
+    }
+
+    fn as_slice(&self) -> &[&'a Term] {
+        &self.terms[..self.len]
+    }
+}
+
 /// The E-graph symbol and argument terms of an atom pattern, or `None` for
 /// atoms with no node representation (equality) or no matchable shape.
-fn atom_shape(atom: &Atom) -> Option<(Sym, Vec<&Term>)> {
-    match atom {
-        Atom::Eq(..) => None,
-        Atom::Alive(s, x) => Some((Sym::PAlive, vec![s, x])),
-        Atom::LocalInc(a, b) => Some((Sym::PLocalInc, vec![a, b])),
+fn atom_shape(atom: &Atom) -> Option<(Sym, AtomArgs<'_>)> {
+    let (sym, args) = match atom {
+        Atom::Eq(..) | Atom::BoolTerm(_) => return None,
+        Atom::Alive(s, x) => (Sym::PAlive, AtomArgs::new(&[s, x])),
+        Atom::LocalInc(a, b) => (Sym::PLocalInc, AtomArgs::new(&[a, b])),
         Atom::RepInc {
             group,
             pivot,
             mapped,
-        } => Some((Sym::PRepInc, vec![group, pivot, mapped])),
+        } => (Sym::PRepInc, AtomArgs::new(&[group, pivot, mapped])),
         Atom::Inc {
             store,
             obj,
             attr,
             obj2,
             attr2,
-        } => Some((Sym::PInc, vec![store, obj, attr, obj2, attr2])),
-        Atom::Lt(a, b) => Some((Sym::PLt, vec![a, b])),
-        Atom::Le(a, b) => Some((Sym::PLe, vec![a, b])),
-        Atom::IsObj(t) => Some((Sym::PIsObj, vec![t])),
-        Atom::IsInt(t) => Some((Sym::PIsInt, vec![t])),
+        } => (Sym::PInc, AtomArgs::new(&[store, obj, attr, obj2, attr2])),
+        Atom::Lt(a, b) => (Sym::PLt, AtomArgs::new(&[a, b])),
+        Atom::Le(a, b) => (Sym::PLe, AtomArgs::new(&[a, b])),
+        Atom::IsObj(t) => (Sym::PIsObj, AtomArgs::new(&[t])),
+        Atom::IsInt(t) => (Sym::PIsInt, AtomArgs::new(&[t])),
         Atom::RepIncElem {
             group,
             pivot,
             mapped,
-        } => Some((Sym::PRepIncElem, vec![group, pivot, mapped])),
-        Atom::BoolTerm(_) => None,
-    }
+        } => (Sym::PRepIncElem, AtomArgs::new(&[group, pivot, mapped])),
+    };
+    Some((sym, args))
 }
 
 /// Matches a pattern's argument list against a node's children, extending
@@ -484,22 +637,22 @@ fn match_term_at(
                     b.remove(hole);
                 }
             },
+            // A free constant: must already exist and be in this class.
             None => {
-                // A free constant: must already exist and be in this class.
-                for &leaf in eg.nodes_with_sym(&Sym::Var(*v)) {
-                    if eg.find(leaf) == class {
-                        k(b);
-                        return;
-                    }
+                if eg
+                    .leaf_node(*pattern)
+                    .is_some_and(|leaf| eg.find(leaf) == class)
+                {
+                    k(b);
                 }
             }
         },
-        TermNode::Const(c) => {
-            for &leaf in eg.nodes_with_sym(&Sym::Lit(*c)) {
-                if eg.find(leaf) == class {
-                    k(b);
-                    return;
-                }
+        TermNode::Const(_) => {
+            if eg
+                .leaf_node(*pattern)
+                .is_some_and(|leaf| eg.find(leaf) == class)
+            {
+                k(b);
             }
         }
         TermNode::App(f, args) => {
@@ -523,14 +676,14 @@ fn match_term_at(
 /// alias `@class<root>` is returned and reported in `aliases` so the caller
 /// can merge the alias with the class, keeping instantiation sound.
 pub fn term_of(eg: &EGraph, id: NodeId, aliases: &mut Vec<(Term, NodeId)>) -> Term {
-    let mut visiting = HashSet::new();
+    let mut visiting = FxHashSet::default();
     term_of_rec(eg, id, &mut visiting, aliases)
 }
 
 fn term_of_rec(
     eg: &EGraph,
     id: NodeId,
-    visiting: &mut HashSet<NodeId>,
+    visiting: &mut FxHashSet<NodeId>,
     aliases: &mut Vec<(Term, NodeId)>,
 ) -> Term {
     let root = eg.find(id);
@@ -813,6 +966,64 @@ mod tests {
         assert_eq!(eg.find(anchored[0].node(1).unwrap()), eg.find(b));
         // The unanchored join finds the same (single) binding.
         assert_eq!(match_trigger(&eg, &vars, &trigger), anchored);
+    }
+
+    #[test]
+    fn compiled_plans_agree_with_the_per_pass_derivation() {
+        let vars: Vec<Symbol> = vec!["X".into(), "G".into()];
+        let triggers = [
+            Trigger(vec![Pattern::Term(T::select(
+                T::succ(T::var("S0")),
+                T::var("X"),
+                T::attr("f"),
+            ))]),
+            Trigger(vec![
+                Pattern::Atom(Atom::RepInc {
+                    group: T::var("G"),
+                    pivot: T::attr("vec"),
+                    mapped: T::var("X"),
+                }),
+                Pattern::Term(T::uninterp("g", vec![T::var("X"), T::int(4)])),
+            ]),
+            Trigger(vec![Pattern::Atom(Atom::Eq(T::var("X"), T::var("G")))]),
+        ];
+        for trigger in &triggers {
+            let plan = TriggerPlan::compile(&vars, trigger);
+            assert_eq!(plan.heads, trigger_heads(trigger));
+            assert_eq!(plan.syms, trigger_syms(&vars, trigger));
+            assert_eq!(plan.single_head, trigger_single_head(trigger));
+            let heads: Vec<Option<Sym>> = trigger.0.iter().map(pattern_head).collect();
+            assert_eq!(plan.pattern_heads, heads);
+        }
+    }
+
+    #[test]
+    fn bindings_wider_than_the_inline_table_spill() {
+        // A twelve-variable trigger binds holes past the inline slots.
+        let names: Vec<String> = (0..12).map(|i| format!("X{i}")).collect();
+        let vars: Vec<Symbol> = names.iter().map(|n| n.as_str().into()).collect();
+        let mut eg = EGraph::new();
+        let args = |prefix: &str| -> Vec<Term> {
+            (0..12).map(|i| T::var(format!("{prefix}{i}"))).collect()
+        };
+        eg.intern(&T::uninterp("wide", args("a"))).unwrap();
+        eg.intern(&T::uninterp("wide", args("b"))).unwrap();
+        let a11 = eg.intern(&T::var("a11")).unwrap();
+        let b11 = eg.intern(&T::var("b11")).unwrap();
+        let trigger = Trigger(vec![Pattern::Term(T::uninterp("wide", args("X")))]);
+        let bindings = match_trigger(&eg, &vars, &trigger);
+        assert_eq!(bindings.len(), 2);
+        assert!(bindings.iter().all(|b| b.len() == 12));
+        assert_eq!(bindings[0].node(11), Some(eg.find(a11)));
+        assert_eq!(bindings[0].named(&vars, "X11"), Some(eg.find(a11)));
+        // Equal classes collapse the two bindings into one.
+        for i in 0..12 {
+            let a = eg.intern(&T::var(format!("a{i}"))).unwrap();
+            let b = eg.intern(&T::var(format!("b{i}"))).unwrap();
+            eg.merge(a, b).unwrap();
+        }
+        assert!(eg.same_class(a11, b11));
+        assert_eq!(match_trigger(&eg, &vars, &trigger).len(), 1);
     }
 
     #[test]

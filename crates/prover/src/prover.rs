@@ -22,13 +22,15 @@
 //! "loops irrevocably" on cyclic rep inclusions is reproduced as a
 //! measurable result rather than a hang.
 
-use crate::egraph::{EGraph, NodeId};
-use crate::matcher::{match_trigger, match_trigger_anchored, term_of};
+use crate::egraph::{EGraph, NodeId, Sym};
+use crate::fxhash::{FxHashMap, FxHashSet, IdKey};
+use crate::matcher::{match_trigger, match_trigger_anchored_with, term_of, TriggerPlan};
 use crate::triggers::{classify_quant, infer_triggers, QuantKind};
 use oolong_logic::transform::{to_nnf, FreshGen, Nnf};
 use oolong_logic::{Atom, Formula, Phase, Symbol, Term, Trigger};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Resource limits for one proof attempt.
@@ -609,20 +611,20 @@ fn render_per_quant(quant_meta: &[QuantMeta]) -> Arc<[QuantProfile]> {
         .enumerate()
         .map(|(id, meta)| QuantProfile {
             id,
-            kind: meta.kind,
-            trigger: meta.trigger.clone(),
+            kind: meta.info.kind,
+            trigger: meta.info.trigger.clone(),
             matches: meta.matches,
             instances: meta.instances,
             presat_instances: meta.presat_instances,
             goal_instances: meta.goal_instances,
             deferred: meta.deferred,
             chain: meta
-                .recent
-                .iter()
+                .recent()
                 .map(|terms| {
-                    meta.vars
+                    meta.info
+                        .vars
                         .iter()
-                        .zip(terms)
+                        .zip(terms.iter())
                         .map(|(v, t)| format!("{v} := {t}"))
                         .collect::<Vec<_>>()
                         .join(", ")
@@ -656,7 +658,9 @@ pub struct ScopeContext {
     /// proof — identically whether the context is shared or one-shot,
     /// which keeps cached stats deterministic per obligation.
     base_stats: Stats,
-    base_quant_ids: HashMap<(Vec<Symbol>, Nnf), usize>,
+    /// Stable ids of the quantifiers the base registered. Shared with
+    /// every proof, which hands out further ids from an overlay of its own.
+    base_quant_ids: Arc<QuantIds>,
     base_quant_meta: Vec<QuantMeta>,
     base_fresh: FreshGen,
     /// For each background formula (by index): the stable quantifier ids
@@ -727,7 +731,7 @@ impl ScopeContext {
         let mut gated_quants: Vec<Quant> = Vec::new();
         let mut contradictory = false;
         for (i, f) in background.iter().enumerate() {
-            let ids_before = shared.quant_ids.len();
+            let ids_before = shared.quant_count();
             let phase = phases.get(i).copied().unwrap_or(Phase::Eager);
             let nnf = to_nnf(f, true, &mut fresh);
             match phase {
@@ -740,7 +744,7 @@ impl ScopeContext {
                 }
             }
             let step = drain_pending(&mut ctx, &mut shared);
-            axiom_quants.push((ids_before..shared.quant_ids.len()).collect());
+            axiom_quants.push((ids_before..shared.quant_count()).collect());
             match step {
                 Step::Conflict => {
                     contradictory = true;
@@ -788,7 +792,9 @@ impl ScopeContext {
             budget: budget.clone(),
             base: ctx,
             base_stats,
-            base_quant_ids: shared.quant_ids,
+            // Nothing was registered before construction began, so every
+            // id sits in the overlay.
+            base_quant_ids: Arc::new(shared.quant_ids),
             base_quant_meta: shared.quant_meta,
             base_fresh: fresh,
             axiom_quants,
@@ -834,7 +840,8 @@ impl ScopeContext {
         parts.push(to_nnf(goal, false, &mut fresh));
         let mut shared = Shared {
             stats: self.base_stats.clone(),
-            quant_ids: self.base_quant_ids.clone(),
+            quant_ids: HashMap::with_hasher(self.base_quant_ids.hasher().clone()),
+            base_quant_ids: Arc::clone(&self.base_quant_ids),
             quant_meta: self.base_quant_meta.clone(),
             ..Shared::new(&self.budget, false)
         };
@@ -898,6 +905,25 @@ impl ScopeContext {
         &self.budget
     }
 
+    /// One row per trigger of every quantifier the base holds, active or
+    /// goal-directed: the quantifier's variables, the trigger, and the
+    /// plan compiled for it at registration. For checking compiled plans
+    /// against what the matcher derives from the trigger itself.
+    pub fn trigger_plans(&self) -> Vec<(&[Symbol], &Trigger, &TriggerPlan)> {
+        self.base
+            .quants
+            .iter()
+            .chain(&self.gated_quants)
+            .flat_map(|q| {
+                let data = &*q.data;
+                data.triggers
+                    .iter()
+                    .zip(&data.plans)
+                    .map(move |(trigger, plan)| (data.vars.as_slice(), trigger, plan))
+            })
+            .collect()
+    }
+
     /// A rendering of the shared E-graph's state, for asserting that a
     /// proof's rollback left the context byte-clean.
     pub fn debug_state(&self) -> String {
@@ -914,13 +940,39 @@ enum Branch {
     Fuel,
 }
 
+/// A quantifier's structure — its variables and body — with the hash of
+/// that structure computed once. A proof looks a quantifier up in its
+/// context's base ids and then in its own overlay, so the NNF is hashed
+/// once per registration, not once per map.
+#[derive(Clone, PartialEq, Eq)]
+struct QuantKey {
+    hash: u64,
+    vars: Vec<Symbol>,
+    body: Nnf,
+}
+
+impl Hash for QuantKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Stable quantifier ids by structure. The structure holds program-chosen
+/// names and literals, so its hash comes from the map's own keyed hasher;
+/// an overlay is created with its base's hasher, so a key hashes the same
+/// in both, and after the overlay becomes a context's base.
+type QuantIds = HashMap<QuantKey, usize>;
+
 struct Shared {
     budget: Budget,
     stats: Stats,
-    /// Stable ids for structurally identical quantifiers.
-    quant_ids: HashMap<(Vec<Symbol>, Nnf), usize>,
+    /// Stable ids a scope context's base registered (empty for one-shot
+    /// proofs and while the base itself is built).
+    base_quant_ids: Arc<QuantIds>,
+    /// Stable ids registered since, numbered after `base_quant_ids`.
+    quant_ids: QuantIds,
     /// Per-quantifier telemetry, indexed by stable id (kept in lockstep
-    /// with `quant_ids`).
+    /// with the ids).
     quant_meta: Vec<QuantMeta>,
     /// The first budget dimension that ran out, if any.
     fuel: Option<UnknownReason>,
@@ -941,7 +993,8 @@ impl Shared {
         Shared {
             budget: budget.clone(),
             stats: Stats::default(),
-            quant_ids: HashMap::new(),
+            quant_ids: HashMap::default(),
+            base_quant_ids: Arc::default(),
             quant_meta: Vec::new(),
             fuel: None,
             open_branch: None,
@@ -949,23 +1002,102 @@ impl Shared {
             presat,
         }
     }
+
+    /// Number of stable quantifier ids handed out so far.
+    fn quant_count(&self) -> usize {
+        self.base_quant_ids.len() + self.quant_ids.len()
+    }
+
+    /// The stable id of the quantifier `∀vars :: body`, allocating the
+    /// next id on first sight. Hands the key parts back, so a lookup that
+    /// hits clones nothing.
+    fn quant_id(&mut self, vars: Vec<Symbol>, body: Nnf) -> (usize, Vec<Symbol>, Nnf) {
+        let hash = self.quant_ids.hasher().hash_one((&vars, &body));
+        let key = QuantKey { hash, vars, body };
+        let known = self
+            .base_quant_ids
+            .get(&key)
+            .or_else(|| self.quant_ids.get(&key));
+        let id = match known {
+            Some(&id) => id,
+            None => {
+                let id = self.quant_count();
+                self.quant_ids.insert(key.clone(), id);
+                id
+            }
+        };
+        (id, key.vars, key.body)
+    }
 }
 
 /// Accumulating telemetry for one quantifier (rendered to a
-/// [`QuantProfile`] when the search finishes).
+/// [`QuantProfile`] when the search finishes). Every proof from a scope
+/// context starts from a copy of the base's rows; the copy shares the
+/// fixed description and duplicates only the counters.
 #[derive(Clone)]
 struct QuantMeta {
-    kind: QuantKind,
-    trigger: String,
-    vars: Vec<Symbol>,
+    info: Arc<QuantInfo>,
     matches: u64,
     instances: u64,
     presat_instances: u64,
     goal_instances: u64,
     deferred: u64,
-    /// Ring of the most recent instantiation bindings (capacity
+    /// The most recent instantiation bindings, oldest first (at most
     /// [`CHAIN_LEN`]): the representative term chain for loop diagnosis.
-    recent: Vec<Vec<Term>>,
+    recent: [Option<Arc<[Term]>>; CHAIN_LEN],
+}
+
+/// The fixed description of a quantifier's telemetry row.
+struct QuantInfo {
+    kind: QuantKind,
+    /// Rendered trigger set.
+    trigger: String,
+    vars: Vec<Symbol>,
+}
+
+impl QuantMeta {
+    /// A fresh row for `∀vars {triggers} :: body`.
+    fn new(vars: &[Symbol], triggers: &[Trigger], body: &Nnf) -> QuantMeta {
+        QuantMeta {
+            info: Arc::new(QuantInfo {
+                kind: classify_quant(triggers, body),
+                trigger: triggers
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join(" "),
+                vars: vars.to_vec(),
+            }),
+            matches: 0,
+            instances: 0,
+            presat_instances: 0,
+            goal_instances: 0,
+            deferred: 0,
+            recent: Default::default(),
+        }
+    }
+
+    /// The recorded instantiation terms, oldest first. An exact-size
+    /// iterator: the rendered chain is stored with every cached verdict,
+    /// so it must not carry spare capacity.
+    fn recent(&self) -> impl ExactSizeIterator<Item = &[Term]> {
+        let held = self.recent.iter().take_while(|t| t.is_some()).count();
+        self.recent[..held]
+            .iter()
+            .map(|t| t.as_deref().expect("held slots are filled"))
+    }
+
+    /// Records an instantiation's terms, dropping the oldest once
+    /// [`CHAIN_LEN`] are held.
+    fn push_recent(&mut self, terms: Arc<[Term]>) {
+        match self.recent.iter().position(Option::is_none) {
+            Some(free) => self.recent[free] = Some(terms),
+            None => {
+                self.recent.rotate_left(1);
+                self.recent[CHAIN_LEN - 1] = Some(terms);
+            }
+        }
+    }
 }
 
 /// How many recent instantiation bindings each quantifier retains.
@@ -977,12 +1109,41 @@ fn out_of_fuel(shared: &mut Shared, reason: UnknownReason) -> Branch {
     Branch::Fuel
 }
 
+/// A quantifier active in a branch. Cloning shares its data: goal-directed
+/// background quantifiers are armed in every proof without copying their
+/// bodies.
 #[derive(Clone)]
 struct Quant {
     id: usize,
+    data: Arc<QuantData>,
+}
+
+/// A quantifier's static data.
+struct QuantData {
     vars: Vec<Symbol>,
     triggers: Vec<Trigger>,
+    /// The compiled plan of each trigger, index-aligned with `triggers`.
+    plans: Vec<TriggerPlan>,
     body: Nnf,
+}
+
+impl Quant {
+    /// A quantifier with stable id `id`, its triggers compiled.
+    fn new(id: usize, vars: Vec<Symbol>, triggers: Vec<Trigger>, body: Nnf) -> Quant {
+        let plans = triggers
+            .iter()
+            .map(|t| TriggerPlan::compile(&vars, t))
+            .collect();
+        Quant {
+            id,
+            data: Arc::new(QuantData {
+                vars,
+                triggers,
+                plans,
+                body,
+            }),
+        }
+    }
 }
 
 /// A disjunction awaiting a case split. Arms falsified by the current
@@ -1023,7 +1184,7 @@ enum CtxUndo {
     /// Arm `arm` of `splits[clause]` was masked dead.
     ArmKilled { clause: usize, arm: usize },
     /// This instantiation key was added to `seen`.
-    SeenInserted { key: (usize, Vec<Term>) },
+    SeenInserted { key: IdKey },
 }
 
 /// A checkpoint over the full context, taken before exploring a split arm
@@ -1046,17 +1207,16 @@ struct Checkpoint {
 /// order). Cached bindings are still *walked* normally on reuse, so
 /// instance terms, deferrals, and every counter come out identical to a
 /// real rematch; only the E-graph scan is skipped.
+///
+/// The trigger's [`TriggerPlan`] supplies the symbols a match consults and,
+/// for a single-pattern trigger, its head. Such a match is an in-order scan
+/// of one symbol bucket, so when only node *creation* (never a union or
+/// removal) touched the trigger's symbols, the cached bindings extend
+/// exactly by scanning the bucket suffix.
 struct MatchCacheEntry {
-    /// Symbols the trigger's full match consults.
-    syms: Vec<crate::egraph::Sym>,
     /// Touch stamp taken immediately before the cached match ran.
     stamp: u64,
-    /// Head symbol, for single-pattern triggers. Such a match is an
-    /// in-order scan of one symbol bucket, so when only node *creation*
-    /// (never a union or removal) touched the trigger's symbols, the
-    /// cached bindings extend exactly by scanning the bucket suffix.
-    head: Option<crate::egraph::Sym>,
-    /// Length of the head's symbol bucket when the cached match ran.
+    /// Length of the single head's symbol bucket when the cached match ran.
     bucket_len: usize,
     /// The bindings the full match produced.
     bindings: Vec<crate::matcher::Binding>,
@@ -1069,9 +1229,10 @@ struct Ctx {
     /// Disjunctions awaiting a case split.
     splits: Vec<SplitClause>,
     quants: Vec<Quant>,
-    quant_ids_present: HashSet<usize>,
-    /// Instantiations already performed in this branch.
-    seen: HashSet<(usize, Vec<Term>)>,
+    quant_ids_present: FxHashSet<usize>,
+    /// Instantiations already performed in this branch, keyed by
+    /// quantifier id followed by the instance terms' arena ids.
+    seen: FxHashSet<IdKey>,
     /// Position labels of the labelled literals asserted (or found already
     /// true) on this branch, in order. Rolls back by truncation.
     labels: Vec<u32>,
@@ -1096,7 +1257,7 @@ struct Ctx {
     /// index)`. Cleared wholesale on rollback: entries may reference
     /// quantifier slots a rollback truncates, and `seen` keys inserted on
     /// the unwound branch disappear with it.
-    match_cache: HashMap<(usize, usize), MatchCacheEntry>,
+    match_cache: FxHashMap<(usize, usize), MatchCacheEntry>,
 }
 
 impl Ctx {
@@ -1107,8 +1268,8 @@ impl Ctx {
             pending: Vec::new(),
             splits: Vec::new(),
             quants: Vec::new(),
-            quant_ids_present: HashSet::new(),
-            seen: HashSet::new(),
+            quant_ids_present: FxHashSet::default(),
+            seen: FxHashSet::default(),
             labels: Vec::new(),
             deferred: false,
             matched_upto: 0,
@@ -1116,7 +1277,7 @@ impl Ctx {
             full_pass_merges: u64::MAX,
             trail: Vec::new(),
             recording: 0,
-            match_cache: HashMap::new(),
+            match_cache: FxHashMap::default(),
         }
     }
 
@@ -1389,37 +1550,18 @@ fn park_gated_quant(
     triggers: Vec<Trigger>,
     body: Nnf,
 ) -> Quant {
-    let key = (vars.clone(), body.clone());
-    let next_id = shared.quant_ids.len();
-    let id = *shared.quant_ids.entry(key).or_insert(next_id);
+    let (id, vars, body) = shared.quant_id(vars, body);
     let triggers = if triggers.is_empty() {
         infer_triggers(&vars, &body)
     } else {
         triggers
     };
     if id == shared.quant_meta.len() {
-        shared.quant_meta.push(QuantMeta {
-            kind: classify_quant(&triggers, &body),
-            trigger: triggers
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(" "),
-            vars: vars.clone(),
-            matches: 0,
-            instances: 0,
-            presat_instances: 0,
-            goal_instances: 0,
-            deferred: 0,
-            recent: Vec::new(),
-        });
+        shared
+            .quant_meta
+            .push(QuantMeta::new(&vars, &triggers, &body));
     }
-    Quant {
-        id,
-        vars,
-        triggers,
-        body,
-    }
+    Quant::new(id, vars, triggers, body)
 }
 
 /// Activates the context's gated quantifiers in the current branch. Runs
@@ -1434,7 +1576,7 @@ fn arm_gated(ctx: &mut Ctx, shared: &mut Shared, gated: &[Quant]) {
             continue; // structurally shared with an eager axiom
         }
         shared.stats.quants += 1;
-        if q.triggers.is_empty() {
+        if q.data.triggers.is_empty() {
             shared.stats.skipped_quants += 1;
         }
         ctx.quants.push(q.clone());
@@ -1448,9 +1590,7 @@ fn register_quant(
     triggers: Vec<Trigger>,
     body: Nnf,
 ) {
-    let key = (vars.clone(), body.clone());
-    let next_id = shared.quant_ids.len();
-    let id = *shared.quant_ids.entry(key).or_insert(next_id);
+    let (id, vars, body) = shared.quant_id(vars, body);
     if !ctx.quant_ids_present.insert(id) {
         return; // already active in this branch
     }
@@ -1469,21 +1609,9 @@ fn register_quant(
     if id == shared.quant_meta.len() {
         // First registration of this structural quantifier anywhere in the
         // search: record its telemetry row.
-        shared.quant_meta.push(QuantMeta {
-            kind: classify_quant(&triggers, &body),
-            trigger: triggers
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(" "),
-            vars: vars.clone(),
-            matches: 0,
-            instances: 0,
-            presat_instances: 0,
-            goal_instances: 0,
-            deferred: 0,
-            recent: Vec::new(),
-        });
+        shared
+            .quant_meta
+            .push(QuantMeta::new(&vars, &triggers, &body));
     }
     if trace_enabled() {
         eprintln!(
@@ -1499,12 +1627,7 @@ fn register_quant(
                 .join(" ")
         );
     }
-    ctx.quants.push(Quant {
-        id,
-        vars,
-        triggers,
-        body,
-    });
+    ctx.quants.push(Quant::new(id, vars, triggers, body));
 }
 
 fn assert_lit(eg: &mut EGraph, atom: &Atom, positive: bool) -> Result<(), crate::egraph::Conflict> {
@@ -1631,7 +1754,6 @@ enum InstResult {
 /// Renders the determined predicate nodes of a saturated branch, for
 /// diagnosis of failed proofs.
 fn describe_branch(ctx: &Ctx) -> Vec<String> {
-    use crate::egraph::Sym;
     let mut out = Vec::new();
     let mut aliases = Vec::new();
     for sym in [
@@ -1677,12 +1799,11 @@ const MODEL_DISEQ_CLASS_CAP: usize = 256;
 /// predicate entries, known disequalities, and the position labels
 /// asserted on the branch.
 fn extract_model(ctx: &Ctx) -> CandidateModel {
-    use crate::egraph::Sym;
     let eg = &ctx.eg;
     let mut aliases = Vec::new();
     // Partition the nodes into classes, indexed in first-appearance order
     // (deterministic: node ids are allocation-ordered).
-    let mut index: HashMap<NodeId, usize> = HashMap::new();
+    let mut index: FxHashMap<NodeId, usize> = FxHashMap::default();
     let mut roots: Vec<NodeId> = Vec::new();
     let mut classes: Vec<ModelClass> = Vec::new();
     for id in 0..eg.node_count() as NodeId {
@@ -1806,8 +1927,6 @@ enum PassResult {
     Fuel,
 }
 
-// TEMP instrumentation
-
 /// `term_of`, memoized by class root for the duration of one pass. The
 /// E-graph only changes mid-pass through alias merges, which bump the
 /// (node, merge) counts and flush the memo; results that pushed aliases
@@ -1815,9 +1934,9 @@ enum PassResult {
 /// returns exactly what a fresh `term_of` call would.
 fn term_of_memo(
     eg: &EGraph,
-    id: crate::egraph::NodeId,
-    aliases: &mut Vec<(Term, crate::egraph::NodeId)>,
-    memo: &mut HashMap<crate::egraph::NodeId, Term>,
+    id: NodeId,
+    aliases: &mut Vec<(Term, NodeId)>,
+    memo: &mut FxHashMap<NodeId, Term>,
     version: &mut (usize, u64),
 ) -> Term {
     let now = (eg.node_count(), eg.merge_count());
@@ -1837,18 +1956,26 @@ fn term_of_memo(
     t
 }
 
+/// A hash key for a node's head symbol that carries no program-chosen
+/// value: the symbol's variant, plus the interned id of an uninterpreted
+/// function's name. Leaves (free constants and literals) get none — a
+/// pattern head never is one, and their payload is program-chosen.
+type HeadKey = (std::mem::Discriminant<Sym>, u32);
+
+fn head_key(sym: Sym) -> Option<HeadKey> {
+    match sym {
+        Sym::Var(_) | Sym::Lit(_) => None,
+        Sym::Uninterp(name) => Some((std::mem::discriminant(&sym), name.id())),
+        _ => Some((std::mem::discriminant(&sym), 0)),
+    }
+}
+
 fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResult {
-    let mut term_memo: HashMap<crate::egraph::NodeId, Term> = HashMap::new();
+    let mut term_memo: FxHashMap<NodeId, Term> = FxHashMap::default();
     let mut memo_version: (usize, u64) = (0, 0);
 
     let mut produced = 0;
-    let new_nodes: Vec<crate::egraph::NodeId> = if full {
-        Vec::new()
-    } else {
-        (ctx.matched_upto..ctx.eg.node_count())
-            .map(|i| i as crate::egraph::NodeId)
-            .collect()
-    };
+    let first_new = ctx.matched_upto;
     let fresh_from = ctx.fresh_quants_from;
     ctx.matched_upto = ctx.eg.node_count();
     ctx.fresh_quants_from = ctx.quants.len();
@@ -1869,13 +1996,21 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
     // Bucket the new nodes by head symbol once: anchored matching can only
     // pin a pattern at a node whose head symbol one of the trigger's
     // patterns carries, so each trigger sweeps its head buckets instead of
-    // every new node.
-    let mut by_head: HashMap<crate::egraph::Sym, Vec<crate::egraph::NodeId>> = HashMap::new();
-    for &node in &new_nodes {
-        by_head.entry(eg.node(node).sym).or_default().push(node);
+    // every new node. Leaves are never pattern heads.
+    let mut by_head: FxHashMap<HeadKey, Vec<NodeId>> = FxHashMap::default();
+    if !full {
+        for node in first_new..eg.node_count() {
+            let node = node as NodeId;
+            if let Some(key) = head_key(eg.node(node).sym) {
+                by_head.entry(key).or_default().push(node);
+            }
+        }
     }
+    // Instance terms of the binding being walked, reused across bindings.
+    let mut terms: Vec<Term> = Vec::new();
     for (qi, quant) in quants.iter().enumerate() {
-        for (ti, trigger) in quant.triggers.iter().enumerate() {
+        let data = &*quant.data;
+        for (ti, (trigger, plan)) in data.triggers.iter().zip(&data.plans).enumerate() {
             let full_match = full || qi >= fresh_from;
             let anchored_bindings;
             let bindings: &[crate::matcher::Binding] = if full_match {
@@ -1885,34 +2020,35 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                 // a rematch would return the identical binding vector and
                 // the cached one is walked instead. Walking (not skipping)
                 // keeps instance terms, deferrals, and counters exact.
-                enum Plan {
+                enum CacheUse {
                     Hit,
                     Extend,
                     Rescan,
                 }
-                let plan = match match_cache.get(&(qi, ti)) {
-                    Some(e) if eg.syms_unchanged_since(&e.syms, e.stamp) => Plan::Hit,
+                let cached = match match_cache.get(&(qi, ti)) {
+                    Some(e) if eg.syms_unchanged_since(&plan.syms, e.stamp) => CacheUse::Hit,
                     Some(e)
-                        if e.head.is_some() && eg.syms_struct_unchanged_since(&e.syms, e.stamp) =>
+                        if plan.single_head.is_some()
+                            && eg.syms_struct_unchanged_since(&plan.syms, e.stamp) =>
                     {
-                        Plan::Extend
+                        CacheUse::Extend
                     }
-                    _ => Plan::Rescan,
+                    _ => CacheUse::Rescan,
                 };
-                match plan {
-                    Plan::Hit => {}
-                    Plan::Extend => {
+                match cached {
+                    CacheUse::Hit => {}
+                    CacheUse::Extend => {
                         // Only node creation touched the trigger's symbols:
                         // every cached match survives with its dedup key, and
                         // new matches can only sit at nodes appended to the
                         // head bucket. Scanning that suffix reproduces a full
                         // rescan exactly, in order.
                         let e = match_cache.get_mut(&(qi, ti)).expect("entry exists");
-                        let head = e.head.expect("extend plan implies head");
+                        let head = plan.single_head.expect("extend plan implies head");
                         e.stamp = eg.touch_stamp();
                         crate::matcher::match_trigger_extend(
                             eg,
-                            &quant.vars,
+                            &data.vars,
                             trigger,
                             head,
                             e.bucket_len,
@@ -1920,17 +2056,15 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                         );
                         e.bucket_len = eg.nodes_with_sym(&head).len();
                     }
-                    Plan::Rescan => {
+                    CacheUse::Rescan => {
                         let stamp = eg.touch_stamp();
-                        let bindings = match_trigger(eg, &quant.vars, trigger);
-                        let head = crate::matcher::trigger_single_head(trigger);
-                        let bucket_len = head.map_or(0, |h| eg.nodes_with_sym(&h).len());
+                        let bindings = match_trigger(eg, &data.vars, trigger);
+                        let bucket_len =
+                            plan.single_head.map_or(0, |h| eg.nodes_with_sym(&h).len());
                         match_cache.insert(
                             (qi, ti),
                             MatchCacheEntry {
-                                syms: crate::matcher::trigger_syms(&quant.vars, trigger),
                                 stamp,
-                                head,
                                 bucket_len,
                                 bindings,
                             },
@@ -1939,21 +2073,22 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                 }
                 &match_cache[&(qi, ti)].bindings
             } else {
-                let heads = crate::matcher::trigger_heads(trigger);
-                let mut candidates: Vec<crate::egraph::NodeId> = Vec::new();
-                for head in &heads {
-                    if let Some(bucket) = by_head.get(head) {
+                let mut candidates: Vec<NodeId> = Vec::new();
+                for head in &plan.heads {
+                    if let Some(bucket) = head_key(*head).and_then(|key| by_head.get(&key)) {
                         candidates.extend_from_slice(bucket);
                     }
                 }
-                if heads.len() > 1 {
+                if plan.heads.len() > 1 {
                     // Restore creation order across buckets (each bucket is
                     // already ordered); a node can appear in only one.
                     candidates.sort_unstable();
                 }
                 let mut out = Vec::new();
                 for &node in &candidates {
-                    out.extend(match_trigger_anchored(eg, &quant.vars, trigger, node));
+                    out.extend(match_trigger_anchored_with(
+                        eg, &data.vars, trigger, plan, node,
+                    ));
                 }
                 anchored_bindings = out;
                 &anchored_bindings
@@ -1962,7 +2097,7 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
             shared.quant_meta[quant.id].matches += bindings.len() as u64;
             for binding in bindings {
                 let bound = |hole: usize| binding.node(hole as u16).expect("binding is complete");
-                let binding_gen = (0..quant.vars.len())
+                let binding_gen = (0..data.vars.len())
                     .map(|hole| eg.class_gen(bound(hole)))
                     .max()
                     .unwrap_or(0);
@@ -1974,18 +2109,19 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                     continue;
                 }
                 let mut aliases = Vec::new();
-                let terms: Vec<Term> = (0..quant.vars.len())
-                    .map(|hole| {
-                        term_of_memo(
-                            eg,
-                            bound(hole),
-                            &mut aliases,
-                            &mut term_memo,
-                            &mut memo_version,
-                        )
-                    })
-                    .collect();
-                let key = (quant.id, terms.clone());
+                terms.clear();
+                for hole in 0..data.vars.len() {
+                    terms.push(term_of_memo(
+                        eg,
+                        bound(hole),
+                        &mut aliases,
+                        &mut term_memo,
+                        &mut memo_version,
+                    ));
+                }
+                let key = IdKey::new(
+                    std::iter::once(quant.id as u32).chain(terms.iter().map(|t| t.id())),
+                );
                 if seen.contains(&key) {
                     continue;
                 }
@@ -2007,13 +2143,18 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                         return PassResult::Produced(produced + 1);
                     }
                 }
-                let map: Vec<(Symbol, Term)> = quant.vars.iter().copied().zip(terms).collect();
+                let map: Vec<(Symbol, Term)> = data
+                    .vars
+                    .iter()
+                    .copied()
+                    .zip(terms.iter().copied())
+                    .collect();
                 if trace_enabled() {
                     let binding: Vec<String> =
                         map.iter().map(|(v, t)| format!("{v}:={t}")).collect();
                     eprintln!("[inst q{} {}]", quant.id, binding.join(", "));
                 }
-                pending.push((quant.body.subst(&map), instance_gen));
+                pending.push((data.body.subst(&map), instance_gen));
                 produced += 1;
                 shared.stats.instances += 1;
                 let meta = &mut shared.quant_meta[quant.id];
@@ -2023,10 +2164,7 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                 } else {
                     meta.goal_instances += 1;
                 }
-                if meta.recent.len() == CHAIN_LEN {
-                    meta.recent.remove(0);
-                }
-                meta.recent.push(map.iter().map(|(_, t)| *t).collect());
+                meta.push_recent(terms.as_slice().into());
                 if shared.stats.instances >= shared.budget.max_instances {
                     shared.fuel.get_or_insert(UnknownReason::Instances);
                     return PassResult::Fuel;
@@ -2213,6 +2351,13 @@ mod tests {
             "trigger: {}",
             culprit.trigger
         );
+        // Cached verdicts keep these rows, so chains carry no spare
+        // capacity.
+        assert!(p
+            .stats
+            .per_quant
+            .iter()
+            .all(|q| q.chain.capacity() == q.chain.len()));
     }
 
     #[test]
@@ -2314,6 +2459,58 @@ mod tests {
             proof.stats.branches, 0,
             "unit propagation should not branch"
         );
+    }
+
+    #[test]
+    fn a_proof_is_independent_of_the_quantifiers_an_earlier_proof_registered() {
+        let app = |f: &str, x: T| T::uninterp(f, vec![x]);
+        let axiom = |v: &str, f: &str, body: F| {
+            let trig = Trigger(vec![Pattern::Term(app(f, T::var(v)))]);
+            F::forall(vec![v.into()], vec![trig], body)
+        };
+        // One eager and one goal-directed background quantifier.
+        let background = [
+            axiom(
+                "X",
+                "f",
+                F::eq(app("f", T::var("X")), app("g", T::var("X"))),
+            ),
+            axiom("Y", "g", F::eq(app("g", T::var("Y")), T::int(0))),
+        ];
+        let mut ctx = ScopeContext::new_with_phases(
+            &background,
+            &[Phase::Eager, Phase::GoalDirected],
+            &Budget::default(),
+        );
+        let base_quants = ctx.background_quants(0).len() + ctx.background_quants(1).len();
+        // A registers one quantifier of its own; B registers two others.
+        let a_hyps = [axiom(
+            "Z",
+            "k",
+            F::eq(app("k", T::var("Z")), app("f", T::var("Z"))),
+        )];
+        let a_goal = F::eq(app("k", T::var("c")), T::int(0));
+        let b_hyps = [
+            axiom("U", "p", F::eq(app("p", T::var("U")), T::int(1))),
+            axiom("W", "q", F::eq(app("q", T::var("W")), T::int(2))),
+        ];
+        let b_goal = F::eq(app("p", T::var("d")), T::int(1));
+        let first = ctx.prove(&a_hyps, &a_goal);
+        let b = ctx.prove(&b_hyps, &b_goal);
+        let again = ctx.prove(&a_hyps, &a_goal);
+        assert!(first.is_proved() && b.is_proved());
+        assert_eq!(first.stats.per_quant.len(), base_quants + 1);
+        assert_eq!(b.stats.per_quant.len(), base_quants + 2);
+        // B's first quantifier took the id A's took, and A gets it back.
+        let row = |p: &Proof, id: usize| p.stats.per_quant[id].clone();
+        assert_eq!(row(&first, base_quants).id, base_quants);
+        assert_eq!(row(&b, base_quants).id, base_quants);
+        assert_ne!(
+            row(&first, base_quants).trigger,
+            row(&b, base_quants).trigger
+        );
+        assert!(first.stats.per_quant.iter().any(|q| q.instances > 0));
+        assert_eq!(first.stats, again.stats);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 #   scripts/cli_parity.sh OLD_BINARY NEW_BINARY
 #
 # Runs `check` (text, --json, --naive, --explain, --json --explain,
-# --explain-unknown --max-instances 20, and --modular), `explain --json`,
+# --explain-unknown under the default budget and with --max-instances 20,
+# and --modular), `explain --json`,
 # `stats` (text and --json), `axioms --json` and `vc` on every program
 # `oolong corpus` lists, with
 # each binary, and diffs stdout plus the exit code. `vc` prints every
@@ -24,6 +25,7 @@ variants=(
     "check --naive"
     "check --explain"
     "check --json --explain"
+    "check --explain-unknown"
     "check --explain-unknown --max-instances 20"
     "check --modular"
     "explain --json"

@@ -205,3 +205,33 @@ fn plain_programs_verify_at_the_arrays_level_too() {
     let report = engine(leveled).check_source("test", src);
     assert!(report.all_verified(), "{:?}", report.tally());
 }
+
+/// Every quantifier a corpus checker's background registers — eager or
+/// goal-directed, at both language levels — carries, per trigger, exactly
+/// the plan the matcher derives from the trigger itself.
+#[test]
+fn compiled_trigger_plans_match_their_triggers() {
+    use oolong::prover::matcher::{trigger_heads, trigger_single_head, trigger_syms};
+    use oolong::prover::ScopeContext;
+    for program in oolong::corpus::paper::all() {
+        for arrays in [false, true] {
+            let options = CheckOptions {
+                force_arrays_level: arrays,
+                ..CheckOptions::default()
+            };
+            let checker = Checker::new(&parse_program(program.source).unwrap(), options).unwrap();
+            let axioms = checker.background();
+            let formulas: Vec<_> = axioms.iter().map(|a| a.formula.clone()).collect();
+            let phases: Vec<_> = axioms.iter().map(|a| a.policy.phase).collect();
+            let ctx = ScopeContext::new_with_phases(&formulas, &phases, &checker.options().budget);
+            let plans = ctx.trigger_plans();
+            assert!(!plans.is_empty(), "{}", program.name);
+            for (vars, trigger, plan) in plans {
+                let at = format!("{} (arrays: {arrays}): {trigger}", program.name);
+                assert_eq!(plan.heads, trigger_heads(trigger), "{at}");
+                assert_eq!(plan.syms, trigger_syms(vars, trigger), "{at}");
+                assert_eq!(plan.single_head, trigger_single_head(trigger), "{at}");
+            }
+        }
+    }
+}

@@ -300,7 +300,7 @@ impl Checker {
     /// the same. Pre-saturation fires only the `Eager` axioms; the
     /// goal-directed ones arm per obligation inside its frame.
     pub fn context_for_slice(&self, vc: &Vc, slice: &BackgroundSlice) -> ScopeContext {
-        ScopeContext::new_with_phases(
+        ScopeContext::new(
             &self.sliced_background(vc, slice),
             &self.sliced_phases(slice),
             &self.options.budget,

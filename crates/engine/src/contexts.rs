@@ -253,7 +253,7 @@ mod tests {
         {
             let slot = pool.checkout(key);
             let mut guard = slot.lock().unwrap();
-            guard.get_or_insert_with(|| ScopeContext::new(&a, &Budget::default()));
+            guard.get_or_insert_with(|| ScopeContext::new(&a, &[], &Budget::default()));
         }
         let slot = pool.checkout(key);
         assert!(slot.lock().unwrap().is_some());

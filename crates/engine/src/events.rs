@@ -152,20 +152,6 @@ impl Event {
         }
     }
 
-    /// Whether this is the terminal event of an obligation (as opposed to
-    /// a start marker, unit error, or summary).
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            Event::CacheHit { .. }
-                | Event::Verified { .. }
-                | Event::Refuted { .. }
-                | Event::FuelExhausted { .. }
-                | Event::RestrictionViolation { .. }
-                | Event::TranslationError { .. }
-        )
-    }
-
     /// The event as a JSON object.
     pub fn to_json(&self) -> Json {
         let mut members = vec![("event".to_string(), Json::Str(self.kind().to_string()))];

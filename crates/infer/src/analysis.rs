@@ -99,14 +99,6 @@ impl GroupGraph {
         }
     }
 
-    /// Adds a proposed local inclusion `field in group` to the overlay.
-    pub fn add_include(&mut self, field: &str, group: &str) {
-        self.includes
-            .entry(field.to_string())
-            .or_default()
-            .insert(group.to_string());
-    }
-
     /// Whether `name` is a declared group.
     pub fn is_group(&self, name: &str) -> bool {
         self.kinds.get(name) == Some(&AttrKind::Group)

@@ -36,11 +36,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Whether the value is `true`.
-    pub fn is_true(&self) -> bool {
-        matches!(self, Value::Bool(true))
-    }
 }
 
 impl fmt::Display for Value {

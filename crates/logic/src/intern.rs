@@ -3,7 +3,7 @@
 //! Every name that enters the logic — program variables, attribute
 //! constants, uninterpreted function symbols, fresh and Skolem names —
 //! is interned once into a [`Symbol`] (a `u32` index into an append-only
-//! global store). Every [`Term`](crate::Term) is hash-consed into a
+//! global store). Every [`Term`] is hash-consed into a
 //! global arena of immutable nodes: structurally equal terms share one
 //! id, so term equality is a `u32` compare, clones are `Copy`, and the
 //! prover can memoize per-term work in dense arrays indexed by id.
@@ -17,7 +17,7 @@
 //! persisted or user-visible may depend on id order. Content, on the
 //! other hand, is stable: each symbol carries a precomputed FNV-1a hash
 //! of its name and each term a precomputed 128-bit structural digest, and
-//! the `Hash` impls of [`Symbol`] and [`Term`](crate::Term) write exactly
+//! the `Hash` impls of [`Symbol`] and [`Term`] write exactly
 //! those. Hashing a formula therefore yields the same fingerprint in
 //! every process, which is what the engine's content-addressed verdict
 //! cache requires.

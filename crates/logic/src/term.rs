@@ -274,14 +274,6 @@ impl Term {
         }
     }
 
-    /// `Some(c)` if the term is a constant.
-    pub fn as_const(self) -> Option<Cst> {
-        match self.node() {
-            TermNode::Const(c) => Some(*c),
-            _ => None,
-        }
-    }
-
     /// Whether the term is exactly the variable `name`.
     pub fn is_var(&self, name: &str) -> bool {
         matches!(self.node(), TermNode::Var(v) if v.as_str() == name)

@@ -197,9 +197,7 @@ pub struct EGraph {
     /// Distinguished boolean leaves.
     true_id: NodeId,
     false_id: NodeId,
-    /// Count of merges currently in effect. Restored by [`EGraph::pop`],
-    /// so saturation checks keyed on it behave identically whether a
-    /// branch state was reached by cloning or by push/assert/pop.
+    /// Count of merges currently in effect. Restored by [`EGraph::pop`].
     merges: u64,
     /// Generation assigned to newly created classes (see `ClassData::gen`).
     current_gen: u32,

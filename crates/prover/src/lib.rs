@@ -17,6 +17,12 @@
 //!   surface as a measurable [`Outcome::Unknown`] with statistics instead
 //!   of a hang.
 //!
+//! Every proof runs in a [`ScopeContext`]. Its one constructor,
+//! [`ScopeContext::new`]`(background, phases, budget)`, asserts and
+//! saturates a background once; each [`ScopeContext::prove`] then runs in
+//! a checkpoint frame on top and rolls back. [`prove`] is the one-shot
+//! form: a single-use context over an empty background.
+//!
 //! # Example
 //!
 //! ```

@@ -16,7 +16,7 @@ use std::borrow::Borrow;
 /// bound to an E-graph class.
 ///
 /// Every completed match is copied out of the search, so classes are
-/// stored by hole index, inline for up to [`INLINE_HOLES`] holes: copying
+/// stored by hole index, inline for up to `INLINE_HOLES` holes: copying
 /// a binding allocates nothing and probing a hole is one load.
 #[derive(Debug, Clone, Default)]
 pub struct Binding {
@@ -190,18 +190,8 @@ pub fn match_trigger(eg: &EGraph, vars: &[Symbol], trigger: &Trigger) -> Vec<Bin
 
 /// Like [`match_trigger`], but *anchored*: at least one pattern of the
 /// trigger must match at `anchor` (a specific node). Used for incremental
-/// matching against newly created nodes only.
-pub fn match_trigger_anchored(
-    eg: &EGraph,
-    vars: &[Symbol],
-    trigger: &Trigger,
-    anchor: NodeId,
-) -> Vec<Binding> {
-    let plan = TriggerPlan::compile(vars, trigger);
-    match_trigger_anchored_with(eg, vars, trigger, &plan, anchor)
-}
-
-/// [`match_trigger_anchored`] under the trigger's compiled `plan`.
+/// matching against newly created nodes only, under the trigger's compiled
+/// `plan`.
 pub(crate) fn match_trigger_anchored_with(
     eg: &EGraph,
     vars: &[Symbol],
@@ -764,6 +754,17 @@ mod tests {
     use super::*;
     use oolong_logic::Term as T;
 
+    /// Anchored matching under a freshly compiled plan.
+    fn match_anchored(
+        eg: &EGraph,
+        vars: &[Symbol],
+        trigger: &Trigger,
+        anchor: NodeId,
+    ) -> Vec<Binding> {
+        let plan = TriggerPlan::compile(vars, trigger);
+        match_trigger_anchored_with(eg, vars, trigger, &plan, anchor)
+    }
+
     #[test]
     fn matches_simple_select_pattern() {
         let mut eg = EGraph::new();
@@ -905,7 +906,7 @@ mod tests {
         let _fb = eg.intern(&T::uninterp("f", vec![T::var("b")])).unwrap();
         let trigger = Trigger(vec![Pattern::Term(T::uninterp("f", vec![T::var("X")]))]);
         // Anchored at f(a): only the a-binding.
-        let bindings = match_trigger_anchored(&eg, &["X".into()], &trigger, fa);
+        let bindings = match_anchored(&eg, &["X".into()], &trigger, fa);
         assert_eq!(bindings.len(), 1);
         let a = eg.intern(&T::var("a")).unwrap();
         assert_eq!(eg.find(bindings[0].node(0).expect("X bound")), eg.find(a));
@@ -919,7 +920,7 @@ mod tests {
         let ga = eg.intern(&T::uninterp("g", vec![T::var("a")])).unwrap();
         eg.intern(&T::uninterp("f", vec![T::var("a")])).unwrap();
         let trigger = Trigger(vec![Pattern::Term(T::uninterp("f", vec![T::var("X")]))]);
-        assert!(match_trigger_anchored(&eg, &["X".into()], &trigger, ga).is_empty());
+        assert!(match_anchored(&eg, &["X".into()], &trigger, ga).is_empty());
     }
 
     #[test]
@@ -933,7 +934,7 @@ mod tests {
             Pattern::Term(T::uninterp("f", vec![T::var("X")])),
             Pattern::Term(T::uninterp("g", vec![T::var("X")])),
         ]);
-        let bindings = match_trigger_anchored(&eg, &["X".into()], &trigger, gb);
+        let bindings = match_anchored(&eg, &["X".into()], &trigger, gb);
         assert_eq!(bindings.len(), 1);
     }
 
@@ -958,7 +959,7 @@ mod tests {
             Pattern::Term(T::uninterp("h", vec![T::var("Y")])),
         ]);
         let vars: Vec<Symbol> = vec!["X".into(), "Y".into()];
-        let anchored = match_trigger_anchored(&eg, &vars, &trigger, gab);
+        let anchored = match_anchored(&eg, &vars, &trigger, gab);
         assert_eq!(anchored.len(), 1, "only the a/b binding survives h(Y)");
         let a = eg.intern(&T::var("a")).unwrap();
         let b = eg.intern(&T::var("b")).unwrap();

@@ -175,8 +175,7 @@ impl fmt::Display for UnknownReason {
 }
 
 /// Per-quantifier telemetry: one row per structurally distinct quantified
-/// axiom the search registered, keyed by the same stable id used in
-/// `OOLONG_PROVER_TRACE` output (`q0`, `q1`, …).
+/// axiom the search registered, keyed by its stable id (`q0`, `q1`, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantProfile {
     /// Stable structural id of the quantifier.
@@ -191,7 +190,7 @@ pub struct QuantProfile {
     pub instances: u64,
     /// Instantiations asserted during background pre-saturation (context
     /// construction, before any obligation's goal exists). Zero for
-    /// one-shot proofs, which have no pre-saturation phase.
+    /// [`prove`], whose context has an empty background.
     pub presat_instances: u64,
     /// Instantiations asserted inside an obligation's frame, after the
     /// goal terms were asserted. `presat_instances + goal_instances ==
@@ -502,14 +501,6 @@ pub struct CandidateModel {
     pub diseqs: Vec<(usize, usize)>,
 }
 
-impl CandidateModel {
-    /// The innermost (most recently asserted) position label of the
-    /// branch: the obligation the counterexample violates.
-    pub fn primary_label(&self) -> Option<u32> {
-        self.labels.last().copied()
-    }
-}
-
 /// The result of [`prove`]: outcome plus work counters.
 #[derive(Debug, Clone)]
 pub struct Proof {
@@ -555,44 +546,10 @@ pub enum SearchStrategy {
     Trail,
 }
 
-/// Proves `hypotheses ⇒ goal` by refuting `hypotheses ∧ ¬goal`.
+/// Proves `hypotheses ⇒ goal` by refuting `hypotheses ∧ ¬goal`, in a
+/// single-use [`ScopeContext`] over an empty background.
 pub fn prove(hypotheses: &[Formula], goal: &Formula, budget: &Budget) -> Proof {
-    let mut fresh = FreshGen::new();
-    let mut parts: Vec<Nnf> = hypotheses
-        .iter()
-        .map(|h| to_nnf(h, true, &mut fresh))
-        .collect();
-    parts.push(to_nnf(goal, false, &mut fresh));
-    refute(parts, budget)
-}
-
-/// Refutes a conjunction of NNF formulas: [`Outcome::Proved`] means the
-/// conjunction is unsatisfiable.
-fn refute(parts: Vec<Nnf>, budget: &Budget) -> Proof {
-    let start = std::time::Instant::now();
-    let mut shared = Shared::new(budget, false);
-    let mut ctx = Ctx::new();
-    ctx.pending.extend(parts.into_iter().map(|p| (p, 0)));
-    let outcome = outcome_of(search(&mut ctx, 0, &mut shared), shared.fuel);
-    let mut stats = shared.stats;
-    // One E-graph serves every branch, so its monotonic counters count
-    // each merge and pop exactly once.
-    stats.merges = ctx.eg.merges_performed();
-    stats.trail_depth_max = ctx.eg.trail_high_water();
-    stats.pops = ctx.eg.pops();
-    stats.undone_merges = ctx.eg.undone_merges();
-    stats.exhausted = match outcome {
-        Outcome::Unknown(reason) => Some(reason),
-        _ => None,
-    };
-    stats.per_quant = render_per_quant(&shared.quant_meta);
-    Proof {
-        outcome,
-        stats,
-        open_branch: shared.open_branch,
-        model: shared.model,
-        millis: start.elapsed().as_secs_f64() * 1_000.0,
-    }
+    ScopeContext::new(&[], &[], budget).prove(hypotheses, goal)
 }
 
 fn outcome_of(branch: Branch, fuel: Option<UnknownReason>) -> Outcome {
@@ -643,6 +600,9 @@ fn render_per_quant(quant_meta: &[QuantMeta]) -> Arc<[QuantProfile]> {
 /// quantifier saturation — across every obligation of a scope, the way
 /// Boogie asserts its `UnivBackPred` once per prover session.
 ///
+/// A context is the only way the prover runs a proof: [`prove`] builds a
+/// single-use one over an empty background.
+///
 /// Proofs are **order-independent**: every [`ScopeContext::prove`] call
 /// starts from private copies of the mutable search state (statistics,
 /// quantifier registry, fresh-name generator) and leaves the shared
@@ -675,10 +635,10 @@ pub struct ScopeContext {
     /// copy inside the obligation's frame, after the goal terms are
     /// asserted, and the frame rollback disarms them again.
     gated_quants: Vec<Quant>,
-    /// The background itself was contradictory: every conjecture proves.
-    contradictory: bool,
-    /// Base saturation exhausted the budget: every proof is Unknown.
-    poisoned: Option<UnknownReason>,
+    /// The outcome of every proof when base saturation already decided
+    /// it: [`Outcome::Proved`] for a contradictory background,
+    /// [`Outcome::Unknown`] for one that exhausted the budget.
+    settled: Option<Outcome>,
 }
 
 impl fmt::Debug for ScopeContext {
@@ -687,14 +647,15 @@ impl fmt::Debug for ScopeContext {
             .field("axioms", &self.axiom_quants.len())
             .field("quants", &self.base_quant_meta.len())
             .field("base_merges", &self.base_merges)
-            .field("contradictory", &self.contradictory)
-            .field("poisoned", &self.poisoned)
+            .field("settled", &self.settled)
             .finish_non_exhaustive()
     }
 }
 
 impl ScopeContext {
-    /// Asserts and saturates `background` into a fresh context.
+    /// Asserts and saturates `background` into a fresh context, scheduling
+    /// `background[i]` by the activation [`Phase`] `phases[i]` (missing
+    /// entries default to [`Phase::Eager`]).
     ///
     /// Saturation runs the same drain / unit-propagate / instantiate loop
     /// as the search itself but never case-splits: derived facts land in
@@ -702,14 +663,6 @@ impl ScopeContext {
     /// proof's own search. A contradictory background makes every proof
     /// succeed; a background that exhausts the budget poisons the context
     /// and makes every proof report [`Outcome::Unknown`].
-    pub fn new(background: &[Formula], budget: &Budget) -> ScopeContext {
-        ScopeContext::new_with_phases(background, &[], budget)
-    }
-
-    /// [`ScopeContext::new`] honoring a per-axiom activation [`Phase`]
-    /// (`phases[i]` schedules `background[i]`; missing entries default to
-    /// [`Phase::Eager`], so the empty slice reproduces [`ScopeContext::new`]
-    /// exactly).
     ///
     /// [`Phase::GoalDirected`] axioms do not participate in base
     /// saturation: their top-level quantifiers are parked in
@@ -719,17 +672,13 @@ impl ScopeContext {
     /// are unchanged — every proof still sees every axiom — only *when*
     /// instantiation may happen moves, which is what keeps verdicts and
     /// labels identical across phase assignments.
-    pub fn new_with_phases(
-        background: &[Formula],
-        phases: &[Phase],
-        budget: &Budget,
-    ) -> ScopeContext {
+    pub fn new(background: &[Formula], phases: &[Phase], budget: &Budget) -> ScopeContext {
         let mut fresh = FreshGen::new();
         let mut shared = Shared::new(budget, true);
         let mut ctx = Ctx::new();
         let mut axiom_quants: Vec<Vec<usize>> = Vec::with_capacity(background.len());
         let mut gated_quants: Vec<Quant> = Vec::new();
-        let mut contradictory = false;
+        let mut step = Step::Ok;
         for (i, f) in background.iter().enumerate() {
             let ids_before = shared.quant_count();
             let phase = phases.get(i).copied().unwrap_or(Phase::Eager);
@@ -743,48 +692,20 @@ impl ScopeContext {
                     });
                 }
             }
-            let step = drain_pending(&mut ctx, &mut shared);
+            step = drain_pending(&mut ctx, &mut shared);
             axiom_quants.push((ids_before..shared.quant_count()).collect());
-            match step {
-                Step::Conflict => {
-                    contradictory = true;
-                    break;
-                }
-                Step::Fuel => break,
-                Step::Ok => {}
+            if !matches!(step, Step::Ok) {
+                break;
             }
         }
         axiom_quants.resize(background.len(), Vec::new());
-        while !contradictory && shared.fuel.is_none() {
-            match drain_pending(&mut ctx, &mut shared) {
-                Step::Conflict => {
-                    contradictory = true;
-                    break;
-                }
-                Step::Fuel => break,
-                Step::Ok => {}
-            }
-            match normalize_splits(&mut ctx) {
-                Step::Conflict => {
-                    contradictory = true;
-                    break;
-                }
-                Step::Fuel => break,
-                Step::Ok => {}
-            }
-            if !ctx.pending.is_empty() {
-                continue; // unit propagation produced new facts
-            }
-            shared.stats.rounds += 1;
-            if shared.stats.rounds > shared.budget.max_rounds {
-                shared.fuel.get_or_insert(UnknownReason::Rounds);
-                break;
-            }
-            match instantiate_round(&mut ctx, &mut shared) {
-                InstResult::Progress => {}
-                InstResult::Fuel | InstResult::Saturated => break,
-            }
+        if matches!(step, Step::Ok) {
+            step = saturate(&mut ctx, &mut shared);
         }
+        let settled = match step {
+            Step::Conflict => Some(Outcome::Proved),
+            Step::Fuel | Step::Ok => shared.fuel.map(Outcome::Unknown),
+        };
         let base_merges = ctx.eg.merges_performed();
         let mut base_stats = shared.stats;
         base_stats.merges = base_merges;
@@ -800,8 +721,7 @@ impl ScopeContext {
             axiom_quants,
             base_merges,
             gated_quants,
-            contradictory,
-            poisoned: shared.fuel,
+            settled,
         }
     }
 
@@ -809,29 +729,36 @@ impl ScopeContext {
     /// the context state untouched for the next obligation.
     pub fn prove(&mut self, hypotheses: &[Formula], goal: &Formula) -> Proof {
         let start = std::time::Instant::now();
-        if self.contradictory {
-            let mut stats = self.base_stats.clone();
-            stats.per_quant = render_per_quant(&self.base_quant_meta);
-            return Proof {
-                outcome: Outcome::Proved,
-                stats,
-                open_branch: None,
-                model: None,
-                millis: start.elapsed().as_secs_f64() * 1_000.0,
-            };
+        let (outcome, mut stats, open_branch, model) = match self.settled {
+            Some(outcome) => {
+                let mut stats = self.base_stats.clone();
+                stats.per_quant = render_per_quant(&self.base_quant_meta);
+                (outcome, stats, None, None)
+            }
+            None => self.search_in_frame(hypotheses, goal),
+        };
+        stats.exhausted = match outcome {
+            Outcome::Unknown(reason) => Some(reason),
+            _ => None,
+        };
+        Proof {
+            outcome,
+            stats,
+            open_branch,
+            model,
+            millis: start.elapsed().as_secs_f64() * 1_000.0,
         }
-        if let Some(reason) = self.poisoned {
-            let mut stats = self.base_stats.clone();
-            stats.exhausted = Some(reason);
-            stats.per_quant = render_per_quant(&self.base_quant_meta);
-            return Proof {
-                outcome: Outcome::Unknown(reason),
-                stats,
-                open_branch: None,
-                model: None,
-                millis: start.elapsed().as_secs_f64() * 1_000.0,
-            };
-        }
+    }
+
+    /// Searches for a refutation of `hypotheses ∧ ¬goal` inside a
+    /// checkpoint/rollback frame over the base, returning the outcome, the
+    /// proof's own counters and telemetry rows, and the first open
+    /// branch's description and model.
+    fn search_in_frame(
+        &mut self,
+        hypotheses: &[Formula],
+        goal: &Formula,
+    ) -> (Outcome, Stats, Option<Vec<String>>, Option<CandidateModel>) {
         let mut fresh = self.base_fresh.clone();
         let mut parts: Vec<Nnf> = hypotheses
             .iter()
@@ -862,18 +789,8 @@ impl ScopeContext {
         stats.pops = self.base.eg.pops() - pops_before;
         stats.undone_merges = self.base.eg.undone_merges() - undone_before;
         self.base.rollback(cp);
-        stats.exhausted = match outcome {
-            Outcome::Unknown(reason) => Some(reason),
-            _ => None,
-        };
         stats.per_quant = render_per_quant(&shared.quant_meta);
-        Proof {
-            outcome,
-            stats,
-            open_branch: shared.open_branch,
-            model: shared.model,
-            millis: start.elapsed().as_secs_f64() * 1_000.0,
-        }
+        (outcome, stats, shared.open_branch, shared.model)
     }
 
     /// The stable quantifier ids registered by background formula `axiom`
@@ -886,23 +803,6 @@ impl ScopeContext {
             .get(axiom)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Whether the background alone was contradictory (every proof
-    /// trivially succeeds).
-    pub fn is_contradictory(&self) -> bool {
-        self.contradictory
-    }
-
-    /// The budget dimension the base saturation exhausted, if any (every
-    /// proof reports [`Outcome::Unknown`] with this reason).
-    pub fn poisoned(&self) -> Option<UnknownReason> {
-        self.poisoned
-    }
-
-    /// The budget the context was built with.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
     }
 
     /// One row per trigger of every quantifier the base holds, active or
@@ -966,8 +866,8 @@ type QuantIds = HashMap<QuantKey, usize>;
 struct Shared {
     budget: Budget,
     stats: Stats,
-    /// Stable ids a scope context's base registered (empty for one-shot
-    /// proofs and while the base itself is built).
+    /// Stable ids a scope context's base registered (empty while the base
+    /// itself is built).
     base_quant_ids: Arc<QuantIds>,
     /// Stable ids registered since, numbered after `base_quant_ids`.
     quant_ids: QuantIds,
@@ -1370,100 +1270,102 @@ fn search(ctx: &mut Ctx, depth: usize, shared: &mut Shared) -> Branch {
     if depth >= shared.budget.max_depth {
         return out_of_fuel(shared, UnknownReason::Depth);
     }
-    loop {
-        // 1. Assert all pending facts.
-        match drain_pending(ctx, shared) {
-            Step::Conflict => return Branch::Closed,
-            Step::Fuel => return Branch::Fuel,
-            Step::Ok => {}
+    match saturate(ctx, shared) {
+        Step::Conflict => return Branch::Closed,
+        Step::Fuel => return Branch::Fuel,
+        Step::Ok => {}
+    }
+    // Case split if a disjunction remains.
+    if let Some(idx) = pick_split(ctx) {
+        // Remove the clause for the duration of the exploration (so
+        // child frames don't split on it again); the removal is
+        // recorded on the trail only once the arm loop is done, which
+        // keeps the trail LIFO — every child checkpoint has already
+        // been unwound by then.
+        let clause = ctx.splits.swap_remove(idx);
+        let mut any_open = false;
+        let mut any_fuel = false;
+        let mut fuel_out = false;
+        for (k, live) in clause.live.iter().enumerate() {
+            if !live {
+                continue;
+            }
+            shared.stats.branches += 1;
+            if shared.stats.branches > shared.budget.max_branches {
+                fuel_out = true;
+                shared.fuel.get_or_insert(UnknownReason::Branches);
+                break;
+            }
+            let arm = clause.arms[k].clone();
+            let cp = ctx.checkpoint();
+            ctx.pending.push((arm, clause.gen));
+            let verdict = search(ctx, depth + 1, shared);
+            ctx.rollback(cp);
+            match verdict {
+                Branch::Closed => {}
+                Branch::Open => {
+                    any_open = true;
+                    break;
+                }
+                Branch::Fuel => any_fuel = true,
+            }
         }
-        // 2. Simplify disjunctions; unit-propagate.
-        match normalize_splits(ctx) {
-            Step::Conflict => return Branch::Closed,
-            Step::Fuel => return Branch::Fuel,
+        if ctx.recording > 0 {
+            ctx.trail.push(CtxUndo::SplitRemoved { index: idx, clause });
+        }
+        return if fuel_out {
+            Branch::Fuel
+        } else if any_open {
+            Branch::Open
+        } else if any_fuel {
+            Branch::Fuel
+        } else {
+            Branch::Closed
+        };
+    }
+    // Fully saturated with no splits left: the branch is open.
+    if ctx.deferred {
+        // Instantiation was incomplete: the branch may yet be
+        // contradictory at a deeper matching generation.
+        return out_of_fuel(shared, UnknownReason::DeferredInstances);
+    }
+    if shared.open_branch.is_none() {
+        shared.open_branch = Some(describe_branch(ctx));
+        shared.model = Some(extract_model(ctx));
+    }
+    Branch::Open
+}
+
+/// Saturates the current state without case splitting: asserts every
+/// pending fact, simplifies disjunctions and unit-propagates, and runs
+/// quantifier instantiation rounds until one produces nothing. Base
+/// construction runs it once over the background; the search runs it at
+/// the top of every branch, so instances land on the shared branch prefix
+/// (the seen-set only rolls back past them when that frame unwinds) and
+/// are not re-derived once per branch.
+fn saturate(ctx: &mut Ctx, shared: &mut Shared) -> Step {
+    loop {
+        match drain_pending(ctx, shared) {
             Step::Ok => {}
+            stop => return stop,
+        }
+        match normalize_splits(ctx) {
+            Step::Ok => {}
+            stop => return stop,
         }
         if !ctx.pending.is_empty() {
             continue; // unit propagation produced new facts
         }
-        // 3. Saturate quantifiers BEFORE splitting: instances produced
-        //    here are inherited by every branch below (the seen-set only
-        //    rolls back past them when this frame unwinds), avoiding
-        //    re-derivation once per branch.
         shared.stats.rounds += 1;
         if shared.stats.rounds > shared.budget.max_rounds {
-            return out_of_fuel(shared, UnknownReason::Rounds);
+            shared.fuel.get_or_insert(UnknownReason::Rounds);
+            return Step::Fuel;
         }
         match instantiate_round(ctx, shared) {
-            InstResult::Progress => continue,
-            InstResult::Fuel => return Branch::Fuel,
-            InstResult::Saturated => {}
+            InstResult::Progress => {}
+            InstResult::Fuel => return Step::Fuel,
+            InstResult::Saturated => return Step::Ok,
         }
-        // 4. Case split if a disjunction remains.
-        if let Some(idx) = pick_split(ctx) {
-            // Remove the clause for the duration of the exploration (so
-            // child frames don't split on it again); the removal is
-            // recorded on the trail only once the arm loop is done, which
-            // keeps the trail LIFO — every child checkpoint has already
-            // been unwound by then.
-            let clause = ctx.splits.swap_remove(idx);
-            let mut any_open = false;
-            let mut any_fuel = false;
-            let mut fuel_out = false;
-            for (k, live) in clause.live.iter().enumerate() {
-                if !live {
-                    continue;
-                }
-                shared.stats.branches += 1;
-                if shared.stats.branches > shared.budget.max_branches {
-                    fuel_out = true;
-                    shared.fuel.get_or_insert(UnknownReason::Branches);
-                    break;
-                }
-                let arm = clause.arms[k].clone();
-                if trace_enabled() {
-                    eprintln!("[{:indent$}branch {arm}]", "", indent = depth.min(20));
-                }
-                let cp = ctx.checkpoint();
-                ctx.pending.push((arm, clause.gen));
-                let verdict = search(ctx, depth + 1, shared);
-                ctx.rollback(cp);
-                if trace_enabled() {
-                    eprintln!("[{:indent$}-> {verdict:?}]", "", indent = depth.min(20));
-                }
-                match verdict {
-                    Branch::Closed => {}
-                    Branch::Open => {
-                        any_open = true;
-                        break;
-                    }
-                    Branch::Fuel => any_fuel = true,
-                }
-            }
-            if ctx.recording > 0 {
-                ctx.trail.push(CtxUndo::SplitRemoved { index: idx, clause });
-            }
-            return if fuel_out {
-                Branch::Fuel
-            } else if any_open {
-                Branch::Open
-            } else if any_fuel {
-                Branch::Fuel
-            } else {
-                Branch::Closed
-            };
-        }
-        // 5. Fully saturated with no splits left: the branch is open.
-        if ctx.deferred {
-            // Instantiation was incomplete: the branch may yet be
-            // contradictory at a deeper matching generation.
-            return out_of_fuel(shared, UnknownReason::DeferredInstances);
-        }
-        if shared.open_branch.is_none() {
-            shared.open_branch = Some(describe_branch(ctx));
-            shared.model = Some(extract_model(ctx));
-        }
-        return Branch::Open;
     }
 }
 
@@ -1612,20 +1514,6 @@ fn register_quant(
         shared
             .quant_meta
             .push(QuantMeta::new(&vars, &triggers, &body));
-    }
-    if trace_enabled() {
-        eprintln!(
-            "[quant q{id} ∀{} {} :: {body}]",
-            vars.iter()
-                .map(|v| v.as_str())
-                .collect::<Vec<_>>()
-                .join(","),
-            triggers
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
     }
     ctx.quants.push(Quant::new(id, vars, triggers, body));
 }
@@ -1889,13 +1777,6 @@ fn extract_model(ctx: &Ctx) -> CandidateModel {
     }
 }
 
-/// Whether the `OOLONG_PROVER_TRACE` environment variable enables
-/// instantiation tracing on stderr (checked once per process).
-fn trace_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("OOLONG_PROVER_TRACE").is_some())
-}
-
 /// One saturation round. Mostly *incremental*: new quantifiers are matched
 /// fully once, old quantifiers are matched only against nodes created
 /// since the last round (anchored matching). When an incremental round
@@ -2149,11 +2030,6 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                     .copied()
                     .zip(terms.iter().copied())
                     .collect();
-                if trace_enabled() {
-                    let binding: Vec<String> =
-                        map.iter().map(|(v, t)| format!("{v}:={t}")).collect();
-                    eprintln!("[inst q{} {}]", quant.id, binding.join(", "));
-                }
                 pending.push((data.body.subst(&map), instance_gen));
                 produced += 1;
                 shared.stats.instances += 1;
@@ -2477,7 +2353,7 @@ mod tests {
             ),
             axiom("Y", "g", F::eq(app("g", T::var("Y")), T::int(0))),
         ];
-        let mut ctx = ScopeContext::new_with_phases(
+        let mut ctx = ScopeContext::new(
             &background,
             &[Phase::Eager, Phase::GoalDirected],
             &Budget::default(),
@@ -2511,6 +2387,75 @@ mod tests {
         );
         assert!(first.stats.per_quant.iter().any(|q| q.instances > 0));
         assert_eq!(first.stats, again.stats);
+    }
+
+    /// `∀X {f(X)} :: f(g(X)) = X` with the seed `f(c) = d`: a true
+    /// matching loop (see `unknown_on_tiny_budget_with_looping_axiom`).
+    fn looping_axiom_and_seed() -> [F; 2] {
+        let body = F::eq(
+            T::uninterp("f", vec![T::uninterp("g", vec![T::var("X")])]),
+            T::var("X"),
+        );
+        let trig = Trigger(vec![Pattern::Term(T::uninterp("f", vec![T::var("X")]))]);
+        [
+            F::forall(vec!["X".into()], vec![trig], body),
+            F::eq(T::uninterp("f", vec![T::var("c")]), T::var("d")),
+        ]
+    }
+
+    #[test]
+    fn contradictory_background_proves_every_goal() {
+        let [axiom, seed] = looping_axiom_and_seed();
+        let background = [
+            axiom,
+            seed,
+            F::eq(T::var("x"), T::int(1)),
+            F::eq(T::var("x"), T::int(2)),
+        ];
+        let mut ctx = ScopeContext::new(&background, &[], &Budget::default());
+        assert_eq!(ctx.settled, Some(Outcome::Proved));
+        let base_rows = render_per_quant(&ctx.base_quant_meta);
+        assert!(!base_rows.is_empty());
+        let before = ctx.debug_state();
+        let goals = [
+            F::eq(T::var("a"), T::var("b")),
+            F::Atom(Atom::Lt(T::int(2), T::int(1))),
+        ];
+        for goal in &goals {
+            let proof = ctx.prove(&[], goal);
+            assert_eq!(proof.outcome, Outcome::Proved);
+            assert_eq!(proof.stats.exhausted, None);
+            assert_eq!(proof.stats.per_quant, base_rows);
+            assert!(proof.open_branch.is_none() && proof.model.is_none());
+        }
+        assert_eq!(ctx.debug_state(), before);
+    }
+
+    #[test]
+    fn background_that_exhausts_the_budget_poisons_every_proof() {
+        // Under the tiny budget's matching-generation limit the loop only
+        // defers instances; without the limit it runs out of instances
+        // during base saturation.
+        let budget = Budget {
+            max_term_gen: u32::MAX,
+            ..Budget::tiny()
+        };
+        let mut ctx = ScopeContext::new(&looping_axiom_and_seed(), &[], &budget);
+        let Some(Outcome::Unknown(reason)) = ctx.settled else {
+            panic!("base saturation should exhaust the budget: {ctx:?}");
+        };
+        let before = ctx.debug_state();
+        let first = ctx.prove(&[], &F::False);
+        let second = ctx.prove(
+            &[F::eq(T::var("a"), T::var("b"))],
+            &F::eq(T::var("b"), T::var("a")),
+        );
+        assert_eq!(first.outcome, Outcome::Unknown(reason));
+        assert_eq!(first.stats.exhausted, Some(reason));
+        assert_eq!(first.outcome, second.outcome);
+        assert_eq!(first.stats, second.stats);
+        assert!(first.stats.per_quant.iter().any(|q| q.presat_instances > 0));
+        assert_eq!(ctx.debug_state(), before);
     }
 
     #[test]

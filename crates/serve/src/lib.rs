@@ -17,7 +17,8 @@
 //!   members reuse the CLI's `--json` shapes byte for byte;
 //! * [`server`] — the daemon: accept loop, session threads, bounded
 //!   worker queue, degraded-mode fallback, and load metrics
-//!   (throughput, queue depth, latency percentiles);
+//!   (throughput, queue depth, latency percentiles over the most recent
+//!   4096 proving requests);
 //! * [`client`] — a minimal blocking client for scripted sessions,
 //!   tests, and the stress bench.
 //!

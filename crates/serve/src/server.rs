@@ -112,7 +112,41 @@ struct Metrics {
     cache_hits: AtomicU64,
     prover_calls: AtomicU64,
     obligations: AtomicU64,
-    latencies: Mutex<Vec<f64>>,
+    latencies: Mutex<Latencies>,
+}
+
+/// How many of the most recent proving-request latencies the `stats`
+/// percentiles and `max` cover.
+const LATENCY_WINDOW: usize = 4096;
+
+/// Proving-request latencies: the most recent [`LATENCY_WINDOW`] samples
+/// in a ring, plus the lifetime count. A resident daemon's memory and
+/// `stats` cost stay bounded however long it runs.
+#[derive(Debug, Default)]
+struct Latencies {
+    window: Vec<f64>,
+    /// Samples recorded over the server's lifetime; once the window is
+    /// full, the next sample overwrites slot `count % LATENCY_WINDOW`,
+    /// the oldest.
+    count: u64,
+}
+
+impl Latencies {
+    fn push(&mut self, millis: f64) {
+        if self.window.len() < LATENCY_WINDOW {
+            self.window.push(millis);
+        } else {
+            self.window[(self.count % LATENCY_WINDOW as u64) as usize] = millis;
+        }
+        self.count += 1;
+    }
+
+    /// The windowed samples, sorted ascending.
+    fn sorted(&self) -> Vec<f64> {
+        let mut samples = self.window.clone();
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        samples
+    }
 }
 
 const CMD_NAMES: [&str; 6] = ["check", "batch", "explain", "infer", "stats", "shutdown"];
@@ -408,10 +442,9 @@ impl Shared {
     /// The `stats` response: load metrics of the running server.
     fn stats_json(&self) -> Json {
         let m = &self.metrics;
-        let latencies = {
-            let mut samples = m.latencies.lock().expect("latency lock poisoned").clone();
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-            samples
+        let (count, latencies) = {
+            let recorded = m.latencies.lock().expect("latency lock poisoned");
+            (recorded.count, recorded.sorted())
         };
         let store = self.store.metrics();
         Json::Object(vec![
@@ -526,7 +559,7 @@ impl Shared {
             (
                 "latency_millis".to_string(),
                 Json::Object(vec![
-                    ("count".to_string(), Json::Int(latencies.len() as i64)),
+                    ("count".to_string(), Json::Int(count as i64)),
                     ("p50".to_string(), Json::Float(percentile(&latencies, 0.50))),
                     ("p95".to_string(), Json::Float(percentile(&latencies, 0.95))),
                     ("p99".to_string(), Json::Float(percentile(&latencies, 0.99))),
@@ -780,7 +813,7 @@ fn dispatch(shared: &Shared, job_tx: &SyncSender<Job>, request: Request) -> Stri
 
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::{percentile, Latencies, LATENCY_WINDOW};
 
     #[test]
     fn nearest_rank_percentiles() {
@@ -790,5 +823,23 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.99), 99.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
         assert_eq!(percentile(&[7.0], 0.99), 7.0);
+    }
+
+    #[test]
+    fn latency_window_keeps_the_most_recent_samples() {
+        let extra = 37;
+        let mut latencies = Latencies::default();
+        for i in 0..LATENCY_WINDOW + extra {
+            latencies.push(i as f64);
+        }
+        assert_eq!(latencies.count, (LATENCY_WINDOW + extra) as u64);
+        let sorted = latencies.sorted();
+        assert_eq!(sorted.len(), LATENCY_WINDOW);
+        // The oldest `extra` samples were overwritten.
+        assert_eq!(sorted[0], extra as f64);
+        assert_eq!(
+            sorted.last().copied(),
+            Some((LATENCY_WINDOW + extra - 1) as f64)
+        );
     }
 }

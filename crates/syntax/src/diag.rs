@@ -144,11 +144,6 @@ impl Diagnostics {
         self.items.iter()
     }
 
-    /// Consumes the collection, yielding the diagnostics.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
-    }
-
     /// Merges another collection into this one.
     pub fn extend(&mut self, other: Diagnostics) {
         self.items.extend(other.items);

@@ -12,6 +12,12 @@
 # hypothesis with its fresh names, so it pins VC generation byte for byte. Prints nothing and exits 0 when
 # every invocation agrees byte for byte; otherwise prints the diff and
 # exits 1.
+#
+# Every invocation runs pinned to one CPU (`taskset -c 0`). On Linux
+# `available_parallelism()` honours the affinity mask, so the engine then
+# runs one worker. With more workers, obligations that share a fingerprint
+# (corpus:modular_stack's `vinit` and `vgrow`) race for the verdict store,
+# and which of them reports `"cache_hit": true` depends on thread timing.
 set -euo pipefail
 [ $# -eq 2 ] || { echo "usage: $0 OLD_BINARY NEW_BINARY" >&2; exit 2; }
 old=$1
@@ -38,14 +44,14 @@ variants=(
 record() { # record BINARY DIR
     mkdir -p "$2"
     local name variant cmd rest i=0
-    for name in $("$1" corpus | awk '{print $1}'); do
+    for name in $(taskset -c 0 "$1" corpus | awk '{print $1}'); do
         for variant in "${variants[@]}"; do
             read -r cmd rest <<< "$variant"
             i=$((i + 1))
             {
                 echo "== oolong $cmd corpus:$name $rest"
                 # shellcheck disable=SC2086 # $rest is a flag list
-                "$1" "$cmd" "corpus:$name" $rest 2>/dev/null && code=0 || code=$?
+                taskset -c 0 "$1" "$cmd" "corpus:$name" $rest 2>/dev/null && code=0 || code=$?
                 echo "== exit $code"
             } > "$2/$(printf '%03d' "$i")"
         done

@@ -223,7 +223,7 @@ fn compiled_trigger_plans_match_their_triggers() {
             let axioms = checker.background();
             let formulas: Vec<_> = axioms.iter().map(|a| a.formula.clone()).collect();
             let phases: Vec<_> = axioms.iter().map(|a| a.policy.phase).collect();
-            let ctx = ScopeContext::new_with_phases(&formulas, &phases, &checker.options().budget);
+            let ctx = ScopeContext::new(&formulas, &phases, &checker.options().budget);
             let plans = ctx.trigger_plans();
             assert!(!plans.is_empty(), "{}", program.name);
             for (vars, trigger, plan) in plans {

@@ -159,7 +159,7 @@ fn vc_honours_checking_flags() {
     };
     let plain = vc(None);
     assert!(
-        plain.starts_with("=== VC for impl q (32 hypotheses)"),
+        plain.starts_with("=== VC for impl q (33 hypotheses)"),
         "{plain}"
     );
     // The naive baseline swaps the alias-restriction axioms for the

@@ -7,7 +7,10 @@
 //! and — because every restricted program maintains them — the pivot
 //! uniqueness axiom (6) and the acyclicity axiom (7). The last two are
 //! omitted for the *naive* baseline checker, which models a system without
-//! the paper's alias-confinement restrictions.
+//! the paper's alias-confinement restrictions. Axiom (6) and its two array
+//! analogues are encoded through a partial inverse of the store (the
+//! `unique-value-owner` axiom), so they cost one instance per
+//! distinguished read rather than one per pair of reads.
 //!
 //! The **scope-dependent background predicate** `BP_D` adds, per declared
 //! attribute, the enumeration axioms for `⊒` and `→f` ((8) and (9)), the
@@ -129,6 +132,7 @@ fn universal_background(
     }
     if alias_restrictions {
         axioms.push(("pivot-uniqueness", pivot_uniqueness(fresh)));
+        axioms.push(("unique-value-owner", unique_value_owner(fresh)));
         axioms.push(("owner-acyclicity", owner_acyclicity(fresh)));
         axioms.push(("pivot-values-are-objects", pivot_values_are_objects(fresh)));
         if arrays {
@@ -1001,20 +1005,67 @@ fn local_inc_reflexive(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
     )
 }
 
-/// Axiom (6): non-null pivot values are unique —
+/// The uninterpreted symbols of the partial-inverse encoding of axiom (6)
+/// and its array analogues. `val(S, v)` says that `v` is the non-null
+/// value of a *distinguished* location of store `S` — a pivot field, an
+/// elem-pivot field or an integer slot — and `own(S, v)`, `fld(S, v)`
+/// name that location. No program or prover symbol can collide with
+/// them: program names are identifiers (no `.`), no VC contains a
+/// program-named uninterpreted function, and skolem names contain `!`.
+const UNIQUE_VAL: &str = "uniq.val";
+const UNIQUE_OWN: &str = "uniq.own";
+const UNIQUE_FLD: &str = "uniq.fld";
+
+/// `name(S, S(X·F))`: one of the inverse functions applied to a read.
+fn at_read(name: &str, s: Symbol, x: Symbol, f: Symbol) -> Term {
+    let read = Term::select(Term::var(s), Term::var(x), Term::var(f));
+    Term::uninterp(name, vec![Term::var(s), read])
+}
+
+/// `own(S, S(X·F)) = X ∧ fld(S, S(X·F)) = F`: the read's location, as
+/// the inverse functions name it.
+fn located_at(s: Symbol, x: Symbol, f: Symbol) -> Formula {
+    Formula::and(vec![
+        Formula::eq(at_read(UNIQUE_OWN, s, x, f), Term::var(x)),
+        Formula::eq(at_read(UNIQUE_FLD, s, x, f), Term::var(f)),
+    ])
+}
+
+/// `val(S, S(X·F)) ∧ own(S, S(X·F)) = X ∧ fld(S, S(X·F)) = F`: the
+/// conclusion the three uniqueness axioms share.
+fn distinguished_read(s: Symbol, x: Symbol, f: Symbol) -> Formula {
+    Formula::and(vec![
+        Formula::Atom(Atom::BoolTerm(at_read(UNIQUE_VAL, s, x, f))),
+        located_at(s, x, f),
+    ])
+}
+
+/// Axiom (6): non-null pivot values are unique. The paper states it over
+/// a pair of reads,
 ///
 /// ```text
 /// G →F A ∧ S(X·F) ≠ null ∧ S(X·F) = S(Y·B) ⇒ X = Y ∧ F = B
 /// ```
+///
+/// and a trigger joining both reads matches once per *pair* of select
+/// terms. It is encoded instead by a partial inverse of the store
+/// (injectivity as in Moskal, "Programming with Triggers", 2009): each
+/// non-null pivot read records its own location,
+///
+/// ```text
+/// G →F A ∧ S(X·F) ≠ null
+///   ⇒ val(S, S(X·F)) ∧ own(S, S(X·F)) = X ∧ fld(S, S(X·F)) = F
+/// ```
+///
+/// and [`unique_value_owner`] maps every read of a recorded value back to
+/// that location. See there for why the pair is equivalent to (6).
 fn pivot_uniqueness(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
-    let (g, f, a, s, x, y, b) = (
+    let (g, f, a, s, x) = (
         fresh.fresh("ubG"),
         fresh.fresh("ubF"),
         fresh.fresh("ubA"),
         fresh.fresh("ubS"),
         fresh.fresh("ubX"),
-        fresh.fresh("ubY"),
-        fresh.fresh("ubB"),
     );
     let rep = Atom::RepInc {
         group: Term::var(g),
@@ -1022,28 +1073,49 @@ fn pivot_uniqueness(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
         mapped: Term::var(a),
     };
     let pivot_read = Term::select(Term::var(s), Term::var(x), Term::var(f));
-    let other_read = Term::select(Term::var(s), Term::var(y), Term::var(b));
     let antecedent = Formula::and(vec![
         Formula::Atom(rep),
         Formula::neq(pivot_read, Term::null()),
-        Formula::eq(pivot_read, other_read),
     ]);
-    let conclusion = Formula::and(vec![
-        Formula::eq(Term::var(x), Term::var(y)),
-        Formula::eq(Term::var(f), Term::var(b)),
-    ]);
-    // MPAT: a rep declaration plus *two* store reads must be present —
-    // the antisymmetry shape E14 flagged as a divergence culprit when
-    // left to fire freely.
-    let trigger = Trigger(vec![
-        Pattern::Atom(rep),
-        Pattern::Term(pivot_read),
-        Pattern::Term(other_read),
-    ]);
+    let trigger = Trigger(vec![Pattern::Atom(rep), Pattern::Term(pivot_read)]);
     declare(
-        vec![g, f, a, s, x, y, b],
+        vec![g, f, a, s, x],
         PatternPolicy::goal_directed(vec![trigger]),
-        Formula::implies(antecedent, conclusion),
+        Formula::implies(antecedent, distinguished_read(s, x, f)),
+    )
+}
+
+/// The inverse half of the uniqueness encoding: every read of a value
+/// that some distinguished location holds is a read of that location —
+///
+/// ```text
+/// val(S, S(Y·B)) ⇒ own(S, S(Y·B)) = Y ∧ fld(S, S(Y·B)) = B
+/// ```
+///
+/// It fires once per read of an already-recorded value, where the paired
+/// form of (6) fired once per pair of reads. The encoding is equivalent
+/// to the paired axioms:
+///
+/// * *New ⇒ old.* Given `S(X·F) ≠ null` with `X·F` distinguished and
+///   `S(X·F) = S(Y·B)`, [`pivot_uniqueness`] (or its array analogue)
+///   yields `val(S, S(X·F))`, `own(S, S(X·F)) = X` and
+///   `fld(S, S(X·F)) = F`; this axiom, at the read `S(Y·B)` of the same
+///   value, yields `own(…) = Y` and `fld(…) = B`. So `X = Y ∧ F = B`.
+/// * *Old ⇒ new.* In any model of the paired axioms, interpret
+///   `val(S, v)` as "`v` is the non-null value of some distinguished
+///   location in `S`" and `own(S, v)`, `fld(S, v)` as that location's
+///   object and attribute. The paired axioms make the location unique,
+///   so the interpretation is well defined and satisfies both halves.
+///
+/// The naive baseline asserts none of the uniqueness axioms, so its
+/// verdicts cannot move.
+fn unique_value_owner(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
+    let (s, y, b) = (fresh.fresh("ubS"), fresh.fresh("ubY"), fresh.fresh("ubB"));
+    let val = at_read(UNIQUE_VAL, s, y, b);
+    declare(
+        vec![s, y, b],
+        PatternPolicy::goal_directed(vec![Trigger(vec![Pattern::Term(val)])]),
+        Formula::implies(Formula::Atom(Atom::BoolTerm(val)), located_at(s, y, b)),
     )
 }
 
@@ -1229,20 +1301,19 @@ fn owner_acyclicity_element(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
 }
 
 /// The (6)-analogue for elem-pivot fields: non-null elem-pivot values
-/// (the arrays themselves) are unique —
+/// (the arrays themselves) are unique. Encoded like [`pivot_uniqueness`]:
 ///
 /// ```text
-/// G ⇉F A ∧ S(X·F) ≠ null ∧ S(X·F) = S(Y·B) ⇒ X = Y ∧ F = B
+/// G ⇉F A ∧ S(X·F) ≠ null
+///   ⇒ val(S, S(X·F)) ∧ own(S, S(X·F)) = X ∧ fld(S, S(X·F)) = F
 /// ```
 fn elem_pivot_uniqueness(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
-    let (g, f, a, s, x, y, b) = (
+    let (g, f, a, s, x) = (
         fresh.fresh("ubG"),
         fresh.fresh("ubF"),
         fresh.fresh("ubA"),
         fresh.fresh("ubS"),
         fresh.fresh("ubX"),
-        fresh.fresh("ubY"),
-        fresh.fresh("ubB"),
     );
     let rep = Atom::RepIncElem {
         group: Term::var(g),
@@ -1250,25 +1321,15 @@ fn elem_pivot_uniqueness(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
         mapped: Term::var(a),
     };
     let pivot_read = Term::select(Term::var(s), Term::var(x), Term::var(f));
-    let other_read = Term::select(Term::var(s), Term::var(y), Term::var(b));
     let antecedent = Formula::and(vec![
         Formula::Atom(rep),
         Formula::neq(pivot_read, Term::null()),
-        Formula::eq(pivot_read, other_read),
     ]);
-    let conclusion = Formula::and(vec![
-        Formula::eq(Term::var(x), Term::var(y)),
-        Formula::eq(Term::var(f), Term::var(b)),
-    ]);
-    let trigger = Trigger(vec![
-        Pattern::Atom(rep),
-        Pattern::Term(pivot_read),
-        Pattern::Term(other_read),
-    ]);
+    let trigger = Trigger(vec![Pattern::Atom(rep), Pattern::Term(pivot_read)]);
     declare(
-        vec![g, f, a, s, x, y, b],
+        vec![g, f, a, s, x],
         PatternPolicy::goal_directed(vec![trigger]),
-        Formula::implies(antecedent, conclusion),
+        Formula::implies(antecedent, distinguished_read(s, x, f)),
     )
 }
 
@@ -1348,35 +1409,23 @@ fn pivots_are_attributes(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
 
 /// Slot uniqueness (the (6)-analogue of the array-dependencies slot
 /// discipline — slots are only ever assigned `new()` or `null`, so their
-/// non-null values are unique):
+/// non-null values are unique). Encoded like [`pivot_uniqueness`]:
 ///
 /// ```text
-/// isInt(I) ∧ S(X·I) ≠ null ∧ S(X·I) = S(Y·B) ⇒ X = Y ∧ I = B
+/// isInt(I) ∧ S(X·I) ≠ null
+///   ⇒ val(S, S(X·I)) ∧ own(S, S(X·I)) = X ∧ fld(S, S(X·I)) = I
 /// ```
 fn slot_uniqueness(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
-    let (s, x, i, y, b) = (
-        fresh.fresh("ubS"),
-        fresh.fresh("ubX"),
-        fresh.fresh("ubI"),
-        fresh.fresh("ubY"),
-        fresh.fresh("ubB"),
-    );
+    let (s, x, i) = (fresh.fresh("ubS"), fresh.fresh("ubX"), fresh.fresh("ubI"));
     let slot_read = Term::select(Term::var(s), Term::var(x), Term::var(i));
-    let other_read = Term::select(Term::var(s), Term::var(y), Term::var(b));
     let antecedent = Formula::and(vec![
         Formula::Atom(Atom::IsInt(Term::var(i))),
         Formula::neq(slot_read, Term::null()),
-        Formula::eq(slot_read, other_read),
     ]);
-    let conclusion = Formula::and(vec![
-        Formula::eq(Term::var(x), Term::var(y)),
-        Formula::eq(Term::var(i), Term::var(b)),
-    ]);
-    let trigger = Trigger(vec![Pattern::Term(slot_read), Pattern::Term(other_read)]);
     declare(
-        vec![s, x, i, y, b],
-        PatternPolicy::goal_directed(vec![trigger]),
-        Formula::implies(antecedent, conclusion),
+        vec![s, x, i],
+        PatternPolicy::goal_directed(vec![Trigger(vec![Pattern::Term(slot_read)])]),
+        Formula::implies(antecedent, distinguished_read(s, x, i)),
     )
 }
 
@@ -1417,7 +1466,7 @@ fn fresh_objects_are_objects(fresh: &mut FreshGen) -> (Formula, PatternPolicy) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oolong_prover::{prove, Budget};
+    use oolong_prover::{prove, Budget, Outcome};
     use oolong_sema::Scope;
     use oolong_syntax::parse_program;
 
@@ -1451,12 +1500,16 @@ mod tests {
         let count =
             |restrictions, arrays| axioms(&empty, restrictions, arrays, &mut FreshGen::new()).len();
         // Plain level: the paper's system.
-        assert_eq!(count(true, false), 17);
+        assert_eq!(count(true, false), 18);
         assert_eq!(count(false, false), 14 + 2);
-        // Arrays level adds comparisons-are-ints plus four slot axioms.
-        assert_eq!(count(true, true), 25);
+        // The arrays level adds eight axioms: comparisons-are-ints, which
+        // the naive baseline keeps, plus seven alias-restriction axioms
+        // (slot and elem-pivot uniqueness, their values-are-objects
+        // companions, the two elem acyclicity axioms and
+        // pivots-are-attributes).
+        assert_eq!(count(true, true), 18 + 8);
         assert_eq!(count(false, true), 15 + 2);
-        assert!(all_axioms(&stack_scope()).len() > 17);
+        assert!(all_axioms(&stack_scope()).len() > 18);
     }
 
     #[test]
@@ -1580,5 +1633,81 @@ mod tests {
         hyps.push(Formula::neq(vec_read, Term::null()));
         let goal = Formula::neq(vec_read, obj_read);
         assert!(prove(&hyps, &goal, &Budget::default()).is_proved());
+    }
+
+    /// The arrays-level background of a scope with a pivot (`vec`), an
+    /// elem pivot (`arr`) and two plain fields (`cnt`, `obj`).
+    fn array_axioms() -> Vec<Formula> {
+        let scope = Scope::analyze(
+            &parse_program(
+                "group contents
+                 group elems
+                 field cnt in elems
+                 field obj
+                 field vec maps elems into contents
+                 field arr in contents maps elem elems into contents",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        axioms(&scope, true, true, &mut FreshGen::new())
+            .into_iter()
+            .map(|a| a.formula)
+            .collect()
+    }
+
+    /// The outcome of proving `x = y`, conjoined with `f = b` when
+    /// `with_attr`, from `$(x·f) ≠ null ∧ $(x·f) = $(y·b)` plus `extra`.
+    fn read_owner(f: Term, b: Term, extra: Vec<Formula>, with_attr: bool) -> Outcome {
+        let (x, y) = (Term::var("x"), Term::var("y"));
+        let read = Term::select(Term::store(), x, f);
+        let mut hyps = array_axioms();
+        hyps.push(Formula::neq(read, Term::null()));
+        hyps.push(Formula::eq(read, Term::select(Term::store(), y, b)));
+        hyps.extend(extra);
+        let mut goal = vec![Formula::eq(x, y)];
+        if with_attr {
+            goal.push(Formula::eq(f, b));
+        }
+        prove(&hyps, &Formula::and(goal), &Budget::default()).outcome
+    }
+
+    #[test]
+    fn uniqueness_encoding_derives_the_paired_axioms() {
+        // The inverse-function encoding proves what the paired form of
+        // (6) and its array analogues states: a non-null value held by a
+        // distinguished location is held by no other location.
+        let is_int = |t: Term| Formula::Atom(Atom::IsInt(t));
+        let (b, i) = (Term::var("b"), Term::var("i"));
+        let cases = [
+            ("pivot", Term::attr("vec"), b, vec![]),
+            ("elem pivot", Term::attr("arr"), b, vec![]),
+            ("int slot", i, b, vec![is_int(i)]),
+            (
+                "slot value = pivot value",
+                i,
+                Term::attr("vec"),
+                vec![is_int(i)],
+            ),
+        ];
+        for (name, f, b, extra) in cases {
+            assert_eq!(read_owner(f, b, extra, true), Outcome::Proved, "{name}");
+        }
+    }
+
+    #[test]
+    fn uniqueness_encoding_leaves_plain_reads_unconstrained() {
+        // Neither equal plain-field values nor reads at a non-int
+        // attribute are distinguished: the search saturates without
+        // deriving `x = y`.
+        let not_int = |t: Term| Formula::not(Formula::Atom(Atom::IsInt(t)));
+        let (a, b) = (Term::var("a"), Term::var("b"));
+        let cases = [
+            ("plain fields", Term::attr("obj"), Term::attr("cnt"), vec![]),
+            ("non-int attribute", a, b, vec![not_int(a)]),
+        ];
+        for (name, f, b, extra) in cases {
+            assert_eq!(read_owner(f, b, extra, false), Outcome::NotProved, "{name}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::concretize::concretize;
 use crate::replay::{replay_plan, replay_restriction, Replay};
-use datagroups::{ObligationKind, Refutation, Vc};
+use datagroups::{ObligationKind, ObligationLabel, Refutation, Vc};
 use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{Diagnostic, LineMap, Span};
 
@@ -45,6 +45,21 @@ impl Diagnosis {
     /// Whether replay dynamically confirmed the counterexample.
     pub fn confirmed(&self) -> bool {
         self.replay.is_confirmed()
+    }
+
+    /// Points the diagnosis at `label`, rendered against `source`: its
+    /// kind, label id, span, line, column, snippet and clause. A cached
+    /// diagnosis is re-anchored this way, because an edit that only moves
+    /// text keeps the obligation's fingerprint but not its positions.
+    pub fn anchor(&mut self, label: &ObligationLabel, source: &str) {
+        let lc = LineMap::new(source).line_col(label.span.start);
+        self.kind = label.kind;
+        self.label_id = Some(label.id);
+        self.span = label.span;
+        self.line = lc.line;
+        self.col = lc.col;
+        self.snippet = label.span.snippet(source).to_string();
+        self.clause = label.detail.clone();
     }
 }
 
@@ -88,7 +103,7 @@ pub fn diagnose_refutation(
     vc: &Vc,
     refutation: &Refutation,
 ) -> Option<Diagnosis> {
-    let primary = refutation.primary.clone()?;
+    let primary = refutation.primary.as_ref()?;
     let plan = match &refutation.model {
         Some(model) => {
             let params = scope
@@ -100,21 +115,22 @@ pub fn diagnose_refutation(
         None => crate::concretize::PreStorePlan::default(),
     };
     let (replay, pre_store, args) = replay_plan(scope, vc.impl_id, &plan, primary.kind);
-    let lc = LineMap::new(source).line_col(primary.span.start);
-    Some(Diagnosis {
+    let mut diagnosis = Diagnosis {
         proc_name: vc.proc_name.clone(),
         kind: primary.kind,
-        label_id: Some(primary.id),
+        label_id: None,
         span: primary.span,
-        line: lc.line,
-        col: lc.col,
-        snippet: primary.span.snippet(source).to_string(),
-        clause: primary.detail,
+        line: 0,
+        col: 0,
+        snippet: String::new(),
+        clause: String::new(),
         touched: touched_chain(refutation),
         pre_store,
         args,
         replay,
-    })
+    };
+    diagnosis.anchor(primary, source);
+    Some(diagnosis)
 }
 
 /// Diagnoses a pivot-uniqueness restriction violation (syntactic, no VC):

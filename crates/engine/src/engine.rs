@@ -601,11 +601,20 @@ impl Engine {
         // Early cutoff: an unchanged scope and body produce the fingerprint
         // they produced before, so a remembered one still in the store is
         // served without restriction checking, vcgen or slicing.
+        // A cached refutation carries the positions of the text it was
+        // first proved against, and a position-only edit keeps both the
+        // cutoff key and the fingerprint, so a refuted hit is re-anchored
+        // in the current text's VC; other hits need none.
         let remembered = self.cutoffs.get(task.cutoff_key);
         if let Some(fingerprint) = remembered {
-            if let Some(hit) = self.cached(fingerprint) {
+            if let Some(mut hit) = self.cached(fingerprint) {
                 #[cfg(debug_assertions)]
                 assert_cutoff_is_sound(checker, impl_id, fingerprint);
+                if hit.outcome == CachedOutcome::NotProved {
+                    if let Ok(vc) = checker.vc(impl_id) {
+                        anchor_refutation(&mut hit, &vc, &unit.source);
+                    }
+                }
                 return served(fingerprint, hit, true);
             }
         }
@@ -668,7 +677,8 @@ impl Engine {
         self.cutoffs.insert(task.cutoff_key, fingerprint);
         // A remembered fingerprint was already looked up above.
         if remembered != Some(fingerprint) {
-            if let Some(hit) = self.cached(fingerprint) {
+            if let Some(mut hit) = self.cached(fingerprint) {
+                anchor_refutation(&mut hit, &vc, &unit.source);
                 return served(fingerprint, hit, false);
             }
         }
@@ -771,6 +781,24 @@ fn fingerprint_of(checker: &Checker, vc: &Vc) -> (BackgroundSlice, Vec<Phase>, F
     let phases = checker.sliced_phases(&slice);
     let fingerprint = fingerprint_vc(vc, &checker.options().budget, &slice.keep, &phases);
     (slice, phases, fingerprint)
+}
+
+/// Re-anchors a cached refutation in `vc`, the VC of the text being
+/// checked now: the primary label and the diagnosis take the span,
+/// detail and rendering of the label with the same id, against `source`.
+/// Label ids are part of the fingerprint; spans are not. Verified and
+/// unknown entries carry neither, and are left as they are.
+fn anchor_refutation(hit: &mut CachedVerdict, vc: &Vc, source: &str) {
+    if let Some(primary) = &mut hit.primary {
+        if let Some(label) = vc.label(primary.id) {
+            *primary = label.clone();
+        }
+    }
+    if let Some(diagnosis) = &mut hit.diagnosis {
+        if let Some(label) = diagnosis.label_id.and_then(|id| vc.label(id)) {
+            diagnosis.anchor(label, source);
+        }
+    }
 }
 
 /// The debug guard behind early cutoff: a cutoff-key hit must be an

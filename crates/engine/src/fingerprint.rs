@@ -75,8 +75,17 @@ use std::str::FromStr;
 /// (exit obligations now allocate first), so v5 refutation attributions
 /// must not be replayed as current. Same migration by miss.
 ///
+/// Version 7: pivot uniqueness (6) and its elem-pivot and slot analogues
+/// are encoded through a partial inverse of the store (`uniq.val`,
+/// `uniq.own`, `uniq.fld`) plus the new `unique-value-owner` axiom,
+/// instead of multi-patterns over pairs of reads. The two axiom sets are
+/// equivalent, so no verdict moves, but every VC with alias restrictions
+/// asserts different hypotheses and the prover's search and telemetry
+/// differ: a v6 entry would replay counters this build no longer
+/// produces. Same migration by miss.
+///
 /// [`PatternPolicy`]: oolong_logic::PatternPolicy
-pub const FINGERPRINT_VERSION: u32 = 6;
+pub const FINGERPRINT_VERSION: u32 = 7;
 
 /// The content address of one proof obligation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -249,8 +258,8 @@ mod tests {
         // shifting bytes would orphan (or worse, mis-serve) disk caches.
         let vcs = vcs_for(BASE);
         let fingerprint = fp(&vcs[0], &Budget::default());
-        assert_eq!(fingerprint.to_string(), PINNED_V6);
+        assert_eq!(fingerprint.to_string(), PINNED_V7);
     }
 
-    const PINNED_V6: &str = "0b892184ff1295342d7da88b6ae11fc3";
+    const PINNED_V7: &str = "7b3067a6269098351e0b4997bc9a897b";
 }

@@ -7,7 +7,8 @@
 //! obligations whose VCs mention it).
 
 use oolong::corpus::{generate_unannotated_source, UnannotatedConfig};
-use oolong::datagroups::{CheckOptions, ObligationKind, Verdict};
+use oolong::datagroups::{CheckOptions, ObligationKind, ObligationLabel, Verdict};
+use oolong::diagnose::Diagnosis;
 use oolong::engine::{
     json, BatchReport, BatchUnit, CachedVerdict, ContextPool, CutoffMap, Engine, EngineOptions,
     Fingerprint, Json, MemoryTier, DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
@@ -810,6 +811,78 @@ fn early_cutoff_reproves_refutations_that_lack_a_diagnosis() {
     let again = explaining.check_source("unit", src);
     assert_eq!((again.cutoff_hits, again.prover_calls), (2, 0));
     assert!(again.obligations[1].diagnosis.is_some());
+}
+
+/// What a report says about each obligation's positions: verdict,
+/// blamed label (span included), refutation labels and diagnosis.
+type Anchored = (
+    String,
+    &'static str,
+    Option<ObligationLabel>,
+    Option<Vec<u32>>,
+    Option<Diagnosis>,
+);
+
+fn anchored(report: &BatchReport) -> Vec<Anchored> {
+    report
+        .obligations
+        .iter()
+        .map(|o| {
+            let refutation = o.verdict.refutation();
+            (
+                o.proc_name.clone(),
+                o.verdict.label(),
+                refutation.and_then(|r| r.primary.clone()),
+                refutation.map(|r| r.labels.clone()),
+                o.diagnosis.clone(),
+            )
+        })
+        .collect()
+}
+
+/// A refutation served from the cache is anchored in the text being
+/// checked, not in the text it was first proved against. Prepending blank
+/// lines keeps every cutoff key and fingerprint; afterwards the cutoff
+/// path of a resident engine and the store path of a second engine over
+/// the same cache directory both report what a fresh engine reports,
+/// diagnosis included.
+#[test]
+fn cached_refutations_follow_position_only_edits() {
+    let source = oolong::corpus::by_name("section31_bad_call")
+        .expect("corpus program")
+        .source;
+    let shifted = format!("\n\n\n{source}");
+    let dir = std::env::temp_dir().join(format!("oolong-anchor-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let explaining = |cache_dir| EngineOptions {
+        diagnose: true,
+        cache_dir,
+        ..EngineOptions::default()
+    };
+    let resident = Engine::new(explaining(Some(dir.clone()))).expect("cache dir opens");
+    let cold = resident.check_source("unit", source);
+    assert_eq!(cold.tally(), (1, 1, 0), "bad_caller is refuted");
+    let cutoff = resident.check_source("unit", &shifted);
+    assert_eq!((cutoff.cutoff_hits, cutoff.prover_calls), (2, 0));
+    let store = Engine::new(explaining(Some(dir.clone())))
+        .expect("cache dir opens")
+        .check_source("unit", &shifted);
+    assert_eq!(
+        (store.cache_hits, store.cutoff_hits, store.prover_calls),
+        (2, 0, 0)
+    );
+    let fresh = Engine::new(explaining(None))
+        .expect("in-memory engine")
+        .check_source("unit", &shifted);
+    assert_eq!(fresh.prover_calls, 2);
+    assert_ne!(
+        anchored(&cold),
+        anchored(&fresh),
+        "the edit moves positions"
+    );
+    assert_eq!(anchored(&cutoff), anchored(&fresh), "cutoff path");
+    assert_eq!(anchored(&store), anchored(&fresh), "store path");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The cutoff map is bounded by the memory tier's capacity, and a

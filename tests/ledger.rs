@@ -18,6 +18,11 @@
 //! UPDATE_GOLDEN=1 cargo test --test ledger
 //! ```
 //!
+//! A re-bless rewrites fingerprints, counters and quantifier rows, but
+//! fails, naming the row, if any verdict, blamed label or exhaustion
+//! reason would move: a deliberate verdict change is a hand edit of the
+//! golden file.
+//!
 //! Each population also re-proves every obligation against its *full*
 //! scope background and asserts that axiom slicing is invisible: the same
 //! verdict, refutation labels, divergence attribution, and work counters,
@@ -350,6 +355,41 @@ fn section(text: &str, population: &str) -> String {
         .collect()
 }
 
+/// The columns a re-bless may not move: unit, procedure, budget,
+/// verdict, primary label, refutation labels and exhausted reason.
+/// Fingerprints, counters and quantifier rows are free to change.
+fn verdict_columns(line: &str) -> Vec<&str> {
+    let columns: Vec<&str> = line.split('\t').collect();
+    [1, 2, 3, 5, 6, 7, 8]
+        .iter()
+        .map(|&i| columns.get(i).copied().unwrap_or("<missing>"))
+        .collect()
+}
+
+/// Refuses a re-bless that would move a verdict: every row of a
+/// population already in the golden file must keep its verdict columns
+/// ([`verdict_columns`]). A deliberate verdict change is made by editing
+/// the golden file by hand, where review sees it.
+fn assert_verdicts_kept(population: &str, actual: &str, golden: &str) {
+    if golden.is_empty() {
+        return;
+    }
+    let (a, g): (Vec<_>, Vec<_>) = (actual.lines().collect(), golden.lines().collect());
+    for (row, (x, y)) in a.iter().zip(&g).enumerate() {
+        assert_eq!(
+            verdict_columns(x),
+            verdict_columns(y),
+            "re-bless would move a verdict in population `{population}`, row {row}; \
+             edit the golden file by hand for a deliberate verdict change"
+        );
+    }
+    assert_eq!(
+        a.len(),
+        g.len(),
+        "re-bless would change the row count of population `{population}`"
+    );
+}
+
 /// Runs one population through a fresh engine per budget, checks slicing
 /// invisibility, and compares (or, with `UPDATE_GOLDEN`, rewrites) the
 /// population's section of the ledger.
@@ -383,6 +423,7 @@ fn check_population(population: &str, units: Vec<BatchUnit>, grid: Vec<(&str, Bu
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         let _guard = BLESS.lock().unwrap_or_else(|e| e.into_inner());
         let old = std::fs::read_to_string(GOLDEN).unwrap_or_default();
+        assert_verdicts_kept(population, &actual, &section(&old, population));
         let out: String = POPULATIONS
             .iter()
             .map(|&p| {

@@ -46,6 +46,7 @@ const WITNESSES: &[(&str, bool, &str, &str)] = &[
     ("section30_q", false, "q", "inclusion-connection"),
     ("array_table", false, "touch_direct", "comparisons-are-ints"),
     ("section30_q", false, "q", "pivot-uniqueness"),
+    ("section30_q", false, "q", "unique-value-owner"),
     ("section30_q", false, "q", "owner-acyclicity"),
     ("section30_q", false, "q", "pivot-values-are-objects"),
     ("array_table", false, "observer", "slot-values-are-objects"),

@@ -36,6 +36,13 @@
 //! dumps every background axiom's declared matching patterns (PATS/MPAT),
 //! its scheduling phase, and where its instantiations landed (background
 //! pre-saturation vs obligation frames) across the program's proofs.
+//!
+//! Everything a command prints goes to standard output through one writer
+//! ([`emit`]). When standard output closes early — the reader went away,
+//! as in `oolong vc corpus:example1 | head -5` — the command prints nothing
+//! more, finishes what it was doing (a batch still writes its cache and
+//! manifest), and exits with status 141 ([`EXIT_BROKEN_PIPE`]), the status
+//! a shell reports for a process ended by `SIGPIPE`, without a message.
 
 use datagroups::{overhead, prover_metrics, BackgroundSlice, CheckOptions, Checker};
 use oolong_diagnose::{Diagnosis, Replay};
@@ -44,15 +51,67 @@ use oolong_interp::{ExecConfig, Interp, RngOracle, RunOutcome};
 use oolong_sema::Scope;
 use oolong_serve::{Client, ServeOptions, Server};
 use oolong_syntax::parse_program;
+use std::fmt;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::OnceLock;
+
+/// The exit status of a command whose standard output closed before it
+/// finished printing: 128 + `SIGPIPE`.
+const EXIT_BROKEN_PIPE: u8 = 141;
+
+/// The error that closed standard output, once a write has failed.
+static STDOUT_FAILED: OnceLock<io::ErrorKind> = OnceLock::new();
+
+/// Writes to standard output, the only way the CLI prints. After a failed
+/// write, further output is dropped; [`main`] turns the failure into the
+/// exit status.
+fn emit(args: fmt::Arguments<'_>) {
+    if STDOUT_FAILED.get().is_some() {
+        return;
+    }
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        let _ = STDOUT_FAILED.set(e.kind());
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let code = match run(&args) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+    };
+    // Line-buffered output still pending must reach the pipe (or fail)
+    // before the status is chosen.
+    if let Err(e) = io::stdout().lock().flush() {
+        let _ = STDOUT_FAILED.set(e.kind());
+    }
+    match STDOUT_FAILED.get() {
+        None => code,
+        Some(io::ErrorKind::BrokenPipe) => ExitCode::from(EXIT_BROKEN_PIPE),
+        Some(kind) => {
+            eprintln!("error: cannot write to standard output: {kind}");
             ExitCode::from(2)
         }
     }
@@ -104,7 +163,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "axioms" => cmd_axioms(&args[1..]),
         "corpus" => cmd_corpus(),
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown subcommand `{other}`\n{}", usage())),
@@ -250,37 +309,37 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         ExitCode::FAILURE
     };
     if flag(args, "--json") {
-        println!("{}", oolong_serve::check_result_json(&report).render());
+        outln!("{}", oolong_serve::check_result_json(&report).render());
         return Ok(status);
     }
     let explain_unknown = flag(args, "--explain-unknown");
     for o in &report.obligations {
-        print!("impl {}: {}", o.proc_name, o.verdict);
+        out!("impl {}: {}", o.proc_name, o.verdict);
         if let Some(stats) = o.verdict.stats() {
-            print!("  [{stats}]");
+            out!("  [{stats}]");
         }
-        println!();
+        outln!();
         if explain {
             if let Some(branch) = o.verdict.open_branch() {
-                println!("  unrefuted scenario:");
+                outln!("  unrefuted scenario:");
                 for line in branch {
-                    println!("    {line}");
+                    outln!("    {line}");
                 }
             }
             for line in o.diagnosis.iter().flat_map(render_diagnosis) {
-                println!("  {line}");
+                outln!("  {line}");
             }
         }
         if explain_unknown {
             if let Some(divergence) = o.verdict.divergence() {
                 for line in divergence.to_string().lines() {
-                    println!("  {line}");
+                    outln!("  {line}");
                 }
             }
         }
     }
     let (v, r, u) = report.tally();
-    println!("{v} verified, {r} rejected, {u} unknown");
+    outln!("{v} verified, {r} rejected, {u} unknown");
     Ok(status)
 }
 
@@ -319,7 +378,7 @@ fn check_modular(
             section
         })
         .collect();
-    println!("{}", sections.join("\n"));
+    outln!("{}", sections.join("\n"));
     Ok(if modules.iter().all(|(_, r)| r.all_verified()) {
         ExitCode::SUCCESS
     } else {
@@ -386,7 +445,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
     }
     let all_verified = obligations.iter().all(|o| o.verdict.is_verified());
     if flag(args, "--json") {
-        println!(
+        outln!(
             "{}",
             oolong_serve::explain_result_json(spec, &report, filter.as_deref()).render()
         );
@@ -397,19 +456,19 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
         });
     }
     for o in &obligations {
-        print!("impl {}: {}", o.proc_name, o.verdict);
+        out!("impl {}: {}", o.proc_name, o.verdict);
         if o.cache_hit {
-            print!("  [cached]");
+            out!("  [cached]");
         }
-        println!();
+        outln!();
         match &o.diagnosis {
             Some(d) => {
                 for line in render_diagnosis(d) {
-                    println!("  {line}");
+                    outln!("  {line}");
                 }
             }
             None if !o.verdict.is_verified() => {
-                println!("  no diagnosis: the refuting branch carried no position label");
+                outln!("  no diagnosis: the refuting branch carried no position label");
             }
             None => {}
         }
@@ -468,7 +527,7 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if flag(args, "--json") {
-        println!(
+        outln!(
             "{}",
             oolong_infer::infer_json(&outcome, accuracy.as_ref(), apply).render()
         );
@@ -480,11 +539,11 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if apply && !is_file {
-        println!("{}", outcome.edited_source.trim_end());
-        println!("---");
+        outln!("{}", outcome.edited_source.trim_end());
+        outln!("---");
     }
     for proposal in &outcome.proposals {
-        println!(
+        outln!(
             "{}: {} {}  [{}, round {}]",
             proposal.proc,
             proposal.kind_name(),
@@ -494,10 +553,10 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     for note in &outcome.notes {
-        println!("note: {note}");
+        outln!("note: {note}");
     }
     if let Some(acc) = &accuracy {
-        println!(
+        outln!(
             "accuracy: {}/{} exact, {} superset, {} other",
             acc.exact(),
             acc.total(),
@@ -505,7 +564,7 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
             acc.other()
         );
     }
-    println!(
+    outln!(
         "{} proposals in {} rounds: fixpoint={}, verified={}{}",
         outcome.proposals.len(),
         outcome.rounds,
@@ -518,7 +577,7 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, String> {
         }
     );
     if !outcome.unverified_procs.is_empty() {
-        println!("unverified: {}", outcome.unverified_procs.join(", "));
+        outln!("unverified: {}", outcome.unverified_procs.join(", "));
     }
     Ok(if outcome.verified {
         ExitCode::SUCCESS
@@ -561,7 +620,7 @@ fn run_batch(
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     if flag(args, "--json") {
-        println!("{}", report.to_json().render());
+        outln!("{}", report.to_json().render());
         return Ok(if report.all_verified() {
             ExitCode::SUCCESS
         } else {
@@ -572,19 +631,21 @@ fn run_batch(
         eprintln!("{}: {}", error.unit, error.message);
     }
     for obligation in &report.obligations {
-        print!(
+        out!(
             "impl {} ({}): {}",
-            obligation.proc_name, obligation.unit, obligation.verdict
+            obligation.proc_name,
+            obligation.unit,
+            obligation.verdict
         );
         if obligation.cache_hit {
-            print!("  [cached]");
+            out!("  [cached]");
         } else if let Some(stats) = obligation.verdict.stats() {
-            print!("  [{stats}]");
+            out!("  [{stats}]");
         }
-        println!();
+        outln!();
     }
     let (v, r, u) = report.tally();
-    println!(
+    outln!(
         "{} obligations: {v} verified, {r} rejected, {u} unknown; {} cache hits, {} prover calls, {:.1} ms",
         report.obligations.len(),
         report.cache_hits,
@@ -738,7 +799,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             .request(line)
             .map_err(|e| format!("request failed: {e}"))?;
         all_ok &= oolong_serve::response_ok(&response);
-        println!("{}", response.render());
+        outln!("{}", response.render());
     }
     Ok(if all_ok {
         ExitCode::SUCCESS
@@ -772,11 +833,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             RunOutcome::OutOfFuel => fuel += 1,
             RunOutcome::Wrong(w) => {
                 wrong += 1;
-                println!("seed {seed}: WRONG — {w}");
+                outln!("seed {seed}: WRONG — {w}");
             }
         }
     }
-    println!(
+    outln!(
         "{seeds} runs: {completed} completed, {blocked} blocked, {wrong} wrong, {fuel} out-of-fuel"
     );
     Ok(if wrong == 0 {
@@ -799,14 +860,14 @@ fn cmd_vc(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         let vc = checker.vc(impl_id).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "=== VC for impl {name} ({} hypotheses)",
             vc.hypotheses.len()
         );
         for (i, h) in vc.hypotheses.iter().enumerate() {
-            println!("H{i}: {h}");
+            outln!("H{i}: {h}");
         }
-        println!("⊢ {}", vc.goal);
+        outln!("⊢ {}", vc.goal);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -845,7 +906,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         kind_counts,
     );
     if flag(args, "--json") {
-        println!(
+        outln!(
             "{}",
             Json::Object(vec![
                 (
@@ -881,14 +942,14 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::SUCCESS);
     }
-    println!("declarations: {}", program.decls.len());
-    println!("attributes:   {}", scope.attr_count());
-    println!("pivots:       {}", scope.pivots().len());
-    println!("procedures:   {}", scope.procs().count());
-    println!("impls:        {}", scope.impls().count());
-    println!("spec overhead: {spec}");
-    println!();
-    print!("{metrics}");
+    outln!("declarations: {}", program.decls.len());
+    outln!("attributes:   {}", scope.attr_count());
+    outln!("pivots:       {}", scope.pivots().len());
+    outln!("procedures:   {}", scope.procs().count());
+    outln!("impls:        {}", scope.impls().count());
+    outln!("spec overhead: {spec}");
+    outln!();
+    out!("{metrics}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1063,7 +1124,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
                 ])
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             Json::Object(vec![
                 ("axioms".to_string(), Json::Array(axioms)),
@@ -1081,14 +1142,14 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
     }
     for (i, axiom) in background.iter().enumerate() {
         let policy = &axiom.policy;
-        println!("{} [{}]", axiom.name, policy.phase);
+        outln!("{} [{}]", axiom.name, policy.phase);
         for t in pats(policy) {
-            println!("  PATS {t}");
+            outln!("  PATS {t}");
         }
         for t in mpat(policy) {
-            println!("  MPAT {t}");
+            outln!("  MPAT {t}");
         }
-        println!(
+        outln!(
             "  {} instances ({} presat + {} goal), {} matches",
             presat[i] + goal[i],
             presat[i],
@@ -1096,7 +1157,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
             matches[i]
         );
     }
-    println!(
+    outln!(
         "total: {} presat + {} goal instances across {} axioms",
         presat.iter().sum::<i64>(),
         goal.iter().sum::<i64>(),
@@ -1107,7 +1168,7 @@ fn cmd_axioms(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_corpus() -> Result<ExitCode, String> {
     for p in oolong_corpus::all() {
-        println!("{:<22} §{}", p.name, p.section);
+        outln!("{:<22} §{}", p.name, p.section);
     }
     Ok(ExitCode::SUCCESS)
 }

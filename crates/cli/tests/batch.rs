@@ -4,7 +4,7 @@
 //! JSONL event log the CLI wrote.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn oolong(args: &[&str], dir: &PathBuf) -> Output {
     Command::new(env!("CARGO_BIN_EXE_oolong"))
@@ -168,4 +168,36 @@ fn vc_honours_checking_flags() {
     for flag in ["--naive", "--null-checks"] {
         assert_ne!(vc(Some(flag)), plain, "`vc {flag}` printed the default VC");
     }
+}
+
+/// A reader that goes away early (`oolong vc … | head -5`) ends the
+/// command quietly: exit status 141, and no panic or backtrace on stderr.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    let dir = std::env::temp_dir().join(format!("oolong-cli-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("test dir");
+    // Forty VCs print far more than a pipe buffers, so with nobody reading
+    // some write must fail, however fast the child runs.
+    let mut source = String::from("group g\nfield f in g\n");
+    for i in 0..40 {
+        source.push_str(&format!(
+            "proc p{i}(r) modifies r.g\nimpl p{i}(r) {{ r.f := {i} }}\n"
+        ));
+    }
+    std::fs::write(dir.join("wide.oo"), source).expect("writes the unit");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_oolong"))
+        .args(["vc", "wide.oo"])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns the oolong binary");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("waits for oolong");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert_eq!(output.status.code(), Some(141));
+    let _ = std::fs::remove_dir_all(&dir);
 }

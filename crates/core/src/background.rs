@@ -20,9 +20,14 @@
 //! keeps E-matching tractable; the generic store-pair form quantifies over
 //! two stores and has no usable trigger).
 
+use crate::slice::SliceTables;
 use oolong_logic::transform::FreshGen;
-use oolong_logic::{Atom, Formula, Pattern, PatternPolicy, Symbol, Term, Trigger};
+use oolong_logic::{
+    Atom, Formula, Pattern, PatternPolicy, Phase, StableHasher, Symbol, Term, Trigger,
+};
 use oolong_sema::{AttrKind, Scope};
+use std::hash::Hash;
+use std::sync::OnceLock;
 
 /// The single point where a background quantifier is built. Every axiom in
 /// this file declares its [`PatternPolicy`] here, and the policy's trigger
@@ -62,6 +67,117 @@ pub struct Axiom {
     pub policy: PatternPolicy,
 }
 
+/// The scope background of one checker, built once and shared by every VC
+/// it generates: the axioms in assertion order, a stable digest of them,
+/// and the relevance-slicing tables, built on the first slice taken.
+///
+/// The digest stands in for the axioms wherever a content address needs
+/// them (the engine's fingerprint and context key), so those hash 16
+/// bytes per obligation instead of the whole background.
+#[derive(Debug)]
+pub struct Background {
+    axioms: Vec<Axiom>,
+    digest: u128,
+    tables: OnceLock<SliceTables>,
+}
+
+impl Background {
+    /// Shares `axioms` as one background and computes its digest.
+    pub fn new(axioms: Vec<Axiom>) -> Background {
+        let mut hasher = StableHasher::new();
+        axioms.len().hash(&mut hasher);
+        for axiom in &axioms {
+            axiom.name.hash(&mut hasher);
+            axiom.formula.hash(&mut hasher);
+            axiom.policy.triggers.hash(&mut hasher);
+            axiom.policy.multi_patterns.hash(&mut hasher);
+            // One byte per phase, independent of the enum's derived `Hash`.
+            (axiom.policy.phase == Phase::GoalDirected).hash(&mut hasher);
+        }
+        Background {
+            axioms,
+            digest: hasher.finish128(),
+            tables: OnceLock::new(),
+        }
+    }
+
+    /// The axioms, in assertion order.
+    pub fn axioms(&self) -> &[Axiom] {
+        &self.axioms
+    }
+
+    /// The number of axioms.
+    pub fn len(&self) -> usize {
+        self.axioms.len()
+    }
+
+    /// Whether there are no axioms.
+    pub fn is_empty(&self) -> bool {
+        self.axioms.is_empty()
+    }
+
+    /// The axioms' formulas, in assertion order.
+    pub fn formulas(&self) -> impl Iterator<Item = &Formula> + '_ {
+        self.axioms.iter().map(|axiom| &axiom.formula)
+    }
+
+    /// A stable 128-bit digest of every axiom's name, formula, declared
+    /// patterns and phase, in order.
+    pub fn digest(&self) -> u128 {
+        self.digest
+    }
+
+    /// The relevance-slicing tables of these axioms, built on first use.
+    pub(crate) fn slice_tables(&self) -> &SliceTables {
+        self.tables
+            .get_or_init(|| SliceTables::new(self.formulas()))
+    }
+
+    /// The axioms `keep` selects, as one handle: see [`SlicedBackground`].
+    pub fn sliced<'a>(&'a self, keep: &'a [bool]) -> SlicedBackground<'a> {
+        debug_assert_eq!(
+            keep.len(),
+            self.len(),
+            "keep mask must cover the background"
+        );
+        SlicedBackground {
+            background: self,
+            keep,
+        }
+    }
+}
+
+/// A relevance slice of a shared [`Background`]: the background and its
+/// keep mask, borrowed. It identifies the kept formulas by the
+/// background's digest and the mask, so it is hashed without touching a
+/// formula.
+#[derive(Debug, Clone, Copy)]
+pub struct SlicedBackground<'a> {
+    background: &'a Background,
+    keep: &'a [bool],
+}
+
+impl<'a> SlicedBackground<'a> {
+    /// The digest of the whole background (see [`Background::digest`]).
+    pub fn digest(&self) -> u128 {
+        self.background.digest
+    }
+
+    /// Which axioms are kept, index-aligned with the background.
+    pub fn keep(&self) -> &'a [bool] {
+        self.keep
+    }
+
+    /// The kept formulas, in order.
+    pub fn formulas(&self) -> impl Iterator<Item = &'a Formula> + 'a {
+        self.background
+            .formulas()
+            .zip(self.keep)
+            .filter(|(_, &k)| k)
+            .map(|(f, _)| f)
+    }
+}
+
 /// The complete background a verification condition asserts for `scope`,
 /// in assertion order: the universal background, then the
 /// scope-dependent background, then — when `alias_restrictions` is off,
@@ -79,8 +195,9 @@ pub struct Axiom {
 /// modules at the arrays level).
 ///
 /// Bound variables are named from `fresh`. The checker builds this list
-/// once and starts every VC's own names from the state it leaves `fresh`
-/// in, so `Vc::hypotheses[..background_hyps]` are exactly these formulas.
+/// once, shares it as one [`Background`], and starts every VC's own names
+/// from the state it leaves `fresh` in, so a VC's leading
+/// `background_hyps` hypotheses are exactly these formulas.
 pub fn axioms(
     scope: &Scope,
     alias_restrictions: bool,

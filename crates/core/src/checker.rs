@@ -3,15 +3,16 @@
 //! generation, axiom slicing and the theorem prover. The engine
 //! (`oolong-engine`) drives them, one implementation per obligation.
 
-use crate::background::Axiom;
+use crate::background::{Axiom, Background, SlicedBackground};
 use crate::restrict::check_pivot_uniqueness;
-use crate::slice::{slice_background, BackgroundSlice};
+use crate::slice::BackgroundSlice;
 use crate::vcgen::{scope_uses_arrays, ObligationLabel, Vc, VcGen};
 use oolong_logic::{Formula, FreshGen, Phase};
 use oolong_prover::{Budget, CandidateModel, Outcome, ScopeContext, SearchStrategy, Stats};
 use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{Diagnostic, Diagnostics, Program};
 use std::fmt;
+use std::sync::Arc;
 
 /// Configuration for a [`Checker`].
 #[derive(Debug, Clone, Default)]
@@ -176,8 +177,10 @@ impl fmt::Display for Verdict {
 /// of that context, with goal-directed axioms armed only inside the frame.
 ///
 /// The scope background (`UBP ∧ BP_D`) is a pure function of the scope and
-/// options, so the checker builds it once; every VC it generates starts
-/// with clones of those formulas.
+/// options, so the checker builds it once, as one shared [`Background`]:
+/// every VC it generates points at it and owns only its `Init(m)` facts
+/// and goal, fingerprints and context keys hash its digest, and slicing
+/// reads its token tables, built on the checker's first slice.
 #[derive(Debug)]
 pub struct Checker {
     scope: Scope,
@@ -185,8 +188,8 @@ pub struct Checker {
     /// Whether the scope is checked at the arrays language level: it uses
     /// array features, or `force_arrays_level` is set.
     pub(crate) arrays: bool,
-    /// The scope background, in assertion order.
-    background: Vec<Axiom>,
+    /// The scope background, shared with every VC.
+    background: Arc<Background>,
     /// The fresh-name state reached after building `background`. Each VC
     /// continues from it, so its names are exactly those it would get if
     /// the background were generated afresh in front of it.
@@ -206,14 +209,27 @@ impl Checker {
 
     /// Wraps an already-analysed scope.
     pub fn from_scope(scope: Scope, options: CheckOptions) -> Checker {
+        Checker::with_background_edit(scope, options, |_| {})
+    }
+
+    /// [`Checker::from_scope`], with `edit` applied to the generated
+    /// background axioms before they are shared. Only for tests that
+    /// perturb one axiom and watch what its digest reaches.
+    #[doc(hidden)]
+    pub fn with_background_edit(
+        scope: Scope,
+        options: CheckOptions,
+        edit: impl FnOnce(&mut [Axiom]),
+    ) -> Checker {
         let arrays = options.force_arrays_level || scope_uses_arrays(&scope);
         let mut fresh = FreshGen::new();
-        let background = crate::background::axioms(&scope, !options.naive, arrays, &mut fresh);
+        let mut axioms = crate::background::axioms(&scope, !options.naive, arrays, &mut fresh);
+        edit(&mut axioms);
         Checker {
             scope,
             options,
             arrays,
-            background,
+            background: Arc::new(Background::new(axioms)),
             fresh,
         }
     }
@@ -257,37 +273,43 @@ impl Checker {
     }
 
     /// The scope-background axioms with their stable names and declared
-    /// activation policies, index-aligned with
-    /// `Vc::hypotheses[..background_hyps]` of every VC this checker
-    /// generates. Lets tests and diagnostics refer to background
+    /// activation policies, index-aligned with the leading
+    /// `background_hyps` entries of `Vc::hypotheses` of every VC this
+    /// checker generates. Lets tests and diagnostics refer to background
     /// hypotheses by name rather than position.
     pub fn background(&self) -> &[Axiom] {
+        self.background.axioms()
+    }
+
+    /// The shared scope background every VC of this checker points at.
+    pub fn shared_background(&self) -> &Arc<Background> {
         &self.background
     }
 
     /// The axiom-relevance slice of a VC's scope background: which of the
-    /// leading `background_hyps` hypotheses to keep.
+    /// leading `background_hyps` hypotheses to keep. Walks only the VC's
+    /// own formulas; the background's side comes from its shared tables.
     pub fn background_slice(&self, vc: &Vc) -> BackgroundSlice {
-        let seeds = vc.hypotheses[vc.background_hyps..]
-            .iter()
-            .chain(std::iter::once(&vc.goal));
-        slice_background(&vc.hypotheses[..vc.background_hyps], seeds)
+        let seeds = vc.hypotheses.init().iter().chain(std::iter::once(&vc.goal));
+        vc.hypotheses.background().slice_tables().slice(seeds)
     }
 
-    /// The kept background formulas of `vc` under `slice`, in order.
-    pub fn sliced_background(&self, vc: &Vc, slice: &BackgroundSlice) -> Vec<Formula> {
-        vc.hypotheses[..vc.background_hyps]
-            .iter()
-            .zip(&slice.keep)
-            .filter(|(_, &k)| k)
-            .map(|(f, _)| f.clone())
-            .collect()
+    /// The kept background of `vc` under `slice`, as a handle on the
+    /// shared background: it is hashed by digest and mask, never by
+    /// formula.
+    pub fn sliced_background<'a>(
+        &self,
+        vc: &'a Vc,
+        slice: &'a BackgroundSlice,
+    ) -> SlicedBackground<'a> {
+        vc.hypotheses.background().sliced(&slice.keep)
     }
 
     /// The kept axioms' scheduling phases under `slice`, index-aligned
-    /// with [`Checker::sliced_background`].
+    /// with the formulas of [`Checker::sliced_background`].
     pub fn sliced_phases(&self, slice: &BackgroundSlice) -> Vec<Phase> {
         self.background
+            .axioms()
             .iter()
             .zip(&slice.keep)
             .filter(|(_, &k)| k)
@@ -300,11 +322,12 @@ impl Checker {
     /// the same. Pre-saturation fires only the `Eager` axioms; the
     /// goal-directed ones arm per obligation inside its frame.
     pub fn context_for_slice(&self, vc: &Vc, slice: &BackgroundSlice) -> ScopeContext {
-        ScopeContext::new(
-            &self.sliced_background(vc, slice),
-            &self.sliced_phases(slice),
-            &self.options.budget,
-        )
+        let formulas: Vec<Formula> = self
+            .sliced_background(vc, slice)
+            .formulas()
+            .cloned()
+            .collect();
+        ScopeContext::new(&formulas, &self.sliced_phases(slice), &self.options.budget)
     }
 
     /// Proves a verification condition inside `ctx` — which must hold the
@@ -312,8 +335,7 @@ impl Checker {
     /// [`Verdict`]. `dropped` is the number of sliced-away axioms, recorded
     /// in the verdict's statistics.
     pub fn verdict_for_vc_in(&self, ctx: &mut ScopeContext, vc: &Vc, dropped: usize) -> Verdict {
-        let init = &vc.hypotheses[vc.background_hyps..];
-        let proof = ctx.prove(init, &vc.goal);
+        let proof = ctx.prove(vc.hypotheses.init(), &vc.goal);
         let mut stats = proof.stats;
         stats.sliced_axioms = dropped;
         match proof.outcome {

@@ -53,9 +53,10 @@ pub mod slice;
 pub mod translate;
 pub mod vcgen;
 
+pub use background::{Axiom, Background, SlicedBackground};
 pub use checker::{CheckOptions, Checker, Refutation, Verdict};
 pub use effects::{ModEntry, ModList};
 pub use metrics::{overhead, prover_metrics, HotAxiom, OverheadReport, ProverMetrics};
 pub use restrict::check_pivot_uniqueness;
 pub use slice::{is_sliceable, slice_background, BackgroundSlice};
-pub use vcgen::{ObligationKind, ObligationLabel, Vc, VcGen};
+pub use vcgen::{Hypotheses, ObligationKind, ObligationLabel, Vc, VcGen};

@@ -24,9 +24,18 @@
 //! the closure. Axioms that are not top-level triggered universals (ground
 //! background facts, and any future untriggered axiom) are always kept and
 //! always contribute — slicing only ever *over*-approximates relevance.
+//!
+//! Everything about the background is computed once, in `SliceTables`:
+//! the tokens some trigger needs get dense ids, and each trigger counts
+//! the tokens it still lacks. Slicing an obligation then walks only the
+//! obligation's own formulas and runs the fixpoint as a worklist over
+//! those counts. A checker's [`Background`] builds its tables on the
+//! first slice and keeps them; [`slice_background`] builds fresh ones and
+//! runs the same code.
+//!
+//! [`Background`]: crate::background::Background
 
 use oolong_logic::{Atom, Cst, Formula, Pattern, Symbol, Term, TermNode};
-use std::collections::HashSet;
 
 /// One vocabulary token of the reachability closure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +53,19 @@ enum Tok {
     Pred(Pred),
 }
 
+impl Tok {
+    /// A total, process-local key: the kind above the symbol id.
+    fn key(self) -> u64 {
+        let (kind, id) = match self {
+            Tok::Var(s) => (0, s.id()),
+            Tok::Attr(s) => (1, s.id()),
+            Tok::Fn(s) => (2, s.id()),
+            Tok::Pred(p) => (3, p as u32),
+        };
+        (kind << 32) | u64::from(id)
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Pred {
     Alive,
@@ -57,21 +79,21 @@ enum Pred {
     IsInt,
 }
 
-fn term_tokens(term: &Term, bound: &[Symbol], out: &mut HashSet<Tok>) {
+fn term_tokens(term: &Term, bound: &[Symbol], out: &mut impl FnMut(Tok)) {
     match term.node() {
         TermNode::Var(v) => {
             if !bound.contains(v) {
-                out.insert(Tok::Var(*v));
+                out(Tok::Var(*v));
             }
         }
         TermNode::Const(c) => {
             if let Cst::Attr(a) = c {
-                out.insert(Tok::Attr(*a));
+                out(Tok::Attr(*a));
             }
         }
         TermNode::App(f, args) => {
             if let oolong_logic::FnSym::Uninterp(name) = f {
-                out.insert(Tok::Fn(*name));
+                out(Tok::Fn(*name));
             }
             for arg in args {
                 term_tokens(arg, bound, out);
@@ -80,7 +102,7 @@ fn term_tokens(term: &Term, bound: &[Symbol], out: &mut HashSet<Tok>) {
     }
 }
 
-fn atom_tokens(atom: &Atom, bound: &[Symbol], out: &mut HashSet<Tok>) {
+fn atom_tokens(atom: &Atom, bound: &[Symbol], out: &mut impl FnMut(Tok)) {
     let pred = match atom {
         Atom::Eq(..) | Atom::BoolTerm(_) => None,
         Atom::Alive(..) => Some(Pred::Alive),
@@ -94,26 +116,24 @@ fn atom_tokens(atom: &Atom, bound: &[Symbol], out: &mut HashSet<Tok>) {
         Atom::IsInt(..) => Some(Pred::IsInt),
     };
     if let Some(p) = pred {
-        out.insert(Tok::Pred(p));
+        out(Tok::Pred(p));
     }
     atom.for_each_term(&mut |t| term_tokens(t, bound, out));
 }
 
-fn pattern_tokens(pattern: &Pattern, bound: &[Symbol], out: &mut HashSet<Tok>) {
+fn pattern_tokens(pattern: &Pattern, bound: &[Symbol], out: &mut impl FnMut(Tok)) {
     match pattern {
-        Pattern::Term(t) => {
-            term_tokens(t, bound, out);
-            // A bare uninterpreted application's head is its match symbol;
-            // term_tokens already records it. Nothing extra to do.
-        }
+        // A bare uninterpreted application's head is its match symbol;
+        // term_tokens records it.
+        Pattern::Term(t) => term_tokens(t, bound, out),
         Pattern::Atom(a) => atom_tokens(a, bound, out),
     }
 }
 
-/// Collects every token of `f` that is visible from outside: free
+/// Emits every token of `f` that is visible from outside: free
 /// constants, attribute constants, uninterpreted functions, and predicate
 /// heads, excluding variables bound by any enclosing or inner quantifier.
-fn formula_tokens(f: &Formula, bound: &mut Vec<Symbol>, out: &mut HashSet<Tok>) {
+fn formula_tokens(f: &Formula, bound: &mut Vec<Symbol>, out: &mut impl FnMut(Tok)) {
     match f {
         Formula::True | Formula::False => {}
         Formula::Atom(a) => atom_tokens(a, bound, out),
@@ -165,101 +185,179 @@ impl BackgroundSlice {
     pub fn dropped(&self) -> usize {
         self.keep.len() - self.kept()
     }
+}
 
-    /// The kept axioms of `background`, in order.
-    pub fn apply<'a>(&self, background: &'a [Formula]) -> Vec<&'a Formula> {
-        background
+/// One trigger of a sliceable axiom.
+#[derive(Debug)]
+struct TriggerEntry {
+    /// The axiom the trigger belongs to.
+    axiom: u32,
+    /// How many distinct tokens its patterns need.
+    needs: u32,
+}
+
+/// Everything slicing needs to know about one background, computed once:
+/// which tokens the triggers need, what each axiom contributes when kept,
+/// and which triggers wait on each token.
+#[derive(Debug)]
+pub(crate) struct SliceTables {
+    /// The key of every token some trigger needs, sorted; a token's
+    /// position is its dense id. Other tokens can never make a trigger
+    /// viable, so the closure does not track them.
+    keys: Vec<u64>,
+    /// Per axiom: the dense ids of its vocabulary, added to the closure
+    /// when it is kept.
+    contributes: Vec<Vec<u32>>,
+    /// Every trigger of every sliceable axiom.
+    triggers: Vec<TriggerEntry>,
+    /// Per dense id: the triggers that need that token.
+    watchers: Vec<Vec<u32>>,
+    /// Axioms kept whatever the obligation: unsliceable ones, and those
+    /// with a trigger that needs no token at all.
+    always: Vec<u32>,
+}
+
+impl SliceTables {
+    /// Builds the tables of `background`, in assertion order.
+    pub(crate) fn new<'a>(background: impl IntoIterator<Item = &'a Formula>) -> SliceTables {
+        let background: Vec<&Formula> = background.into_iter().collect();
+        let mut bound = Vec::new();
+        // Each sliceable axiom's triggers as token-key sets.
+        let trigger_keys: Vec<Option<Vec<Vec<u64>>>> = background
             .iter()
-            .zip(&self.keep)
-            .filter(|(_, &k)| k)
-            .map(|(f, _)| f)
-            .collect()
+            .map(|axiom| match axiom {
+                Formula::Forall(vars, triggers, _) if !triggers.is_empty() => Some(
+                    triggers
+                        .iter()
+                        .map(|trigger| {
+                            let mut keys = Vec::new();
+                            for pattern in &trigger.0 {
+                                // The binder list as `bound` keeps the
+                                // quantified variables out of the set.
+                                pattern_tokens(pattern, vars, &mut |t| keys.push(t.key()));
+                            }
+                            keys.sort_unstable();
+                            keys.dedup();
+                            keys
+                        })
+                        .collect(),
+                ),
+                _ => None,
+            })
+            .collect();
+        let mut keys: Vec<u64> = trigger_keys
+            .iter()
+            .flatten()
+            .flatten()
+            .flatten()
+            .copied()
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let id = |key: u64| keys.binary_search(&key).ok().map(|i| i as u32);
+
+        let contributes = background
+            .iter()
+            .map(|axiom| {
+                let mut ids = Vec::new();
+                formula_tokens(axiom, &mut bound, &mut |t| ids.extend(id(t.key())));
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            })
+            .collect();
+        let mut triggers = Vec::new();
+        let mut watchers = vec![Vec::new(); keys.len()];
+        let mut always = Vec::new();
+        for (axiom, sets) in trigger_keys.iter().enumerate() {
+            let axiom = axiom as u32;
+            let Some(sets) = sets else {
+                always.push(axiom);
+                continue;
+            };
+            for set in sets {
+                if set.is_empty() {
+                    always.push(axiom);
+                }
+                let trigger = triggers.len() as u32;
+                for &key in set {
+                    watchers[id(key).expect("trigger tokens are interned") as usize].push(trigger);
+                }
+                triggers.push(TriggerEntry {
+                    axiom,
+                    needs: set.len() as u32,
+                });
+            }
+        }
+        SliceTables {
+            keys,
+            contributes,
+            triggers,
+            watchers,
+            always,
+        }
+    }
+
+    /// The slice for an obligation whose non-background hypotheses and
+    /// goal are `seeds`.
+    ///
+    /// Kept ⊇ every axiom that could match during the proof; see the
+    /// module docs for the argument. The closure is the least fixpoint, so
+    /// the order of seeds and axioms never affects the result, and the
+    /// tables are only read.
+    pub(crate) fn slice<'a>(
+        &self,
+        seeds: impl IntoIterator<Item = &'a Formula>,
+    ) -> BackgroundSlice {
+        let mut keep = vec![false; self.contributes.len()];
+        let mut reached = vec![false; self.keys.len()];
+        let mut missing: Vec<u32> = self.triggers.iter().map(|t| t.needs).collect();
+        let mut queue: Vec<u32> = Vec::new();
+        fn reach(id: u32, reached: &mut [bool], queue: &mut Vec<u32>) {
+            if !std::mem::replace(&mut reached[id as usize], true) {
+                queue.push(id);
+            }
+        }
+        let mut bound = Vec::new();
+        for f in seeds {
+            formula_tokens(f, &mut bound, &mut |t| {
+                if let Ok(id) = self.keys.binary_search(&t.key()) {
+                    reach(id as u32, &mut reached, &mut queue);
+                }
+            });
+        }
+        let mut kept: Vec<u32> = self.always.clone();
+        loop {
+            // Keep an axiom once some trigger's tokens are all reached;
+            // its vocabulary then feeds back into the closure.
+            for axiom in kept.drain(..) {
+                if !std::mem::replace(&mut keep[axiom as usize], true) {
+                    for &id in &self.contributes[axiom as usize] {
+                        reach(id, &mut reached, &mut queue);
+                    }
+                }
+            }
+            let Some(id) = queue.pop() else { break };
+            for &trigger in &self.watchers[id as usize] {
+                let count = &mut missing[trigger as usize];
+                *count -= 1;
+                if *count == 0 {
+                    kept.push(self.triggers[trigger as usize].axiom);
+                }
+            }
+        }
+        BackgroundSlice { keep }
     }
 }
 
 /// Computes the reachable-vocabulary slice of `background` for an
-/// obligation whose non-background hypotheses and goal are `seeds`.
-///
-/// Kept ⊇ every axiom that could match during the proof; see the module
-/// docs for the argument. The result is deterministic (iteration order
-/// never affects the fixpoint).
+/// obligation whose non-background hypotheses and goal are `seeds`, with
+/// tables built for this one call (a checker reuses its background's).
 pub fn slice_background<'a>(
     background: &[Formula],
     seeds: impl IntoIterator<Item = &'a Formula>,
 ) -> BackgroundSlice {
-    let mut closure: HashSet<Tok> = HashSet::new();
-    let mut scratch = Vec::new();
-    for f in seeds {
-        formula_tokens(f, &mut scratch, &mut closure);
-    }
-
-    // Per-axiom: trigger token sets (for viability) and full contribution.
-    let mut contribution: Vec<HashSet<Tok>> = Vec::with_capacity(background.len());
-    let mut trigger_sets: Vec<Option<Vec<Vec<HashSet<Tok>>>>> =
-        Vec::with_capacity(background.len());
-    let mut keep = vec![false; background.len()];
-    for (i, axiom) in background.iter().enumerate() {
-        let mut contrib = HashSet::new();
-        formula_tokens(axiom, &mut scratch, &mut contrib);
-        contribution.push(contrib);
-        match axiom {
-            Formula::Forall(vars, triggers, _) if !triggers.is_empty() => {
-                let sets = triggers
-                    .iter()
-                    .map(|trigger| {
-                        trigger
-                            .0
-                            .iter()
-                            .map(|pattern| {
-                                let mut toks = HashSet::new();
-                                // Passing the binder list as `bound` keeps
-                                // the quantified variables out of the set.
-                                pattern_tokens(pattern, vars, &mut toks);
-                                toks
-                            })
-                            .collect()
-                    })
-                    .collect();
-                trigger_sets.push(Some(sets));
-            }
-            _ => {
-                // Not sliceable: always kept, contributes immediately.
-                trigger_sets.push(None);
-                keep[i] = true;
-            }
-        }
-    }
-    for (i, kept) in keep.iter().enumerate() {
-        if *kept {
-            closure.extend(contribution[i].iter().copied());
-        }
-    }
-
-    // Fixpoint: keep an axiom once some trigger's patterns all draw on the
-    // closure; its vocabulary then feeds back into the closure.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..background.len() {
-            if keep[i] {
-                continue;
-            }
-            let sets = trigger_sets[i]
-                .as_ref()
-                .expect("unkept axioms are sliceable");
-            let viable = sets.iter().any(|trigger| {
-                trigger
-                    .iter()
-                    .all(|pattern| pattern.iter().all(|t| closure.contains(t)))
-            });
-            if viable {
-                keep[i] = true;
-                closure.extend(contribution[i].iter().copied());
-                changed = true;
-            }
-        }
-    }
-    BackgroundSlice { keep }
+    SliceTables::new(background).slice(seeds)
 }
 
 #[cfg(test)]

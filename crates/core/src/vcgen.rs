@@ -14,6 +14,7 @@
 //! store advances to `S_pre⁺`. The field-allocation rule is treated
 //! correspondingly: the final store is `$⁺(tr(E)·f := new($))`.
 
+use crate::background::Background;
 use crate::checker::Checker;
 use crate::effects::{ModEntry, ModList};
 use crate::translate::{tr_formula, tr_value};
@@ -22,6 +23,7 @@ use oolong_logic::{Atom, Formula, Pattern, Symbol, Term, Trigger};
 use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{Cmd, Diagnostic, Expr, Span};
 use std::fmt;
+use std::sync::Arc;
 
 /// The kind of proof obligation a position label marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,12 +113,12 @@ pub struct Vc {
     pub impl_id: ImplId,
     /// Name of the implemented procedure.
     pub proc_name: String,
-    /// `UBP ∧ BP_D ∧ Init(m)`, as separate hypotheses.
-    pub hypotheses: Vec<Formula>,
+    /// `UBP ∧ BP_D ∧ Init(m)`, as separate hypotheses: the checker's
+    /// shared background, then this implementation's own `Init(m)` facts.
+    pub hypotheses: Hypotheses,
     /// How many leading entries of `hypotheses` are scope-level background
     /// axioms (`UBP ∧ BP_D`, plus the closed-world axioms in naive mode);
-    /// the rest are the per-implementation `Init(m)` facts. This is the
-    /// "axiom set for its scope" component of a VC's content address.
+    /// the rest are the per-implementation `Init(m)` facts.
     pub background_hyps: usize,
     /// `wlp_{w,$0}(C, true)`.
     pub goal: Formula,
@@ -149,6 +151,53 @@ impl Vc {
     /// unlabelled VC.
     pub fn size(&self) -> usize {
         self.hypotheses.iter().map(Formula::size).sum::<usize>() + self.goal.size()
+    }
+}
+
+/// The hypotheses of a [`Vc`]: the checker's shared scope background
+/// followed by the implementation's own `Init(m)` facts. Only the latter
+/// belong to the VC; the background is one [`Arc`] for every VC of a
+/// checker.
+#[derive(Debug, Clone)]
+pub struct Hypotheses {
+    background: Arc<Background>,
+    init: Vec<Formula>,
+}
+
+impl Hypotheses {
+    /// `background`'s formulas followed by `init`.
+    pub fn new(background: Arc<Background>, init: Vec<Formula>) -> Hypotheses {
+        Hypotheses { background, init }
+    }
+
+    /// The total number of hypotheses, background included.
+    pub fn len(&self) -> usize {
+        self.background.len() + self.init.len()
+    }
+
+    /// Whether there are no hypotheses at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The shared scope background.
+    pub fn background(&self) -> &Arc<Background> {
+        &self.background
+    }
+
+    /// The implementation's own `Init(m)` facts.
+    pub fn init(&self) -> &[Formula] {
+        &self.init
+    }
+
+    /// Every hypothesis, background first.
+    pub fn iter(&self) -> impl Iterator<Item = &Formula> + '_ {
+        self.background.formulas().chain(&self.init)
+    }
+
+    /// Every hypothesis, background first, as owned formulas.
+    pub fn to_vec(&self) -> Vec<Formula> {
+        self.iter().cloned().collect()
     }
 }
 
@@ -292,15 +341,11 @@ impl<'s> VcGen<'s> {
             .map(|r| ModList::new(self.scope, r, &params));
 
         // The scope-level background (universal, scope-dependent, and — for
-        // the naive baseline — the unsound closed-world additions), in the
-        // checker's order so axiom names align with hypothesis indices.
-        let mut hypotheses: Vec<Formula> = self
-            .checker
-            .background()
-            .iter()
-            .map(|axiom| axiom.formula.clone())
-            .collect();
-        let background_hyps = hypotheses.len();
+        // the naive baseline — the unsound closed-world additions) is the
+        // checker's, shared; the VC owns only what follows it.
+        let background = Arc::clone(self.checker.shared_background());
+        let background_hyps = background.len();
+        let mut hypotheses: Vec<Formula> = Vec::new();
         // Init(m): $ = $0, plus ownExcl and alive for each formal (5).
         hypotheses.push(Formula::eq(Term::store(), Term::store0()));
         // Fieldwise reflexivity, pre-derived: every modifies entry's own
@@ -352,7 +397,7 @@ impl<'s> VcGen<'s> {
         Ok(Vc {
             impl_id,
             proc_name: proc.name.clone(),
-            hypotheses,
+            hypotheses: Hypotheses::new(background, hypotheses),
             background_hyps,
             goal,
             labels: std::mem::take(&mut self.labels),
@@ -807,7 +852,7 @@ mod tests {
             .find(|(_, i)| scope.proc_info(i.proc).name == proc_name)
             .expect("impl exists");
         let vc = checker.vc(impl_id).expect("vc generates");
-        prove(&vc.hypotheses, &vc.goal, &Budget::default()).outcome
+        prove(&vc.hypotheses.to_vec(), &vc.goal, &Budget::default()).outcome
     }
 
     fn first_vc(src: &str) -> Vc {
@@ -1231,7 +1276,7 @@ mod tests {
             obj2: Term::var("t"),
             attr2: Term::attr("g"),
         });
-        assert!(vc.hypotheses.contains(&reflexive));
+        assert!(vc.hypotheses.init().contains(&reflexive));
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! for its own trail frame, not for background saturation.
 //!
 //! Keys are stable 128-bit hashes over everything a context's behaviour
-//! depends on: the sliced background formula list (in order), its
-//! activation phases, the prover budget, and the search strategy (which
-//! has a single value). A key may hold several contexts, one per
+//! depends on: the sliced background — the digest of the checker's whole
+//! background and the keep mask, which together determine the kept
+//! formulas in order — its activation phases, the prover budget, and the
+//! search strategy (which has a single value). The digest is content, not
+//! identity: checkers of equal backgrounds (an edited unit re-checked by a
+//! resident engine) share contexts. A key may hold several contexts, one per
 //! concurrent borrower: a checkout takes an idle context for the key, or
 //! a fresh empty slot when every context for it is busy, so same-scope
 //! obligations on different threads prove in parallel instead of queueing
@@ -20,7 +23,8 @@
 //! contexts, bounded capacity) merely drops the pool's reference — a
 //! checked-out context survives until its borrower finishes.
 
-use oolong_logic::{Formula, Phase, StableHasher};
+use datagroups::SlicedBackground;
+use oolong_logic::{Phase, StableHasher};
 use oolong_prover::{Budget, ScopeContext, SearchStrategy};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,19 +33,21 @@ use std::sync::{Arc, Mutex};
 /// Default number of warm contexts a pool retains.
 pub const DEFAULT_CONTEXT_CAPACITY: usize = 64;
 
-/// The stable identity of a scope context: sliced background + activation
-/// phases + budget + strategy. Two obligations with equal keys can share a
-/// context. The phase list is part of the identity because it determines
-/// what the context pre-saturated: the same background under a different
-/// phase assignment holds a different E-graph.
+/// The stable identity of a scope context: sliced background (as the
+/// background's digest and the keep mask) + activation phases + budget +
+/// strategy. Two obligations with equal keys can share a context. The
+/// phase list is part of the identity because it determines what the
+/// context pre-saturated: the same background under a different phase
+/// assignment holds a different E-graph. No formula is hashed or cloned.
 pub fn context_key(
-    background: &[Formula],
+    background: &SlicedBackground<'_>,
     phases: &[Phase],
     budget: &Budget,
     strategy: SearchStrategy,
 ) -> u128 {
     let mut hasher = StableHasher::new();
-    background.hash(&mut hasher);
+    background.digest().hash(&mut hasher);
+    background.keep().hash(&mut hasher);
     // Byte-stable phase mask (see `fingerprint_vc`): one bool per axiom.
     let mask: Vec<bool> = phases.iter().map(|&p| p == Phase::GoalDirected).collect();
     mask.hash(&mut hasher);
@@ -142,36 +148,38 @@ impl ContextPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oolong_logic::Term;
+    use datagroups::{Axiom, Background};
+    use oolong_logic::{Formula, PatternPolicy, Term};
 
-    fn backgrounds() -> (Vec<Formula>, Vec<Formula>) {
-        let a = vec![Formula::eq(Term::var("a"), Term::var("b"))];
-        let b = vec![Formula::eq(Term::var("a"), Term::var("c"))];
+    fn background(formula: Formula) -> Background {
+        Background::new(vec![Axiom {
+            name: "fact".to_string(),
+            formula,
+            policy: PatternPolicy::eager(Vec::new()),
+        }])
+    }
+
+    fn backgrounds() -> (Background, Background) {
+        let a = background(Formula::eq(Term::var("a"), Term::var("b")));
+        let b = background(Formula::eq(Term::var("a"), Term::var("c")));
         (a, b)
     }
 
     #[test]
     fn key_separates_background_phases_and_budget() {
         let (a, b) = backgrounds();
-        let eager = vec![Phase::Eager; a.len()];
-        let gated = vec![Phase::GoalDirected; a.len()];
-        let base = context_key(&a, &eager, &Budget::default(), SearchStrategy::Trail);
-        assert_eq!(
-            base,
-            context_key(&a, &eager, &Budget::default(), SearchStrategy::Trail)
-        );
-        assert_ne!(
-            base,
-            context_key(&b, &eager, &Budget::default(), SearchStrategy::Trail)
-        );
-        assert_ne!(
-            base,
-            context_key(&a, &gated, &Budget::default(), SearchStrategy::Trail)
-        );
-        assert_ne!(
-            base,
-            context_key(&a, &eager, &Budget::tiny(), SearchStrategy::Trail)
-        );
+        let (all, none) = ([true], [false]);
+        let eager = [Phase::Eager];
+        let gated = [Phase::GoalDirected];
+        let key = |bg: &Background, keep: &[bool], phases: &[Phase], budget: &Budget| {
+            context_key(&bg.sliced(keep), phases, budget, SearchStrategy::Trail)
+        };
+        let base = key(&a, &all, &eager, &Budget::default());
+        assert_eq!(base, key(&a, &all, &eager, &Budget::default()));
+        assert_ne!(base, key(&b, &all, &eager, &Budget::default()));
+        assert_ne!(base, key(&a, &none, &[], &Budget::default()));
+        assert_ne!(base, key(&a, &all, &gated, &Budget::default()));
+        assert_ne!(base, key(&a, &all, &eager, &Budget::tiny()));
     }
 
     #[test]
@@ -245,15 +253,16 @@ mod tests {
         let (a, _) = backgrounds();
         let pool = ContextPool::with_capacity(4);
         let key = context_key(
-            &a,
-            &vec![Phase::Eager; a.len()],
+            &a.sliced(&[true]),
+            &[Phase::Eager],
             &Budget::default(),
             SearchStrategy::Trail,
         );
         {
             let slot = pool.checkout(key);
             let mut guard = slot.lock().unwrap();
-            guard.get_or_insert_with(|| ScopeContext::new(&a, &[], &Budget::default()));
+            let formulas: Vec<Formula> = a.formulas().cloned().collect();
+            guard.get_or_insert_with(|| ScopeContext::new(&formulas, &[], &Budget::default()));
         }
         let slot = pool.checkout(key);
         assert!(slot.lock().unwrap().is_some());

@@ -687,9 +687,8 @@ impl Engine {
         // thereby saturating) one only when no idle context for this sliced
         // background is pooled. Each concurrent borrower gets its own
         // context, so same-scope obligations prove in parallel too.
-        let background = checker.sliced_background(&vc, &slice);
         let key = context_key(
-            &background,
+            &checker.sliced_background(&vc, &slice),
             &phases,
             &checker.options().budget,
             checker.options().strategy,

@@ -1,21 +1,27 @@
 //! Content addresses for proof obligations.
 //!
-//! A proof obligation's verdict is a pure function of three inputs: the
-//! clausified verification condition (goal plus hypotheses, which embed the
-//! exact background-axiom set of the implementation's scope), and the
-//! prover [`Budget`] (a starved budget can turn `Proved` into `Unknown`,
-//! so budgets are part of the obligation's identity, not metadata). The
-//! [`Fingerprint`] is a stable 128-bit structural hash over exactly those
-//! inputs plus a format version, and it is the verdict store's key.
+//! A proof obligation's verdict is a pure function of its verification
+//! condition (the scope background it is proved against, its own `Init(m)`
+//! hypotheses and its goal), the relevance slice and activation phases of
+//! that background, and the prover [`Budget`] (a starved budget can turn
+//! `Proved` into `Unknown`, so budgets are part of the obligation's
+//! identity, not metadata). The [`Fingerprint`] is a stable 128-bit
+//! structural hash over exactly those inputs plus a format version, and it
+//! is the verdict store's key. The background enters as the digest the
+//! checker computed once when it built it
+//! ([`datagroups::Background::digest`]), so an obligation hashes its own
+//! formulas and 16 bytes for the ~200 axioms of its scope.
 //!
-//! There is no dependency graph to maintain. Editing a declaration (a
-//! group, a `modifies` clause, a pivot field) changes the generated
-//! hypotheses or goal of exactly the implementations whose scope or
-//! license the declaration participates in, so precisely those
-//! obligations get new fingerprints and re-run — the engine-level
-//! reflection of the paper's modular-soundness property that a verdict
-//! depends only on an implementation's scope. Computing a fingerprint
-//! still costs a VC generation, so the engine first consults a
+//! There is no dependency graph to maintain, and the fingerprint is
+//! conservative rather than minimal: every VC embeds the *whole* scope
+//! background, so any edit that changes that background — one unused
+//! `group` declaration appended to a unit, say — gives every obligation of
+//! the unit a new fingerprint, whether or not its proof could use the new
+//! axioms (on a 200-procedure unit such an edit re-proves 182 of 200
+//! obligations). Edits that leave the background alone (a body, or a
+//! `modifies` clause) change the hypotheses or goal of just the
+//! implementations that read them, so only those re-run. Computing a
+//! fingerprint still costs a VC generation, so the engine first consults a
 //! source-level cutoff key ([`crate::cutoff`]): when an implementation's
 //! scope and body are unchanged, the fingerprint it produced last time is
 //! reused without generating the VC. The fingerprint stays the only
@@ -84,8 +90,16 @@ use std::str::FromStr;
 /// differ: a v6 entry would replay counters this build no longer
 /// produces. Same migration by miss.
 ///
+/// Version 8: the scope background is hashed as its digest (every
+/// axiom's name, formula, declared patterns and phase, in order, hashed
+/// once per checker) instead of formula by formula inside each VC's
+/// hypothesis list, followed by the VC's own `Init(m)` hypotheses. The
+/// inputs cover what v7 covered and more (axiom names and pattern
+/// policies), but the byte stream differs, so every v7 fingerprint is
+/// unreachable. Same migration by miss.
+///
 /// [`PatternPolicy`]: oolong_logic::PatternPolicy
-pub const FINGERPRINT_VERSION: u32 = 7;
+pub const FINGERPRINT_VERSION: u32 = 8;
 
 /// The content address of one proof obligation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,10 +125,11 @@ impl FromStr for Fingerprint {
 pub fn fingerprint_vc(vc: &Vc, budget: &Budget, keep: &[bool], phases: &[Phase]) -> Fingerprint {
     let mut hasher = StableHasher::new();
     FINGERPRINT_VERSION.hash(&mut hasher);
+    vc.hypotheses.background().digest().hash(&mut hasher);
     // The background/Init split is part of the content: the same formula
     // multiset partitioned differently is a different provenance.
     vc.background_hyps.hash(&mut hasher);
-    vc.hypotheses.hash(&mut hasher);
+    vc.hypotheses.init().hash(&mut hasher);
     vc.goal.hash(&mut hasher);
     budget.hash(&mut hasher);
     keep.hash(&mut hasher);
@@ -258,8 +273,8 @@ mod tests {
         // shifting bytes would orphan (or worse, mis-serve) disk caches.
         let vcs = vcs_for(BASE);
         let fingerprint = fp(&vcs[0], &Budget::default());
-        assert_eq!(fingerprint.to_string(), PINNED_V7);
+        assert_eq!(fingerprint.to_string(), PINNED_V8);
     }
 
-    const PINNED_V7: &str = "7b3067a6269098351e0b4997bc9a897b";
+    const PINNED_V8: &str = "b327bd0a45444fd77b379904ebf276db";
 }

@@ -6,10 +6,11 @@
 //! position labels must not change any prover outcome or statistic.
 
 use oolong::corpus::{self, SeededBug};
-use oolong::datagroups::{CheckOptions, Checker, Vc, Verdict};
+use oolong::datagroups::{CheckOptions, Checker, Hypotheses, Vc, Verdict};
 use oolong::diagnose::Replay;
 use oolong::engine::{Engine, EngineOptions, ObligationReport};
 use oolong::syntax::parse_program;
+use std::sync::Arc;
 
 /// Checks `source` through an engine with diagnosis on, exactly as
 /// `oolong check --explain` and the serve `explain` command do: every
@@ -174,7 +175,14 @@ fn strip_vc(vc: &Vc) -> Vc {
     Vc {
         impl_id: vc.impl_id,
         proc_name: vc.proc_name.clone(),
-        hypotheses: vc.hypotheses.iter().map(|h| h.strip_labels()).collect(),
+        hypotheses: Hypotheses::new(
+            Arc::clone(vc.hypotheses.background()),
+            vc.hypotheses
+                .init()
+                .iter()
+                .map(|h| h.strip_labels())
+                .collect(),
+        ),
         background_hyps: vc.background_hyps,
         goal: vc.goal.strip_labels(),
         labels: Vec::new(),

@@ -7,13 +7,16 @@
 //! obligations whose VCs mention it).
 
 use oolong::corpus::{generate_unannotated_source, UnannotatedConfig};
-use oolong::datagroups::{CheckOptions, ObligationKind, ObligationLabel, Verdict};
+use oolong::datagroups::{Axiom, CheckOptions, Checker, ObligationKind, ObligationLabel, Verdict};
 use oolong::diagnose::Diagnosis;
 use oolong::engine::{
-    json, BatchReport, BatchUnit, CachedVerdict, ContextPool, CutoffMap, Engine, EngineOptions,
-    Fingerprint, Json, MemoryTier, DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
+    context_key, fingerprint_vc, json, BatchReport, BatchUnit, CachedVerdict, ContextPool,
+    CutoffMap, Engine, EngineOptions, Fingerprint, Json, MemoryTier, DEFAULT_CONTEXT_CAPACITY,
+    DEFAULT_MEMORY_CAPACITY,
 };
+use oolong::logic::{Formula, Phase};
 use oolong::prover::Stats;
+use oolong::sema::Scope;
 use oolong::syntax::{parse_program, MAX_NESTING};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -342,6 +345,94 @@ fn fingerprints_cover_what_the_background_is_built_from() {
             }
         }
         assert!(moved > 0, "{input}: no fingerprint changed");
+    }
+}
+
+/// Fingerprint completeness over the scope background: the engine hashes
+/// the background as one digest, so the digest must see every part of an
+/// axiom the prover reads. Reordering one axiom's trigger alternatives, or
+/// flipping one axiom's phase, must change the digest and with it every
+/// fingerprint and every context key of the checker.
+#[test]
+fn background_digest_covers_triggers_and_phases() {
+    const SRC: &str = "group g
+         field f in g
+         field h
+         proc p(r) modifies r.g
+         impl p(r) { r.f := 1 }
+         proc q(r) modifies r.g, r.h
+         impl q(r) { r.h := 2 ; p(r) }";
+    let program = parse_program(SRC).expect("parses");
+    let build = |edit: fn(&mut [Axiom])| {
+        let scope = Scope::analyze(&program).expect("analyses");
+        Checker::with_background_edit(scope, CheckOptions::default(), edit)
+    };
+    // The digest, and per implementation its fingerprint and context key.
+    let identity = |checker: &Checker| {
+        let budget = &checker.options().budget;
+        let keys: Vec<(Fingerprint, u128)> = checker
+            .scope()
+            .impls()
+            .map(|(id, _)| {
+                let vc = checker.vc(id).expect("vc generates");
+                let slice = checker.background_slice(&vc);
+                let phases = checker.sliced_phases(&slice);
+                let fingerprint = fingerprint_vc(&vc, budget, &slice.keep, &phases);
+                let background = checker.sliced_background(&vc, &slice);
+                let key = context_key(&background, &phases, budget, checker.options().strategy);
+                (fingerprint, key)
+            })
+            .collect();
+        (checker.shared_background().digest(), keys)
+    };
+    let base = identity(&build(|_| {}));
+    assert_eq!(
+        base,
+        identity(&build(|_| {})),
+        "the identity is deterministic"
+    );
+    assert_eq!(base.1.len(), 2);
+
+    // The first axiom with a multi-pattern trigger, the patterns of that
+    // trigger reversed in the formula and the declared policy alike.
+    fn reverse_triggers(axioms: &mut [Axiom]) {
+        let axiom = axioms
+            .iter_mut()
+            .find(|a| !a.policy.multi_patterns.is_empty())
+            .expect("some axiom declares a multi-pattern");
+        let Formula::Forall(_, triggers, _) = &mut axiom.formula else {
+            panic!("`{}` declares triggers but is no quantifier", axiom.name);
+        };
+        let declared = &mut axiom.policy.multi_patterns[0];
+        let trigger = triggers
+            .iter_mut()
+            .find(|t| *t == declared)
+            .expect("the policy's triggers are the formula's");
+        trigger.0.reverse();
+        declared.0.reverse();
+    }
+    fn flip_phase(axioms: &mut [Axiom]) {
+        let policy = &mut axioms[0].policy;
+        policy.phase = match policy.phase {
+            Phase::Eager => Phase::GoalDirected,
+            Phase::GoalDirected => Phase::Eager,
+        };
+    }
+    type Edit = fn(&mut [Axiom]);
+    let edits: [(&str, Edit); 2] = [
+        ("one trigger's patterns reordered", reverse_triggers),
+        ("one axiom's phase flipped", flip_phase),
+    ];
+    for (edit, apply) in edits {
+        let (digest, keys) = identity(&build(apply));
+        assert_ne!(digest, base.0, "{edit}: the background digest did not move");
+        for ((fingerprint, key), (base_fingerprint, base_key)) in keys.iter().zip(&base.1) {
+            assert_ne!(
+                fingerprint, base_fingerprint,
+                "{edit}: a fingerprint did not move"
+            );
+            assert_ne!(key, base_key, "{edit}: a context key did not move");
+        }
     }
 }
 

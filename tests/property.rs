@@ -116,7 +116,7 @@ fn cyclic_vcs(seed: u64) -> Vec<(Vec<Formula>, Formula)> {
         .into_iter()
         .map(|id| {
             let vc = checker.vc(id).expect("vc generates");
-            (vc.hypotheses, vc.goal)
+            (vc.hypotheses.to_vec(), vc.goal)
         })
         .collect()
 }

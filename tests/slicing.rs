@@ -22,12 +22,14 @@
 //!   universals.
 //!
 //! Axiom names come from [`Checker::background`], which is
-//! index-aligned with `Vc::hypotheses[..background_hyps]`.
+//! index-aligned with the leading `background_hyps` entries of
+//! `Vc::hypotheses`.
 
 use std::collections::{BTreeSet, HashSet};
 
-use oolong::corpus;
-use oolong::datagroups::{is_sliceable, BackgroundSlice, CheckOptions, Checker};
+use oolong::corpus::{self, generate_unannotated_source, UnannotatedConfig};
+use oolong::datagroups::{is_sliceable, slice_background, BackgroundSlice, CheckOptions, Checker};
+use oolong::logic::Formula;
 use oolong::prover::Budget;
 use oolong::syntax::parse_program;
 
@@ -231,7 +233,7 @@ fn unsliceable_axioms_are_always_kept() {
                 let Ok(vc) = checker.vc(id) else { continue };
                 let keep = checker.background_slice(&vc).keep;
                 for (i, &kept) in keep.iter().enumerate() {
-                    if !is_sliceable(&vc.hypotheses[i]) {
+                    if !is_sliceable(&background[i].formula) {
                         assert!(
                             kept,
                             "{} ({}): unsliceable axiom `{}` was dropped",
@@ -242,4 +244,71 @@ fn unsliceable_axioms_are_always_kept() {
             }
         }
     }
+}
+
+/// A checker slices every VC against one set of token tables, built on its
+/// first slice. Whichever VC comes first, and in whatever order the rest
+/// follow, each keep mask must equal the mask of tables built fresh for
+/// that VC alone: nothing of one VC's closure may leak into the next.
+#[test]
+fn shared_slice_tables_match_fresh_ones() {
+    let mut units: Vec<(String, String)> = corpus::all()
+        .iter()
+        .map(|p| (p.name.to_string(), p.source.to_string()))
+        .collect();
+    let config = UnannotatedConfig {
+        groups: 4,
+        fields: 10,
+        procs: 24,
+        keep_includes: true,
+    };
+    for seed in 1..=4 {
+        let generated = generate_unannotated_source(seed, &config);
+        units.push((generated.name, generated.annotated));
+    }
+    let mut checked = 0;
+    for (name, source) in &units {
+        let program = parse_program(source).expect("unit parses");
+        for force_arrays_level in [false, true] {
+            let options = CheckOptions {
+                force_arrays_level,
+                ..CheckOptions::default()
+            };
+            let mut masks_by_order = Vec::new();
+            for reverse in [false, true] {
+                let checker = Checker::new(&program, options.clone()).expect("unit analyses");
+                let background: Vec<Formula> = checker
+                    .background()
+                    .iter()
+                    .map(|a| a.formula.clone())
+                    .collect();
+                let mut impls: Vec<_> = checker.scope().impls().map(|(id, _)| id).collect();
+                if reverse {
+                    impls.reverse();
+                }
+                let mut masks = Vec::new();
+                for id in impls {
+                    let Ok(vc) = checker.vc(id) else { continue };
+                    let shared = checker.background_slice(&vc).keep;
+                    let seeds = vc.hypotheses.init().iter().chain([&vc.goal]);
+                    let fresh = slice_background(&background, seeds).keep;
+                    assert_eq!(
+                        shared, fresh,
+                        "{name} ({}, arrays level {force_arrays_level}, reverse {reverse}): \
+                         the shared tables' mask differs from fresh tables'",
+                        vc.proc_name
+                    );
+                    masks.push((vc.proc_name.clone(), shared));
+                    checked += 1;
+                }
+                masks.sort();
+                masks_by_order.push(masks);
+            }
+            assert_eq!(
+                masks_by_order[0], masks_by_order[1],
+                "{name} (arrays level {force_arrays_level}): masks depend on VC order"
+            );
+        }
+    }
+    assert!(checked > 200, "only {checked} VCs sliced");
 }

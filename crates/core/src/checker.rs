@@ -319,8 +319,8 @@ impl Checker {
 
     /// Builds a prover context holding a VC's (sliced) scope background,
     /// saturated once and reusable across every obligation whose slice is
-    /// the same. Pre-saturation fires only the `Eager` axioms; the
-    /// goal-directed ones arm per obligation inside its frame.
+    /// the same. The `Eager` axioms saturate first, then the goal-directed
+    /// ones are armed and the base saturates again.
     pub fn context_for_slice(&self, vc: &Vc, slice: &BackgroundSlice) -> ScopeContext {
         let formulas: Vec<Formula> = self
             .sliced_background(vc, slice)

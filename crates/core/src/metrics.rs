@@ -109,7 +109,8 @@ pub struct ProverMetrics {
     pub instances: u64,
     /// Quantifier instantiations performed during background
     /// pre-saturation (reported once per obligation proved against the
-    /// shared context — presat work is part of every proof's budget).
+    /// shared context, though each proof's instance window counts only
+    /// its own).
     pub presat_instances: u64,
     /// Quantifier instantiations performed inside obligation frames,
     /// after the goal terms were asserted.

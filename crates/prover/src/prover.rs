@@ -27,7 +27,7 @@ use crate::fxhash::{FxHashMap, FxHashSet, IdKey};
 use crate::matcher::{match_trigger, match_trigger_anchored_with, term_of, TriggerPlan};
 use crate::triggers::{classify_quant, infer_triggers, QuantKind};
 use oolong_logic::transform::{to_nnf, FreshGen, Nnf};
-use oolong_logic::{Atom, Formula, Phase, Symbol, Term, Trigger};
+use oolong_logic::{Atom, FnSym, Formula, Phase, Symbol, Term, TermNode, Trigger};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -41,7 +41,10 @@ use std::sync::Arc;
 /// hashed into every verification-condition fingerprint.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Budget {
-    /// Maximum total quantifier instantiations.
+    /// Maximum quantifier instantiations per window. A [`ScopeContext`]
+    /// opens one window for each of its two base saturation stages and
+    /// one for each proof, so a proof's own instances are limited by this
+    /// count however many the base performed.
     pub max_instances: usize,
     /// Maximum quantifier instantiations produced per saturation round.
     pub max_instances_per_round: usize,
@@ -593,12 +596,21 @@ fn render_per_quant(quant_meta: &[QuantMeta]) -> Arc<[QuantProfile]> {
 
 /// A prover context pre-loaded with a scope's shared background.
 ///
-/// The background formulas are asserted and ground-saturated **once**; any
+/// The background formulas are asserted and saturated **once**; any
 /// number of obligations can then be proved against the saturated state,
 /// each one inside a checkpoint/rollback frame of the shared E-graph. This
 /// amortizes context construction — NNF conversion, interning, background
 /// quantifier saturation — across every obligation of a scope, the way
 /// Boogie asserts its `UnivBackPred` once per prover session.
+///
+/// The base is built in two stages, ordered by [`Phase`]: the
+/// [`Phase::Eager`] axioms saturate first, then the
+/// [`Phase::GoalDirected`] quantifiers are armed and the base saturates
+/// again, so every proof starts from the scope's goal-independent closure
+/// and instantiates only what its own terms enable. The full-match results
+/// still valid at the end of construction are kept as an immutable match
+/// layer that every proof's matching passes read, so a proof does not
+/// rescan base triggers its own facts left untouched.
 ///
 /// A context is the only way the prover runs a proof: [`prove`] builds a
 /// single-use one over an empty background.
@@ -629,12 +641,6 @@ pub struct ScopeContext {
     axiom_quants: Vec<Vec<usize>>,
     /// Monotonic merge count consumed by base construction.
     base_merges: u64,
-    /// Goal-directed background quantifiers: registered with stable ids at
-    /// construction (so telemetry rows and `axiom_quants` cover them) but
-    /// *not* activated in the base — each [`ScopeContext::prove`] arms a
-    /// copy inside the obligation's frame, after the goal terms are
-    /// asserted, and the frame rollback disarms them again.
-    gated_quants: Vec<Quant>,
     /// The outcome of every proof when base saturation already decided
     /// it: [`Outcome::Proved`] for a contradictory background,
     /// [`Outcome::Unknown`] for one that exhausted the budget.
@@ -661,23 +667,25 @@ impl ScopeContext {
     /// as the search itself but never case-splits: derived facts land in
     /// the shared state, surviving disjunctions are carried into every
     /// proof's own search. A contradictory background makes every proof
-    /// succeed; a background that exhausts the budget poisons the context
-    /// and makes every proof report [`Outcome::Unknown`].
+    /// succeed; a background whose saturation exhausts the budget poisons
+    /// the context and makes every proof report [`Outcome::Unknown`].
     ///
-    /// [`Phase::GoalDirected`] axioms do not participate in base
-    /// saturation: their top-level quantifiers are parked in
-    /// `gated_quants` (ground conjuncts, if any, are still asserted
-    /// eagerly — they are facts, not matching rules) and armed inside each
-    /// obligation's frame by [`ScopeContext::prove`]. The derivable facts
-    /// are unchanged — every proof still sees every axiom — only *when*
-    /// instantiation may happen moves, which is what keeps verdicts and
-    /// labels identical across phase assignments.
+    /// Saturation runs in two stages. The first asserts every axiom but
+    /// activates only the [`Phase::Eager`] quantifiers: the top-level
+    /// quantifiers of [`Phase::GoalDirected`] axioms are parked (ground
+    /// conjuncts, if any, are still asserted — they are facts, not
+    /// matching rules). The second arms the parked quantifiers and
+    /// saturates again, so their instances over the background's own
+    /// terms are derived here once instead of inside every proof. Each
+    /// stage counts instances in its own [`Budget::max_instances`] window.
+    /// The derivable facts are unchanged — every proof still sees every
+    /// axiom — only *when* instantiation happens moves.
     pub fn new(background: &[Formula], phases: &[Phase], budget: &Budget) -> ScopeContext {
         let mut fresh = FreshGen::new();
         let mut shared = Shared::new(budget, true);
         let mut ctx = Ctx::new();
         let mut axiom_quants: Vec<Vec<usize>> = Vec::with_capacity(background.len());
-        let mut gated_quants: Vec<Quant> = Vec::new();
+        let mut gated: Vec<Quant> = Vec::new();
         let mut step = Step::Ok;
         for (i, f) in background.iter().enumerate() {
             let ids_before = shared.quant_count();
@@ -688,7 +696,7 @@ impl ScopeContext {
                 Phase::GoalDirected => {
                     // Park the top-level quantifiers; assert ground parts.
                     split_gated(nnf, &mut ctx.pending, &mut |vars, triggers, body| {
-                        gated_quants.push(park_gated_quant(&mut shared, vars, triggers, body));
+                        gated.push(park_gated_quant(&mut shared, vars, triggers, body));
                     });
                 }
             }
@@ -702,10 +710,16 @@ impl ScopeContext {
         if matches!(step, Step::Ok) {
             step = saturate(&mut ctx, &mut shared);
         }
+        if matches!(step, Step::Ok) && !gated.is_empty() {
+            arm_gated(&mut ctx, &mut shared, &gated);
+            shared.window_start = shared.stats.instances;
+            step = saturate(&mut ctx, &mut shared);
+        }
         let settled = match step {
             Step::Conflict => Some(Outcome::Proved),
             Step::Fuel | Step::Ok => shared.fuel.map(Outcome::Unknown),
         };
+        ctx.seal_match_layer();
         let base_merges = ctx.eg.merges_performed();
         let mut base_stats = shared.stats;
         base_stats.merges = base_merges;
@@ -720,7 +734,6 @@ impl ScopeContext {
             base_fresh: fresh,
             axiom_quants,
             base_merges,
-            gated_quants,
             settled,
         }
     }
@@ -770,6 +783,8 @@ impl ScopeContext {
             quant_ids: HashMap::with_hasher(self.base_quant_ids.hasher().clone()),
             base_quant_ids: Arc::clone(&self.base_quant_ids),
             quant_meta: self.base_quant_meta.clone(),
+            // The proof's own instance window.
+            window_start: self.base_stats.instances,
             ..Shared::new(&self.budget, false)
         };
         // Monotonic-counter samples so the proof reports only its own trail
@@ -780,7 +795,7 @@ impl ScopeContext {
         let undone_before = self.base.eg.undone_merges();
         self.base.eg.reset_trail_high_water();
         let cp = self.base.checkpoint();
-        arm_gated(&mut self.base, &mut shared, &self.gated_quants);
+        self.base.layer_stamp = self.base.eg.touch_stamp();
         self.base.pending.extend(parts.into_iter().map(|p| (p, 0)));
         let outcome = outcome_of(search(&mut self.base, 0, &mut shared), shared.fuel);
         let mut stats = shared.stats;
@@ -805,15 +820,14 @@ impl ScopeContext {
             .unwrap_or(&[])
     }
 
-    /// One row per trigger of every quantifier the base holds, active or
-    /// goal-directed: the quantifier's variables, the trigger, and the
+    /// One row per trigger of every quantifier active in the base, eager
+    /// or goal-directed: the quantifier's variables, the trigger, and the
     /// plan compiled for it at registration. For checking compiled plans
     /// against what the matcher derives from the trigger itself.
     pub fn trigger_plans(&self) -> Vec<(&[Symbol], &Trigger, &TriggerPlan)> {
         self.base
             .quants
             .iter()
-            .chain(&self.gated_quants)
             .flat_map(|q| {
                 let data = &*q.data;
                 data.triggers
@@ -876,6 +890,9 @@ struct Shared {
     quant_meta: Vec<QuantMeta>,
     /// The first budget dimension that ran out, if any.
     fuel: Option<UnknownReason>,
+    /// `stats.instances` when the current instance window opened: the
+    /// window holds at most `budget.max_instances` further instances.
+    window_start: usize,
     /// Literals of the first saturated open branch.
     open_branch: Option<Vec<String>>,
     /// Exported context of the first saturated open branch.
@@ -897,6 +914,7 @@ impl Shared {
             base_quant_ids: Arc::default(),
             quant_meta: Vec::new(),
             fuel: None,
+            window_start: 0,
             open_branch: None,
             model: None,
             presat,
@@ -1009,9 +1027,8 @@ fn out_of_fuel(shared: &mut Shared, reason: UnknownReason) -> Branch {
     Branch::Fuel
 }
 
-/// A quantifier active in a branch. Cloning shares its data: goal-directed
-/// background quantifiers are armed in every proof without copying their
-/// bodies.
+/// A quantifier active in a branch. Cloning shares its data: a parked
+/// goal-directed quantifier is armed without copying its body.
 #[derive(Clone)]
 struct Quant {
     id: usize,
@@ -1113,6 +1130,7 @@ struct Checkpoint {
 /// of one symbol bucket, so when only node *creation* (never a union or
 /// removal) touched the trigger's symbols, the cached bindings extend
 /// exactly by scanning the bucket suffix.
+#[derive(Clone)]
 struct MatchCacheEntry {
     /// Touch stamp taken immediately before the cached match ran.
     stamp: u64,
@@ -1158,6 +1176,15 @@ struct Ctx {
     /// quantifier slots a rollback truncates, and `seen` keys inserted on
     /// the unwound branch disappear with it.
     match_cache: FxHashMap<(usize, usize), MatchCacheEntry>,
+    /// The base's full-match results that were still valid when scope
+    /// context construction ended (empty while the base is built). Read
+    /// on a `match_cache` miss as if stamped `layer_stamp`; never changed
+    /// by a proof or a rollback.
+    match_layer: Arc<FxHashMap<(usize, usize), MatchCacheEntry>>,
+    /// Touch stamp taken when the current proof frame opened. The E-graph
+    /// was the base's at that stamp, so a layer entry stays exact while
+    /// its trigger's symbols are untouched since.
+    layer_stamp: u64,
 }
 
 impl Ctx {
@@ -1178,7 +1205,28 @@ impl Ctx {
             trail: Vec::new(),
             recording: 0,
             match_cache: FxHashMap::default(),
+            match_layer: Arc::default(),
+            layer_stamp: 0,
         }
+    }
+
+    /// Ends base construction: moves the `match_cache` entries whose
+    /// trigger symbols are untouched since their stamp into the match
+    /// layer, and drops the rest.
+    fn seal_match_layer(&mut self) {
+        let Ctx {
+            eg,
+            quants,
+            match_cache,
+            ..
+        } = self;
+        let layer = match_cache
+            .drain()
+            .filter(|&((qi, ti), ref e)| {
+                eg.syms_unchanged_since(&quants[qi].data.plans[ti].syms, e.stamp)
+            })
+            .collect();
+        self.match_layer = Arc::new(layer);
     }
 
     fn record(&mut self, entry: CtxUndo) {
@@ -1330,8 +1378,9 @@ fn search(ctx: &mut Ctx, depth: usize, shared: &mut Shared) -> Branch {
         return out_of_fuel(shared, UnknownReason::DeferredInstances);
     }
     if shared.open_branch.is_none() {
-        shared.open_branch = Some(describe_branch(ctx));
-        shared.model = Some(extract_model(ctx));
+        let mut names = FreshNames::default();
+        shared.model = Some(extract_model(ctx, &mut names));
+        shared.open_branch = Some(describe_branch(ctx, &mut names));
     }
     Branch::Open
 }
@@ -1419,8 +1468,8 @@ fn drain_pending(ctx: &mut Ctx, shared: &mut Shared) -> Step {
 /// (pushed onto `pending` for eager assertion — they are facts, not
 /// matching rules) and its top-level quantifiers (handed to `gate`).
 /// Quantifiers nested under disjunctions or other quantifiers stay where
-/// they are: they only come alive through instantiation inside a frame, so
-/// they are goal-directed already.
+/// they are: they only come alive through instantiation, so they are
+/// goal-directed already.
 fn split_gated(
     nnf: Nnf,
     pending: &mut Vec<(Nnf, u32)>,
@@ -1444,8 +1493,8 @@ fn split_gated(
 /// Assigns a gated quantifier its stable id and telemetry row *without*
 /// activating it: the id is allocated in background order (so `axiom_quants`
 /// and per-quantifier telemetry cover gated axioms exactly like eager
-/// ones), but the quantifier joins no branch until [`arm_gated`] runs
-/// inside an obligation frame.
+/// ones), but the quantifier stays inactive until [`arm_gated`] opens the
+/// base's second saturation stage.
 fn park_gated_quant(
     shared: &mut Shared,
     vars: Vec<Symbol>,
@@ -1466,12 +1515,10 @@ fn park_gated_quant(
     Quant::new(id, vars, triggers, body)
 }
 
-/// Activates the context's gated quantifiers in the current branch. Runs
-/// after the obligation frame's checkpoint, so the rollback disarms them;
-/// armed quantifiers sit past
-/// `fresh_quants_from` and get a full matching pass on the frame's first
-/// saturation round, exactly like a quantifier registered by the
-/// obligation itself.
+/// Activates the parked goal-directed quantifiers in the base once the
+/// eager stage has saturated. Armed quantifiers sit past
+/// `fresh_quants_from` and get a full matching pass on the next saturation
+/// round, exactly like a newly registered quantifier.
 fn arm_gated(ctx: &mut Ctx, shared: &mut Shared, gated: &[Quant]) {
     for q in gated {
         if !ctx.quant_ids_present.insert(q.id) {
@@ -1639,9 +1686,52 @@ enum InstResult {
     Fuel,
 }
 
+/// Display names for the generated symbols of an exported branch: skolem
+/// constants and functions and other fresh names (which contain `!`) and
+/// class aliases (`@class…`). Their raw numbers count every fresh name
+/// drawn before them — background axioms included — so each is renamed
+/// to its prefix plus its order of first appearance in the export, which
+/// walks nodes in creation order. An edit that only changes how many
+/// names the background draws then leaves the export unchanged.
+#[derive(Default)]
+struct FreshNames {
+    renamed: HashMap<Symbol, Symbol>,
+}
+
+impl FreshNames {
+    fn name(&mut self, raw: Symbol) -> Symbol {
+        let text = raw.as_str();
+        let prefix = match text.find('!') {
+            Some(bang) => &text[..bang],
+            None if text.starts_with('@') => text.trim_end_matches(|c: char| c.is_ascii_digit()),
+            None => return raw,
+        };
+        let next = self.renamed.len() + 1;
+        *self
+            .renamed
+            .entry(raw)
+            .or_insert_with(|| Symbol::intern(&format!("{prefix}!{next}")))
+    }
+
+    fn rename(&mut self, term: Term) -> Term {
+        match term.node() {
+            TermNode::Var(v) => Term::var(self.name(*v)),
+            TermNode::Const(_) => term,
+            TermNode::App(sym, args) => {
+                let sym = match sym {
+                    FnSym::Uninterp(f) => FnSym::Uninterp(self.name(*f)),
+                    other => *other,
+                };
+                let args = args.iter().map(|&a| self.rename(a)).collect();
+                Term::app(sym, args)
+            }
+        }
+    }
+}
+
 /// Renders the determined predicate nodes of a saturated branch, for
 /// diagnosis of failed proofs.
-fn describe_branch(ctx: &Ctx) -> Vec<String> {
+fn describe_branch(ctx: &Ctx, names: &mut FreshNames) -> Vec<String> {
     let mut out = Vec::new();
     let mut aliases = Vec::new();
     for sym in [
@@ -1667,7 +1757,7 @@ fn describe_branch(ctx: &Ctx) -> Vec<String> {
                 .children
                 .clone()
                 .into_iter()
-                .map(|c| term_of(&ctx.eg, c, &mut aliases).to_string())
+                .map(|c| names.rename(term_of(&ctx.eg, c, &mut aliases)).to_string())
                 .collect();
             out.push(format!("{sym:?}({}) = {value}", args.join(", ")));
         }
@@ -1686,7 +1776,7 @@ const MODEL_DISEQ_CLASS_CAP: usize = 256;
 /// ground E-class partition, the `select` function graph, the determined
 /// predicate entries, known disequalities, and the position labels
 /// asserted on the branch.
-fn extract_model(ctx: &Ctx) -> CandidateModel {
+fn extract_model(ctx: &Ctx, names: &mut FreshNames) -> CandidateModel {
     let eg = &ctx.eg;
     let mut aliases = Vec::new();
     // Partition the nodes into classes, indexed in first-appearance order
@@ -1699,14 +1789,14 @@ fn extract_model(ctx: &Ctx) -> CandidateModel {
         let idx = *index.entry(root).or_insert_with(|| {
             roots.push(root);
             classes.push(ModelClass {
-                repr: term_of(eg, root, &mut aliases),
+                repr: names.rename(term_of(eg, root, &mut aliases)),
                 members: Vec::new(),
                 value: eg.class_value(root).cloned(),
             });
             classes.len() - 1
         });
         match &eg.node(id).sym {
-            Sym::Var(name) => classes[idx].members.push(Term::var(*name)),
+            Sym::Var(name) => classes[idx].members.push(Term::var(names.name(*name))),
             Sym::Lit(c) => classes[idx].members.push(Term::lit(*c)),
             _ => {}
         }
@@ -1872,6 +1962,8 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
         trail,
         recording,
         match_cache,
+        match_layer,
+        layer_stamp,
         ..
     } = ctx;
     // Bucket the new nodes by head symbol once: anchored matching can only
@@ -1906,11 +1998,18 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                     Extend,
                     Rescan,
                 }
-                let cached = match match_cache.get(&(qi, ti)) {
-                    Some(e) if eg.syms_unchanged_since(&plan.syms, e.stamp) => CacheUse::Hit,
-                    Some(e)
+                // The frame's own entry, else the base layer's, which
+                // described the graph as it was when the frame opened.
+                let key = (qi, ti);
+                let stamp = match match_cache.get(&key) {
+                    Some(e) => Some(e.stamp),
+                    None => match_layer.contains_key(&key).then_some(*layer_stamp),
+                };
+                let cached = match stamp {
+                    Some(s) if eg.syms_unchanged_since(&plan.syms, s) => CacheUse::Hit,
+                    Some(s)
                         if plan.single_head.is_some()
-                            && eg.syms_struct_unchanged_since(&plan.syms, e.stamp) =>
+                            && eg.syms_struct_unchanged_since(&plan.syms, s) =>
                     {
                         CacheUse::Extend
                     }
@@ -1923,8 +2022,12 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                         // every cached match survives with its dedup key, and
                         // new matches can only sit at nodes appended to the
                         // head bucket. Scanning that suffix reproduces a full
-                        // rescan exactly, in order.
-                        let e = match_cache.get_mut(&(qi, ti)).expect("entry exists");
+                        // rescan exactly, in order. The base bucket is a
+                        // prefix of the frame's, so a layer entry extends
+                        // from the layer's bucket length.
+                        let e = match_cache
+                            .entry(key)
+                            .or_insert_with(|| match_layer[&key].clone());
                         let head = plan.single_head.expect("extend plan implies head");
                         e.stamp = eg.touch_stamp();
                         crate::matcher::match_trigger_extend(
@@ -1943,7 +2046,7 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                         let bucket_len =
                             plan.single_head.map_or(0, |h| eg.nodes_with_sym(&h).len());
                         match_cache.insert(
-                            (qi, ti),
+                            key,
                             MatchCacheEntry {
                                 stamp,
                                 bucket_len,
@@ -1952,7 +2055,10 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                         );
                     }
                 }
-                &match_cache[&(qi, ti)].bindings
+                match match_cache.get(&key) {
+                    Some(e) => &e.bindings,
+                    None => &match_layer[&key].bindings,
+                }
             } else {
                 let mut candidates: Vec<NodeId> = Vec::new();
                 for head in &plan.heads {
@@ -2041,7 +2147,7 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                     meta.goal_instances += 1;
                 }
                 meta.push_recent(terms.as_slice().into());
-                if shared.stats.instances >= shared.budget.max_instances {
+                if shared.stats.instances - shared.window_start >= shared.budget.max_instances {
                     shared.fuel.get_or_insert(UnknownReason::Instances);
                     return PassResult::Fuel;
                 }
@@ -2456,6 +2562,130 @@ mod tests {
         assert_eq!(first.stats, second.stats);
         assert!(first.stats.per_quant.iter().any(|q| q.presat_instances > 0));
         assert_eq!(ctx.debug_state(), before);
+    }
+
+    /// `∀X {p(X)} :: q(X) = 1`, with `p` and `q` unary.
+    fn implication(p: &str, q: &str) -> F {
+        let app = |f: &str| T::uninterp(f, vec![T::var("X")]);
+        let trig = Trigger(vec![Pattern::Term(app(p))]);
+        F::forall(vec!["X".into()], vec![trig], F::eq(app(q), T::int(1)))
+    }
+
+    /// `p(name) = 1`.
+    fn fact(p: &str, name: &str) -> F {
+        F::eq(T::uninterp(p, vec![T::var(name)]), T::int(1))
+    }
+
+    #[test]
+    fn base_stage_goal_directed_instances_over_background_facts_are_presat() {
+        let background = [implication("p", "q"), fact("p", "a")];
+        let mut ctx = ScopeContext::new(
+            &background,
+            &[Phase::GoalDirected, Phase::Eager],
+            &Budget::default(),
+        );
+        let gated = ctx.background_quants(0).to_vec();
+        assert_eq!(gated.len(), 1);
+        let before = ctx.debug_state();
+        // One proof needs the base instance `q(a)`, the other none.
+        let first = ctx.prove(&[], &fact("q", "a"));
+        let second = ctx.prove(&[fact("r", "b")], &fact("r", "b"));
+        for proof in [&first, &second] {
+            assert!(proof.is_proved());
+            let row = &proof.stats.per_quant[gated[0]];
+            assert_eq!((row.presat_instances, row.goal_instances), (1, 0), "{row}");
+        }
+        assert_eq!(ctx.debug_state(), before);
+    }
+
+    #[test]
+    fn base_stage_match_layer_sees_what_a_proof_merges() {
+        // `∀X {p(f(X))} :: q(X) = 1` matches nothing in the base, so the
+        // layer holds an empty match for it; the proof's merge `c = f(d)`
+        // makes `p(c)` a match that only a rescan of the layer entry finds.
+        let pattern = T::uninterp("p", vec![T::uninterp("f", vec![T::var("X")])]);
+        let background = [
+            F::forall(
+                vec!["X".into()],
+                vec![Trigger(vec![Pattern::Term(pattern)])],
+                F::eq(T::uninterp("q", vec![T::var("X")]), T::int(1)),
+            ),
+            fact("p", "c"),
+            F::eq(
+                T::uninterp("r", vec![T::uninterp("f", vec![T::var("d")])]),
+                T::int(1),
+            ),
+        ];
+        for phase in [Phase::Eager, Phase::GoalDirected] {
+            let mut ctx = ScopeContext::new(&background, &[phase], &Budget::default());
+            assert_eq!(ctx.base.match_layer.len(), 1);
+            let hyps = [F::eq(T::var("c"), T::uninterp("f", vec![T::var("d")]))];
+            for _ in 0..2 {
+                assert!(ctx.prove(&hyps, &fact("q", "d")).is_proved());
+                assert!(!ctx.prove(&[], &fact("q", "d")).is_proved());
+            }
+        }
+    }
+
+    #[test]
+    fn base_stage_that_exhausts_its_window_poisons_every_proof() {
+        // The eager seed alone saturates at once; the looping axiom, armed
+        // in the goal-directed stage, runs that stage's window dry.
+        let budget = Budget {
+            max_term_gen: u32::MAX,
+            ..Budget::tiny()
+        };
+        let mut ctx = ScopeContext::new(
+            &looping_axiom_and_seed(),
+            &[Phase::GoalDirected, Phase::Eager],
+            &budget,
+        );
+        assert_eq!(
+            ctx.settled,
+            Some(Outcome::Unknown(UnknownReason::Instances))
+        );
+        assert_eq!(ctx.base_stats.instances, budget.max_instances);
+        let first = ctx.prove(&[], &F::False);
+        let second = ctx.prove(
+            &[F::eq(T::var("a"), T::var("b"))],
+            &F::eq(T::var("b"), T::var("a")),
+        );
+        for proof in [&first, &second] {
+            assert_eq!(proof.outcome, Outcome::Unknown(UnknownReason::Instances));
+        }
+        assert_eq!(first.stats, second.stats);
+    }
+
+    #[test]
+    fn base_stage_windows_let_a_proof_decide_past_the_total_budget() {
+        // Five `q` instances in the eager stage, five `r` instances in the
+        // goal-directed stage and a few of the proof's own: every window
+        // stays under six though the total passes it.
+        let budget = Budget {
+            max_instances: 6,
+            ..Budget::default()
+        };
+        let names = ["a1", "a2", "a3", "a4", "a5"];
+        let mut background = vec![implication("p", "q"), implication("q", "r")];
+        background.extend(names.iter().map(|n| fact("p", n)));
+        let mut phases = vec![Phase::Eager, Phase::GoalDirected];
+        phases.resize(background.len(), Phase::Eager);
+        let mut ctx = ScopeContext::new(&background, &phases, &budget);
+        assert_eq!(ctx.settled, None);
+        assert_eq!(ctx.base_stats.instances, 10);
+        let proof = ctx.prove(
+            &[fact("p", "b1"), fact("p", "b2")],
+            &F::and(vec![fact("q", "b1"), fact("q", "b2")]),
+        );
+        assert!(proof.is_proved(), "{}", proof.stats);
+        assert!(proof.stats.instances > budget.max_instances);
+        let presat: u64 = proof
+            .stats
+            .per_quant
+            .iter()
+            .map(|q| q.presat_instances)
+            .sum();
+        assert_eq!(presat, 10);
     }
 
     #[test]

@@ -189,6 +189,54 @@ fn shared_contexts_agree_with_one_shot_checks() {
     }
 }
 
+/// Proofs from one pooled context per slice reproduce one-shot contexts
+/// exactly, whatever was proved before them: every obligation of a
+/// generated 200-procedure unit, proved forward and then in reverse
+/// through the same contexts, gets the outcome, full statistics and
+/// open-branch sketch of a context built for it alone. Earlier proofs
+/// leave advanced touch stamps and undone E-graph history behind, and
+/// every proof reads the same match layer; none of that may reach a
+/// later proof's result.
+#[test]
+fn pooled_contexts_match_one_shot_contexts_in_either_order() {
+    use oolong::corpus::{generate_unannotated_source, UnannotatedConfig};
+    use std::collections::HashMap;
+    let cfg = UnannotatedConfig {
+        groups: 8,
+        fields: 24,
+        procs: 200,
+        keep_includes: true,
+    };
+    let source = generate_unannotated_source(4, &cfg).annotated;
+    let checker = Checker::new(&parse_program(&source).unwrap(), CheckOptions::default()).unwrap();
+    let vcs: Vec<_> = checker
+        .scope()
+        .impls()
+        .map(|(impl_id, _)| checker.vc(impl_id).unwrap())
+        .collect();
+    assert_eq!(vcs.len(), 200);
+    let alone: Vec<_> = vcs.iter().map(|vc| checker.verdict_for_vc(vc)).collect();
+    let mut pool = HashMap::new();
+    let order: Vec<usize> = (0..vcs.len()).chain((0..vcs.len()).rev()).collect();
+    for i in order {
+        let vc = &vcs[i];
+        let slice = checker.background_slice(vc);
+        let ctx = pool
+            .entry(slice.keep.clone())
+            .or_insert_with(|| checker.context_for_slice(vc, &slice));
+        let pooled = checker.verdict_for_vc_in(ctx, vc, slice.dropped());
+        assert_eq!(pooled.label(), alone[i].label(), "{}", vc.proc_name);
+        assert_eq!(pooled.stats(), alone[i].stats(), "{}", vc.proc_name);
+        assert_eq!(
+            pooled.open_branch(),
+            alone[i].open_branch(),
+            "{}",
+            vc.proc_name
+        );
+    }
+    assert!(pool.len() < vcs.len(), "contexts were shared");
+}
+
 #[test]
 fn plain_programs_verify_at_the_arrays_level_too() {
     // force_arrays_level adds the extended axioms; a plain program's

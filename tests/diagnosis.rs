@@ -92,6 +92,40 @@ fn section31_bad_call_diagnosis_names_the_call() {
     assert!(matches!(d.replay, Replay::Confirmed { .. }));
 }
 
+/// Generated names in a diagnosis are numbered by first appearance in the
+/// refuting branch, not by how many fresh names the background drew: an
+/// unused group adds background axioms (and shifts every raw skolem
+/// number) but leaves the touched chain and the open-branch sketch as
+/// they were, apart from the sketch's one fact about the new group itself.
+#[test]
+fn an_unrelated_background_change_keeps_the_diagnosis_text() {
+    let p = corpus::by_name("section31_bad_call").expect("corpus program exists");
+    let refuted = |source: &str| {
+        check_diagnosed(source)
+            .into_iter()
+            .find(|r| matches!(r.verdict, Verdict::NotVerified(..)))
+            .expect("bad_caller is refuted")
+    };
+    let original = refuted(p.source);
+    let extended = refuted(&format!("{}\ngroup unused_extra", p.source));
+    let touched = |r: &ObligationReport| r.diagnosis.as_ref().expect("diagnosis").touched.clone();
+    assert!(!touched(&original).is_empty());
+    assert_eq!(touched(&extended), touched(&original));
+    let sketch = original.verdict.open_branch().expect("sketch");
+    assert!(sketch.iter().any(|line| line.contains("sk_")), "{sketch:?}");
+    let (about_group, rest): (Vec<&String>, Vec<&String>) = extended
+        .verdict
+        .open_branch()
+        .expect("sketch")
+        .iter()
+        .partition(|line| line.contains("#unused_extra"));
+    assert_eq!(
+        about_group,
+        ["PLocalInc(#unused_extra, #unused_extra) = true"]
+    );
+    assert_eq!(rest, sketch.iter().collect::<Vec<_>>());
+}
+
 /// Seeded-violation population: the diagnosis must name the ground-truth
 /// span (exactly for modifies bugs and the invariant declaration, within
 /// the injected command for the pivot copy and the uncovered read, whose

@@ -137,7 +137,7 @@ impl Verdict {
     /// Divergence attribution for an [`Verdict::Unknown`]: the budget
     /// dimension that tripped plus the hottest quantified axioms (see
     /// [`Stats::divergence`]).
-    pub fn divergence(&self) -> Option<oolong_prover::Divergence> {
+    pub fn divergence(&self) -> Option<oolong_prover::Divergence<'_>> {
         match self {
             Verdict::Unknown(stats) => stats.divergence(),
             _ => None,

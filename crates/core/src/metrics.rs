@@ -218,7 +218,9 @@ pub fn prover_metrics<'a>(
         (QuantKind::Store, 0),
         (QuantKind::Other, 0),
     ];
-    let mut merged: HashMap<(QuantKind, String), HotAxiom> = HashMap::new();
+    // Keyed by the rows' shared trigger text: a trigger is copied once
+    // per distinct axiom, not once per row of every obligation.
+    let mut merged: HashMap<(QuantKind, &'a str), HotAxiom> = HashMap::new();
     for s in stats {
         metrics.instances += s.instances as u64;
         metrics.trigger_matches += s.trigger_matches;
@@ -239,10 +241,10 @@ pub fn prover_metrics<'a>(
             metrics.presat_instances += q.presat_instances;
             metrics.goal_instances += q.goal_instances;
             let entry = merged
-                .entry((q.kind, q.trigger.clone()))
+                .entry((q.kind, q.trigger))
                 .or_insert_with(|| HotAxiom {
                     kind: q.kind,
-                    trigger: q.trigger.clone(),
+                    trigger: q.trigger.to_string(),
                     matches: 0,
                     instances: 0,
                     presat_instances: 0,

@@ -17,8 +17,8 @@ use crate::diagjson::{diagnosis_from_json, diagnosis_to_json, label_from_json, l
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
 use datagroups::{ObligationLabel, Refutation, Verdict};
-use oolong_diagnose::Diagnosis;
-use oolong_prover::{QuantKind, QuantProfile, Stats, UnknownReason};
+use oolong_diagnose::{Diagnosis, Replay};
+use oolong_prover::{QuantKind, QuantProfile, QuantRow, QuantTable, Stats, UnknownReason};
 
 /// Format version of on-disk entries; mismatched entries are ignored.
 /// Version 2 added the structured stats members (`exhausted`, `per_quant`)
@@ -47,7 +47,8 @@ pub const CACHE_FORMAT_VERSION: u64 = 6;
 
 /// Full JSON form of prover stats: the scalar counters plus the
 /// structured members ([`Stats::exhausted`], [`Stats::per_quant`]), so a
-/// cache round-trip reproduces the cold run's stats exactly.
+/// cache round-trip reproduces the cold run's stats exactly. This is an
+/// output edge: the per-quantifier rows' binding chains are rendered here.
 pub fn stats_to_json(stats: &Stats) -> Json {
     let mut members: Vec<(String, Json)> = stats
         .to_fields()
@@ -82,21 +83,22 @@ pub fn stats_from_json(value: &Json) -> Option<Stats> {
         Json::Str(name) => Some(UnknownReason::from_name(name)?),
         _ => None,
     };
-    stats.per_quant = value
-        .get("per_quant")?
-        .as_array()?
-        .iter()
-        .map(quant_profile_from_json)
-        .collect::<Option<Vec<_>>>()?
-        .into();
+    stats.per_quant = QuantTable::from_rendered(
+        value
+            .get("per_quant")?
+            .as_array()?
+            .iter()
+            .map(quant_profile_from_json)
+            .collect::<Option<Vec<_>>>()?,
+    )?;
     Some(stats)
 }
 
-fn quant_profile_to_json(q: &QuantProfile) -> Json {
+fn quant_profile_to_json(q: QuantRow<'_>) -> Json {
     Json::Object(vec![
         ("id".to_string(), Json::Int(q.id as i64)),
         ("kind".to_string(), Json::Str(q.kind.as_str().to_string())),
-        ("trigger".to_string(), Json::Str(q.trigger.clone())),
+        ("trigger".to_string(), Json::Str(q.trigger.to_string())),
         ("matches".to_string(), Json::Int(q.matches as i64)),
         ("instances".to_string(), Json::Int(q.instances as i64)),
         ("presat".to_string(), Json::Int(q.presat_instances as i64)),
@@ -104,7 +106,7 @@ fn quant_profile_to_json(q: &QuantProfile) -> Json {
         ("deferred".to_string(), Json::Int(q.deferred as i64)),
         (
             "chain".to_string(),
-            Json::Array(q.chain.iter().map(|s| Json::Str(s.clone())).collect()),
+            Json::Array(q.chain().into_iter().map(Json::Str).collect()),
         ),
     ])
 }
@@ -204,6 +206,41 @@ impl CachedVerdict {
             primary: refutation.and_then(|r| r.primary.clone()),
             diagnosis: diagnosis.cloned(),
         })
+    }
+
+    /// Heap bytes this entry holds for itself: its strings and vectors,
+    /// and its own telemetry rows ([`QuantTable::heap_bytes`]). The base
+    /// rows it shares with its prover context, and every other proof from
+    /// that context, are not counted here but by [`Self::shared_base`].
+    /// The memory tier sums both into
+    /// [`StoreMetrics::mem_bytes`](crate::store::StoreMetrics::mem_bytes).
+    pub fn heap_bytes(&self) -> usize {
+        let diagnosis = self.diagnosis.as_ref().map_or(0, |d| {
+            d.proc_name.capacity()
+                + d.snippet.capacity()
+                + d.clause.capacity()
+                + strings_heap_bytes(&d.touched)
+                + strings_heap_bytes(&d.pre_store)
+                + strings_heap_bytes(&d.args)
+                + match &d.replay {
+                    Replay::Confirmed { oracle, witness } => oracle.capacity() + witness.capacity(),
+                    Replay::Spurious { .. } => 0,
+                    Replay::Unavailable { reason } => reason.capacity(),
+                }
+        });
+        self.proc_name.capacity()
+            + self.stats.per_quant.heap_bytes()
+            + self.open_branch.as_ref().map_or(0, strings_heap_bytes)
+            + self.labels.capacity() * std::mem::size_of::<u32>()
+            + self.primary.as_ref().map_or(0, |l| l.detail.capacity())
+            + diagnosis
+    }
+
+    /// The context base rows this entry keeps alive, as an identity and
+    /// their heap bytes ([`QuantTable::shared_base`]); `None` for an entry
+    /// decoded from disk. Entries from one context share one base.
+    pub fn shared_base(&self) -> Option<(usize, usize)> {
+        self.stats.per_quant.shared_base()
     }
 
     /// Reconstructs the verdict this entry recorded. The refutation's
@@ -319,6 +356,12 @@ impl CachedVerdict {
     }
 }
 
+/// Heap bytes of a vector of strings: its buffer and every string's.
+fn strings_heap_bytes(lines: &Vec<String>) -> usize {
+    lines.capacity() * std::mem::size_of::<String>()
+        + lines.iter().map(String::capacity).sum::<usize>()
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -336,7 +379,7 @@ pub(crate) mod tests {
                 merges: 11,
                 clauses: 5,
                 exhausted: Some(UnknownReason::Instances),
-                per_quant: vec![QuantProfile {
+                per_quant: QuantTable::from_rendered([QuantProfile {
                     id: 0,
                     kind: QuantKind::RepInclusion,
                     trigger: "{RepInc(A, F, B)}".to_string(),
@@ -346,8 +389,8 @@ pub(crate) mod tests {
                     goal_instances: 5,
                     deferred: 2,
                     chain: vec!["A := #g, F := #next, B := #g".to_string()],
-                }]
-                .into(),
+                }])
+                .expect("rows are numbered in order"),
                 ..Stats::default()
             },
             open_branch: Some(vec!["x ≠ null".to_string(), "a = b".to_string()]),

@@ -66,6 +66,12 @@ pub struct StoreMetrics {
     pub mem_entries: usize,
     /// Bound of the memory tier (0 = tier disabled).
     pub mem_capacity: usize,
+    /// Heap bytes the memory tier's entries keep alive: the sum of their
+    /// [`CachedVerdict::heap_bytes`], plus each distinct context base they
+    /// share ([`CachedVerdict::shared_base`]) once, so a base the context
+    /// pool has evicted is still counted while an entry holds it. Kept as
+    /// a running total on insert, promotion and eviction.
+    pub mem_bytes: usize,
     /// Lookups answered by the memory tier.
     pub mem_hits: u64,
     /// Lookups that missed the memory tier.
@@ -105,17 +111,51 @@ struct LruInner {
     free: Vec<usize>,
     head: usize,
     tail: usize,
+    /// Sum of the resident nodes' `bytes` and of the `bases`' bytes.
+    bytes: usize,
+    /// The context bases resident nodes share, by identity: how many
+    /// nodes hold each, and its heap bytes.
+    bases: HashMap<usize, (usize, usize)>,
 }
 
 #[derive(Debug)]
 struct LruNode {
     fingerprint: Fingerprint,
     verdict: CachedVerdict,
+    /// The verdict's [`CachedVerdict::heap_bytes`] when it was stored.
+    bytes: usize,
+    /// The identity of the context base the verdict shares, if any.
+    base: Option<usize>,
     prev: usize,
     next: usize,
 }
 
 impl LruInner {
+    /// Counts a node's bytes, and its base's on the base's first holder.
+    fn hold(&mut self, bytes: usize, base: Option<(usize, usize)>) {
+        self.bytes += bytes;
+        if let Some((key, base_bytes)) = base {
+            let (holders, _) = self.bases.entry(key).or_insert((0, base_bytes));
+            if *holders == 0 {
+                self.bytes += base_bytes;
+            }
+            *holders += 1;
+        }
+    }
+
+    /// Uncounts node `idx`'s bytes, and its base's once no node holds it.
+    fn release(&mut self, idx: usize) {
+        self.bytes -= self.nodes[idx].bytes;
+        if let Some(key) = self.nodes[idx].base {
+            let (holders, base_bytes) = self.bases.get_mut(&key).expect("held base");
+            *holders -= 1;
+            if *holders == 0 {
+                self.bytes -= *base_bytes;
+                self.bases.remove(&key);
+            }
+        }
+    }
+
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
         match prev {
@@ -183,9 +223,14 @@ impl VerdictStore for MemoryTier {
         if self.capacity == 0 {
             return;
         }
+        let (bytes, base) = (verdict.heap_bytes(), verdict.shared_base());
         let mut inner = self.inner.lock().expect("lru lock poisoned");
+        inner.hold(bytes, base);
         if let Some(idx) = inner.map.get(&fingerprint).copied() {
+            inner.release(idx);
             inner.nodes[idx].verdict = verdict;
+            inner.nodes[idx].bytes = bytes;
+            inner.nodes[idx].base = base.map(|(key, _)| key);
             inner.unlink(idx);
             inner.push_front(idx);
             return;
@@ -196,12 +241,15 @@ impl VerdictStore for MemoryTier {
             inner.unlink(victim);
             let evicted = inner.nodes[victim].fingerprint;
             inner.map.remove(&evicted);
+            inner.release(victim);
             inner.free.push(victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         let node = LruNode {
             fingerprint,
             verdict,
+            bytes,
+            base: base.map(|(key, _)| key),
             prev: NIL,
             next: NIL,
         };
@@ -224,9 +272,14 @@ impl VerdictStore for MemoryTier {
     }
 
     fn metrics(&self) -> StoreMetrics {
+        let (mem_entries, mem_bytes) = {
+            let inner = self.inner.lock().expect("lru lock poisoned");
+            (inner.map.len(), inner.bytes)
+        };
         StoreMetrics {
-            mem_entries: self.len(),
+            mem_entries,
             mem_capacity: self.capacity,
+            mem_bytes,
             mem_hits: self.hits.load(Ordering::Relaxed),
             mem_misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -438,6 +491,29 @@ mod tests {
         assert_eq!(m.evictions, 1);
         assert_eq!(m.mem_hits, 3);
         assert_eq!(m.mem_misses, 1);
+    }
+
+    #[test]
+    fn resident_bytes_return_to_zero_once_every_entry_is_evicted() {
+        let tier = MemoryTier::with_capacity(2);
+        assert_eq!(tier.metrics().mem_bytes, 0);
+        tier.put(Fingerprint(1), entry("a"));
+        tier.put(Fingerprint(2), sample_entry());
+        let sample = sample_entry().heap_bytes();
+        assert!(sample > 0);
+        assert_eq!(tier.metrics().mem_bytes, 1 + sample);
+        // Replacing an entry swaps its bytes.
+        tier.put(Fingerprint(1), sample_entry());
+        assert_eq!(tier.metrics().mem_bytes, 2 * sample);
+        // A promotion from the disk tier is a put like any other.
+        tier.put(Fingerprint(3), entry("abc"));
+        assert_eq!(tier.metrics().mem_bytes, sample + 3);
+        // Entries with no heap of their own push every other entry out.
+        tier.put(Fingerprint(4), entry(""));
+        tier.put(Fingerprint(5), entry(""));
+        let m = tier.metrics();
+        assert_eq!((m.evictions, m.mem_entries), (3, 2));
+        assert_eq!(m.mem_bytes, 0);
     }
 
     #[test]

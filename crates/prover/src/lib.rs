@@ -41,11 +41,13 @@ pub mod egraph;
 mod fxhash;
 pub mod matcher;
 pub mod prover;
+mod telemetry;
 pub mod triggers;
 
 pub use egraph::{Conflict, EGraph, EgMark, NodeId, Sym};
 pub use prover::{
     prove, Budget, CandidateModel, Divergence, ModelClass, ModelRelation, ModelSelect, Outcome,
-    Proof, QuantProfile, ScopeContext, SearchStrategy, Stats, UnknownReason,
+    Proof, ScopeContext, SearchStrategy, Stats, UnknownReason,
 };
+pub use telemetry::{QuantProfile, QuantRow, QuantTable};
 pub use triggers::QuantKind;

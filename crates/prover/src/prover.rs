@@ -25,7 +25,8 @@
 use crate::egraph::{EGraph, NodeId, Sym};
 use crate::fxhash::{FxHashMap, FxHashSet, IdKey};
 use crate::matcher::{match_trigger, match_trigger_anchored_with, term_of, TriggerPlan};
-use crate::triggers::{classify_quant, infer_triggers, QuantKind};
+use crate::telemetry::{QuantAcc, QuantDesc, QuantRow, QuantTable};
+use crate::triggers::infer_triggers;
 use oolong_logic::transform::{to_nnf, FreshGen, Nnf};
 use oolong_logic::{Atom, FnSym, Formula, Phase, Symbol, Term, TermNode, Trigger};
 use std::collections::HashMap;
@@ -177,85 +178,24 @@ impl fmt::Display for UnknownReason {
     }
 }
 
-/// Per-quantifier telemetry: one row per structurally distinct quantified
-/// axiom the search registered, keyed by its stable id (`q0`, `q1`, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantProfile {
-    /// Stable structural id of the quantifier.
-    pub id: usize,
-    /// Vocabulary classification (rep inclusion / inclusion / store / other).
-    pub kind: QuantKind,
-    /// Rendered trigger set (empty when the quantifier was inert).
-    pub trigger: String,
-    /// Trigger-match bindings found (before dedup and generation checks).
-    pub matches: u64,
-    /// Instantiations actually asserted.
-    pub instances: u64,
-    /// Instantiations asserted during background pre-saturation (context
-    /// construction, before any obligation's goal exists). Zero for
-    /// [`prove`], whose context has an empty background.
-    pub presat_instances: u64,
-    /// Instantiations asserted inside an obligation's frame, after the
-    /// goal terms were asserted. `presat_instances + goal_instances ==
-    /// instances` always.
-    pub goal_instances: u64,
-    /// Instantiations deferred by the matching-generation limit.
-    pub deferred: u64,
-    /// The most recent instantiation bindings (at most three, rendered as
-    /// `v := t` lists): a representative term chain for loop diagnosis.
-    pub chain: Vec<String>,
-}
-
-impl QuantProfile {
-    /// Total matching pressure: performed plus deferred instantiations —
-    /// the sort key for divergence attribution.
-    pub fn pressure(&self) -> u64 {
-        self.instances + self.deferred
-    }
-}
-
-impl fmt::Display for QuantProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "q{} [{}] {}: {} instances ({} presat + {} goal), {} matches",
-            self.id,
-            self.kind,
-            if self.trigger.is_empty() {
-                "(no trigger)"
-            } else {
-                &self.trigger
-            },
-            self.instances,
-            self.presat_instances,
-            self.goal_instances,
-            self.matches,
-        )?;
-        if self.deferred > 0 {
-            write!(f, ", {} deferred", self.deferred)?;
-        }
-        Ok(())
-    }
-}
-
 /// Divergence attribution: which budget dimension tripped and which
 /// quantified axioms were doing the most instantiation work when it did —
 /// the paper's "loops irrevocably on cyclic rep inclusions" anecdote as a
 /// mechanical report.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Divergence {
+pub struct Divergence<'a> {
     /// The dimension that ran out.
     pub reason: UnknownReason,
-    /// Hottest quantifiers, by [`QuantProfile::pressure`], descending.
-    pub culprits: Vec<QuantProfile>,
+    /// Hottest quantifiers, by [`QuantRow::pressure`], descending.
+    pub culprits: Vec<QuantRow<'a>>,
 }
 
-impl fmt::Display for Divergence {
+impl fmt::Display for Divergence<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}; top instantiation culprits:", self.reason)?;
         for culprit in &self.culprits {
             writeln!(f, "  {culprit}")?;
-            for step in &culprit.chain {
+            for step in culprit.chain() {
                 writeln!(f, "    at {step}")?;
             }
         }
@@ -308,10 +248,12 @@ pub struct Stats {
     pub sliced_axioms: usize,
     /// When the outcome was [`Outcome::Unknown`]: which limit tripped.
     pub exhausted: Option<UnknownReason>,
-    /// Per-quantifier instantiation telemetry, ordered by stable id.
-    /// Shared, so copying a `Stats` (a cache hit replays one into its
-    /// events and its verdict) does not copy the table.
-    pub per_quant: Arc<[QuantProfile]>,
+    /// Per-quantifier instantiation telemetry, ordered by stable id: the
+    /// proof's own rows over its context's shared base rows, held as
+    /// counters and term handles and rendered only where they are printed
+    /// (see [`QuantTable`]). Copying a `Stats` (a cache hit replays one
+    /// into its events and its verdict) copies two pointers.
+    pub per_quant: QuantTable,
 }
 
 impl Stats {
@@ -369,8 +311,8 @@ impl Stats {
     /// The hottest quantifiers by instantiation pressure (performed plus
     /// deferred), descending, ties broken by stable id. Rows that did no
     /// matching work are omitted.
-    pub fn top_culprits(&self, n: usize) -> Vec<&QuantProfile> {
-        let mut hot: Vec<&QuantProfile> = self
+    pub fn top_culprits(&self, n: usize) -> Vec<QuantRow<'_>> {
+        let mut hot: Vec<QuantRow<'_>> = self
             .per_quant
             .iter()
             .filter(|q| q.pressure() > 0 || q.matches > 0)
@@ -383,11 +325,11 @@ impl Stats {
     /// Divergence attribution, present exactly when the proof attempt
     /// exhausted its budget: the tripped dimension plus the top
     /// instantiation culprits.
-    pub fn divergence(&self) -> Option<Divergence> {
+    pub fn divergence(&self) -> Option<Divergence<'_>> {
         let reason = self.exhausted?;
         Some(Divergence {
             reason,
-            culprits: self.top_culprits(5).into_iter().cloned().collect(),
+            culprits: self.top_culprits(5),
         })
     }
 }
@@ -532,7 +474,7 @@ impl Proof {
 
     /// Divergence attribution when the budget was exhausted (see
     /// [`Stats::divergence`]).
-    pub fn divergence(&self) -> Option<Divergence> {
+    pub fn divergence(&self) -> Option<Divergence<'_>> {
         self.stats.divergence()
     }
 }
@@ -561,37 +503,6 @@ fn outcome_of(branch: Branch, fuel: Option<UnknownReason>) -> Outcome {
         Branch::Open => Outcome::NotProved,
         Branch::Fuel => Outcome::Unknown(fuel.unwrap_or(UnknownReason::Instances)),
     }
-}
-
-/// Renders the accumulated per-quantifier telemetry as [`QuantProfile`]
-/// rows ordered by stable id.
-fn render_per_quant(quant_meta: &[QuantMeta]) -> Arc<[QuantProfile]> {
-    quant_meta
-        .iter()
-        .enumerate()
-        .map(|(id, meta)| QuantProfile {
-            id,
-            kind: meta.info.kind,
-            trigger: meta.info.trigger.clone(),
-            matches: meta.matches,
-            instances: meta.instances,
-            presat_instances: meta.presat_instances,
-            goal_instances: meta.goal_instances,
-            deferred: meta.deferred,
-            chain: meta
-                .recent()
-                .map(|terms| {
-                    meta.info
-                        .vars
-                        .iter()
-                        .zip(terms.iter())
-                        .map(|(v, t)| format!("{v} := {t}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                })
-                .collect(),
-        })
-        .collect()
 }
 
 /// A prover context pre-loaded with a scope's shared background.
@@ -628,12 +539,13 @@ pub struct ScopeContext {
     /// Work counters accumulated while building the base. Every proof's
     /// stats start from a copy, so construction cost is reported in each
     /// proof — identically whether the context is shared or one-shot,
-    /// which keeps cached stats deterministic per obligation.
+    /// which keeps cached stats deterministic per obligation. Its
+    /// `per_quant` holds the base's telemetry rows, which every proof's
+    /// table overlays and shares.
     base_stats: Stats,
     /// Stable ids of the quantifiers the base registered. Shared with
     /// every proof, which hands out further ids from an overlay of its own.
     base_quant_ids: Arc<QuantIds>,
-    base_quant_meta: Vec<QuantMeta>,
     base_fresh: FreshGen,
     /// For each background formula (by index): the stable quantifier ids
     /// its assertion registered, for cross-checking axiom slicing against
@@ -651,7 +563,7 @@ impl fmt::Debug for ScopeContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ScopeContext")
             .field("axioms", &self.axiom_quants.len())
-            .field("quants", &self.base_quant_meta.len())
+            .field("quants", &self.base_stats.per_quant.len())
             .field("base_merges", &self.base_merges)
             .field("settled", &self.settled)
             .finish_non_exhaustive()
@@ -723,6 +635,7 @@ impl ScopeContext {
         let base_merges = ctx.eg.merges_performed();
         let mut base_stats = shared.stats;
         base_stats.merges = base_merges;
+        base_stats.per_quant = shared.quants.into_base();
         ScopeContext {
             budget: budget.clone(),
             base: ctx,
@@ -730,7 +643,6 @@ impl ScopeContext {
             // Nothing was registered before construction began, so every
             // id sits in the overlay.
             base_quant_ids: Arc::new(shared.quant_ids),
-            base_quant_meta: shared.quant_meta,
             base_fresh: fresh,
             axiom_quants,
             base_merges,
@@ -743,11 +655,7 @@ impl ScopeContext {
     pub fn prove(&mut self, hypotheses: &[Formula], goal: &Formula) -> Proof {
         let start = std::time::Instant::now();
         let (outcome, mut stats, open_branch, model) = match self.settled {
-            Some(outcome) => {
-                let mut stats = self.base_stats.clone();
-                stats.per_quant = render_per_quant(&self.base_quant_meta);
-                (outcome, stats, None, None)
-            }
+            Some(outcome) => (outcome, self.base_stats.clone(), None, None),
             None => self.search_in_frame(hypotheses, goal),
         };
         stats.exhausted = match outcome {
@@ -782,7 +690,7 @@ impl ScopeContext {
             stats: self.base_stats.clone(),
             quant_ids: HashMap::with_hasher(self.base_quant_ids.hasher().clone()),
             base_quant_ids: Arc::clone(&self.base_quant_ids),
-            quant_meta: self.base_quant_meta.clone(),
+            quants: QuantAcc::over(&self.base_stats.per_quant),
             // The proof's own instance window.
             window_start: self.base_stats.instances,
             ..Shared::new(&self.budget, false)
@@ -804,7 +712,7 @@ impl ScopeContext {
         stats.pops = self.base.eg.pops() - pops_before;
         stats.undone_merges = self.base.eg.undone_merges() - undone_before;
         self.base.rollback(cp);
-        stats.per_quant = render_per_quant(&shared.quant_meta);
+        stats.per_quant = shared.quants.finish();
         (outcome, stats, shared.open_branch, shared.model)
     }
 
@@ -887,7 +795,7 @@ struct Shared {
     quant_ids: QuantIds,
     /// Per-quantifier telemetry, indexed by stable id (kept in lockstep
     /// with the ids).
-    quant_meta: Vec<QuantMeta>,
+    quants: QuantAcc,
     /// The first budget dimension that ran out, if any.
     fuel: Option<UnknownReason>,
     /// `stats.instances` when the current instance window opened: the
@@ -912,7 +820,7 @@ impl Shared {
             stats: Stats::default(),
             quant_ids: HashMap::default(),
             base_quant_ids: Arc::default(),
-            quant_meta: Vec::new(),
+            quants: QuantAcc::new(),
             fuel: None,
             window_start: 0,
             open_branch: None,
@@ -947,79 +855,6 @@ impl Shared {
         (id, key.vars, key.body)
     }
 }
-
-/// Accumulating telemetry for one quantifier (rendered to a
-/// [`QuantProfile`] when the search finishes). Every proof from a scope
-/// context starts from a copy of the base's rows; the copy shares the
-/// fixed description and duplicates only the counters.
-#[derive(Clone)]
-struct QuantMeta {
-    info: Arc<QuantInfo>,
-    matches: u64,
-    instances: u64,
-    presat_instances: u64,
-    goal_instances: u64,
-    deferred: u64,
-    /// The most recent instantiation bindings, oldest first (at most
-    /// [`CHAIN_LEN`]): the representative term chain for loop diagnosis.
-    recent: [Option<Arc<[Term]>>; CHAIN_LEN],
-}
-
-/// The fixed description of a quantifier's telemetry row.
-struct QuantInfo {
-    kind: QuantKind,
-    /// Rendered trigger set.
-    trigger: String,
-    vars: Vec<Symbol>,
-}
-
-impl QuantMeta {
-    /// A fresh row for `∀vars {triggers} :: body`.
-    fn new(vars: &[Symbol], triggers: &[Trigger], body: &Nnf) -> QuantMeta {
-        QuantMeta {
-            info: Arc::new(QuantInfo {
-                kind: classify_quant(triggers, body),
-                trigger: triggers
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(" "),
-                vars: vars.to_vec(),
-            }),
-            matches: 0,
-            instances: 0,
-            presat_instances: 0,
-            goal_instances: 0,
-            deferred: 0,
-            recent: Default::default(),
-        }
-    }
-
-    /// The recorded instantiation terms, oldest first. An exact-size
-    /// iterator: the rendered chain is stored with every cached verdict,
-    /// so it must not carry spare capacity.
-    fn recent(&self) -> impl ExactSizeIterator<Item = &[Term]> {
-        let held = self.recent.iter().take_while(|t| t.is_some()).count();
-        self.recent[..held]
-            .iter()
-            .map(|t| t.as_deref().expect("held slots are filled"))
-    }
-
-    /// Records an instantiation's terms, dropping the oldest once
-    /// [`CHAIN_LEN`] are held.
-    fn push_recent(&mut self, terms: Arc<[Term]>) {
-        match self.recent.iter().position(Option::is_none) {
-            Some(free) => self.recent[free] = Some(terms),
-            None => {
-                self.recent.rotate_left(1);
-                self.recent[CHAIN_LEN - 1] = Some(terms);
-            }
-        }
-    }
-}
-
-/// How many recent instantiation bindings each quantifier retains.
-const CHAIN_LEN: usize = 3;
 
 /// Records the first exhausted budget dimension and reports fuel-out.
 fn out_of_fuel(shared: &mut Shared, reason: UnknownReason) -> Branch {
@@ -1507,10 +1342,8 @@ fn park_gated_quant(
     } else {
         triggers
     };
-    if id == shared.quant_meta.len() {
-        shared
-            .quant_meta
-            .push(QuantMeta::new(&vars, &triggers, &body));
+    if id == shared.quants.len() {
+        shared.quants.push(QuantDesc::new(&vars, &triggers, &body));
     }
     Quant::new(id, vars, triggers, body)
 }
@@ -1555,12 +1388,10 @@ fn register_quant(
     } else {
         triggers
     };
-    if id == shared.quant_meta.len() {
+    if id == shared.quants.len() {
         // First registration of this structural quantifier anywhere in the
         // search: record its telemetry row.
-        shared
-            .quant_meta
-            .push(QuantMeta::new(&vars, &triggers, &body));
+        shared.quants.push(QuantDesc::new(&vars, &triggers, &body));
     }
     ctx.quants.push(Quant::new(id, vars, triggers, body));
 }
@@ -2081,7 +1912,11 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                 &anchored_bindings
             };
             shared.stats.trigger_matches += bindings.len() as u64;
-            shared.quant_meta[quant.id].matches += bindings.len() as u64;
+            if !bindings.is_empty() {
+                // A pass that found nothing leaves the row as the base
+                // left it, so the proof does not copy it.
+                shared.quants.counters_mut(quant.id).matches += bindings.len() as u64;
+            }
             for binding in bindings {
                 let bound = |hole: usize| binding.node(hole as u16).expect("binding is complete");
                 let binding_gen = (0..data.vars.len())
@@ -2092,7 +1927,7 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                 if instance_gen > shared.budget.max_term_gen {
                     *deferred = true;
                     shared.stats.deferred_instances += 1;
-                    shared.quant_meta[quant.id].deferred += 1;
+                    shared.quants.counters_mut(quant.id).deferred += 1;
                     continue;
                 }
                 let mut aliases = Vec::new();
@@ -2139,14 +1974,14 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                 pending.push((data.body.subst(&map), instance_gen));
                 produced += 1;
                 shared.stats.instances += 1;
-                let meta = &mut shared.quant_meta[quant.id];
+                let meta = shared.quants.counters_mut(quant.id);
                 meta.instances += 1;
                 if shared.presat {
                     meta.presat_instances += 1;
                 } else {
                     meta.goal_instances += 1;
                 }
-                meta.push_recent(terms.as_slice().into());
+                shared.quants.push_recent(quant.id, terms.as_slice().into());
                 if shared.stats.instances - shared.window_start >= shared.budget.max_instances {
                     shared.fuel.get_or_insert(UnknownReason::Instances);
                     return PassResult::Fuel;
@@ -2325,7 +2160,7 @@ mod tests {
         let culprit = &divergence.culprits[0];
         assert!(culprit.instances > 0);
         assert!(
-            !culprit.chain.is_empty(),
+            !culprit.chain().is_empty(),
             "culprits carry a representative term chain"
         );
         assert!(
@@ -2333,13 +2168,13 @@ mod tests {
             "trigger: {}",
             culprit.trigger
         );
-        // Cached verdicts keep these rows, so chains carry no spare
-        // capacity.
-        assert!(p
-            .stats
-            .per_quant
-            .iter()
-            .all(|q| q.chain.capacity() == q.chain.len()));
+        // The rows equal their rendered form read back, as a cache
+        // entry's are.
+        let rendered = p.stats.per_quant.iter().map(|q| q.to_profile());
+        assert_eq!(
+            QuantTable::from_rendered(rendered).as_ref(),
+            Some(&p.stats.per_quant)
+        );
     }
 
     #[test]
@@ -2484,7 +2319,7 @@ mod tests {
         assert_eq!(first.stats.per_quant.len(), base_quants + 1);
         assert_eq!(b.stats.per_quant.len(), base_quants + 2);
         // B's first quantifier took the id A's took, and A gets it back.
-        let row = |p: &Proof, id: usize| p.stats.per_quant[id].clone();
+        let row = |p: &Proof, id: usize| p.stats.per_quant.get(id).expect("row").to_profile();
         assert_eq!(row(&first, base_quants).id, base_quants);
         assert_eq!(row(&b, base_quants).id, base_quants);
         assert_ne!(
@@ -2520,7 +2355,7 @@ mod tests {
         ];
         let mut ctx = ScopeContext::new(&background, &[], &Budget::default());
         assert_eq!(ctx.settled, Some(Outcome::Proved));
-        let base_rows = render_per_quant(&ctx.base_quant_meta);
+        let base_rows = ctx.base_stats.per_quant.clone();
         assert!(!base_rows.is_empty());
         let before = ctx.debug_state();
         let goals = [
@@ -2592,7 +2427,7 @@ mod tests {
         let second = ctx.prove(&[fact("r", "b")], &fact("r", "b"));
         for proof in [&first, &second] {
             assert!(proof.is_proved());
-            let row = &proof.stats.per_quant[gated[0]];
+            let row = proof.stats.per_quant.get(gated[0]).expect("gated row");
             assert_eq!((row.presat_instances, row.goal_instances), (1, 0), "{row}");
         }
         assert_eq!(ctx.debug_state(), before);

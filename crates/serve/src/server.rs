@@ -513,6 +513,7 @@ impl Shared {
                         "mem_capacity".to_string(),
                         Json::Int(store.mem_capacity as i64),
                     ),
+                    ("mem_bytes".to_string(), Json::Int(store.mem_bytes as i64)),
                     ("mem_hits".to_string(), Json::Int(store.mem_hits as i64)),
                     ("mem_misses".to_string(), Json::Int(store.mem_misses as i64)),
                     ("evictions".to_string(), Json::Int(store.evictions as i64)),

@@ -237,6 +237,52 @@ fn pooled_contexts_match_one_shot_contexts_in_either_order() {
     assert!(pool.len() < vcs.len(), "contexts were shared");
 }
 
+/// Two checkers built separately from one program prove each of its
+/// obligations in contexts of their own, and give equal `Stats` and
+/// byte-identical stats JSON: telemetry rows compare by content (row
+/// descriptions, counters and chains), never by which context's shared
+/// rows they point into.
+#[test]
+fn separately_built_contexts_give_equal_stats() {
+    use oolong::engine::stats_to_json;
+    let mut compared = 0;
+    for program in oolong::corpus::all() {
+        let build = || {
+            Checker::new(
+                &parse_program(program.source).unwrap(),
+                CheckOptions::default(),
+            )
+        };
+        let (Ok(left), Ok(right)) = (build(), build()) else {
+            continue;
+        };
+        for (impl_id, _) in left.scope().impls() {
+            let (Ok(a), Ok(b)) = (left.vc(impl_id), right.vc(impl_id)) else {
+                continue;
+            };
+            let slice = left.background_slice(&a);
+            let mut ctx_a = left.context_for_slice(&a, &slice);
+            let mut ctx_b = right.context_for_slice(&b, &right.background_slice(&b));
+            let va = left.verdict_for_vc_in(&mut ctx_a, &a, slice.dropped());
+            let vb = right.verdict_for_vc_in(&mut ctx_b, &b, slice.dropped());
+            let (Some(sa), Some(sb)) = (va.stats(), vb.stats()) else {
+                continue;
+            };
+            assert_eq!(sa, sb, "{}/{}", program.name, a.proc_name);
+            assert_eq!(
+                stats_to_json(sa).render(),
+                stats_to_json(sb).render(),
+                "{}/{}",
+                program.name,
+                a.proc_name
+            );
+            assert!(!sa.per_quant.is_empty());
+            compared += 1;
+        }
+    }
+    assert!(compared >= 20, "{compared} obligations compared");
+}
+
 #[test]
 fn plain_programs_verify_at_the_arrays_level_too() {
     // force_arrays_level adds the extended axioms; a plain program's

@@ -11,8 +11,8 @@ use oolong::datagroups::{Axiom, CheckOptions, Checker, ObligationKind, Obligatio
 use oolong::diagnose::Diagnosis;
 use oolong::engine::{
     context_key, fingerprint_vc, json, BatchReport, BatchUnit, CachedVerdict, ContextPool,
-    CutoffMap, Engine, EngineOptions, Fingerprint, Json, MemoryTier, DEFAULT_CONTEXT_CAPACITY,
-    DEFAULT_MEMORY_CAPACITY,
+    CutoffMap, DiskTier, Engine, EngineOptions, Fingerprint, Json, MemoryTier, VerdictStore,
+    DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
 };
 use oolong::logic::{Formula, Phase};
 use oolong::prover::Stats;
@@ -1003,4 +1003,169 @@ fn cutoff_map_stays_within_the_memory_tier_bound() {
             small.cutoffs().len()
         );
     }
+}
+
+/// Telemetry rows are the same wherever a verdict comes from. For every
+/// obligation of the paper corpus and of a generated 200-procedure unit,
+/// a fresh proof, a memory-tier hit and a disk-tier hit (read by a new
+/// engine over the same cache directory) give equal `Stats` and
+/// byte-identical `stats_to_json`: all-zero rows, trigger text and
+/// binding chains included.
+#[test]
+fn telemetry_rows_agree_across_proofs_and_both_cache_tiers() {
+    let mut units = corpus_units();
+    units.push(generated_unit());
+    let dir = std::env::temp_dir().join(format!("oolong-telemetry-tiers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // One worker, so obligations sharing a fingerprint hit in order.
+    let options = || EngineOptions {
+        workers: 1,
+        cache_dir: Some(dir.clone()),
+        ..EngineOptions::default()
+    };
+    let resident = Engine::new(options()).expect("cache dir opens");
+    let fresh = resident.check_batch(&units);
+    let memory = resident.check_batch(&units);
+    let reader = Engine::new(options()).expect("cache dir opens");
+    let disk = reader.check_batch(&units);
+    assert_eq!((memory.prover_calls, disk.prover_calls), (0, 0));
+    assert!(reader.store().metrics().disk_hits > 0);
+    assert_eq!(fresh.obligations.len(), disk.obligations.len());
+    let (mut proofs, mut zero_rows, mut chains) = (0, 0, 0);
+    for ((f, m), d) in fresh
+        .obligations
+        .iter()
+        .zip(&memory.obligations)
+        .zip(&disk.obligations)
+    {
+        let Some(stats) = f.verdict.stats() else {
+            continue;
+        };
+        proofs += 1;
+        let rendered = oolong::engine::stats_to_json(stats).render();
+        for (tier, hit) in [("memory", m), ("disk", d)] {
+            assert!(hit.cache_hit, "{tier} {}/{}", hit.unit, hit.proc_name);
+            let replayed = hit.verdict.stats().expect("cached verdicts carry stats");
+            assert_eq!(replayed, stats, "{tier} {}/{}", hit.unit, hit.proc_name);
+            assert_eq!(
+                oolong::engine::stats_to_json(replayed).render(),
+                rendered,
+                "{tier} {}/{}",
+                hit.unit,
+                hit.proc_name
+            );
+        }
+        zero_rows += stats
+            .per_quant
+            .iter()
+            .filter(|q| q.matches == 0 && q.instances == 0 && q.deferred == 0)
+            .count();
+        chains += stats
+            .per_quant
+            .iter()
+            .filter(|q| !q.chain().is_empty())
+            .count();
+    }
+    assert!(proofs > 200, "{proofs} proofs");
+    assert!(
+        zero_rows > 0 && chains > 0,
+        "{zero_rows} zero rows, {chains} chains"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The verified verdicts of a generated unit of `procs` procedures, and
+/// the engine that checked it.
+fn verified_entries(seed: u64, procs: usize) -> (Engine, BatchReport, Vec<CachedVerdict>) {
+    let config = UnannotatedConfig {
+        groups: 8,
+        fields: 24,
+        procs,
+        keep_includes: true,
+    };
+    let unit = generate_unannotated_source(seed, &config);
+    let engine = Engine::new(EngineOptions::default()).expect("in-memory engine");
+    let report = engine.check_source(&unit.name, &unit.annotated);
+    let entries = report
+        .obligations
+        .iter()
+        .filter(|o| matches!(o.verdict, Verdict::Verified(_)))
+        .map(|o| {
+            CachedVerdict::from_verdict(&o.proc_name, &o.verdict, None)
+                .expect("verified verdicts are cached")
+        })
+        .collect();
+    (engine, report, entries)
+}
+
+/// A resident verdict holds counters, not rendered rows: the median
+/// `heap_bytes` of the verified verdicts of a scaled unit (seed 44, the
+/// first unit of the benchmark's seed 11) stays small, and the memory
+/// tier's running total is the sum over its entries plus each context
+/// base they share, once.
+#[test]
+fn resident_verdicts_hold_counters_not_rendered_rows() {
+    let (engine, report, entries) = verified_entries(44, 200);
+    let mut verified: Vec<usize> = entries.iter().map(CachedVerdict::heap_bytes).collect();
+    assert_eq!(verified.len(), 200);
+    verified.sort_unstable();
+    let median = verified[verified.len() / 2];
+    assert!(median <= 7 * 1024, "median verdict holds {median} bytes");
+    // Obligations that share a fingerprint share one entry.
+    let fingerprints: std::collections::HashSet<_> = report
+        .obligations
+        .iter()
+        .filter_map(|o| o.fingerprint)
+        .collect();
+    let mut bases = HashMap::new();
+    let mut total = 0;
+    for &fp in &fingerprints {
+        let entry = engine.store().get(fp).expect("resident");
+        total += entry.heap_bytes();
+        bases.extend(entry.shared_base());
+    }
+    assert!(!bases.is_empty() && bases.len() < fingerprints.len());
+    total += bases.values().sum::<usize>();
+    assert_eq!(engine.store().metrics().mem_bytes, total);
+}
+
+/// The memory tier counts a context base once however many entries share
+/// it, keeps counting it while any entry holds it, and returns to zero
+/// once every entry that held one is evicted.
+#[test]
+fn memory_tier_counts_each_shared_base_once() {
+    let (_, _, entries) = verified_entries(45, 24);
+    let tier = MemoryTier::with_capacity(entries.len());
+    let (mut own, mut bases) = (0, HashMap::new());
+    for (i, entry) in entries.iter().enumerate() {
+        let entry = entry.clone();
+        own += entry.heap_bytes();
+        let (key, bytes) = entry.shared_base().expect("a fresh proof shares its base");
+        assert!(bytes > 0);
+        bases.insert(key, bytes);
+        tier.put(Fingerprint(i as u128), entry);
+    }
+    assert!(bases.len() < entries.len(), "{} bases", bases.len());
+    let shared: usize = bases.values().sum();
+    assert_eq!(tier.metrics().mem_bytes, own + shared);
+    // Replacing an entry with itself moves nothing.
+    tier.put(Fingerprint(0), entries[0].clone());
+    assert_eq!(tier.metrics().mem_bytes, own + shared);
+    // An entry decoded from disk shares no base; entries like it push
+    // every other entry out.
+    let dir = std::env::temp_dir().join(format!("oolong-shared-bases-{}", std::process::id()));
+    let disk = DiskTier::at_dir(&dir).expect("cache dir opens");
+    disk.put(Fingerprint(0), entries[0].clone());
+    let decoded = disk.get(Fingerprint(0)).expect("disk hit");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(decoded.shared_base(), None);
+    let mut decoded_bytes = 0;
+    for i in 0..entries.len() {
+        let entry = decoded.clone();
+        decoded_bytes += entry.heap_bytes();
+        tier.put(Fingerprint(1_000 + i as u128), entry);
+    }
+    let m = tier.metrics();
+    assert_eq!(m.evictions, entries.len() as u64);
+    assert_eq!(m.mem_bytes, decoded_bytes);
 }

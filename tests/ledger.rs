@@ -235,10 +235,10 @@ fn normalize_trigger(trigger: &str) -> String {
 /// kind, normalized trigger, matches, instances, deferrals.
 type WorkRow = (String, String, u64, u64, u64);
 
-fn work_row(q: &oolong::prover::QuantProfile) -> WorkRow {
+fn work_row(q: oolong::prover::QuantRow<'_>) -> WorkRow {
     (
         q.kind.to_string(),
-        normalize_trigger(&q.trigger),
+        normalize_trigger(q.trigger),
         q.matches,
         q.instances,
         q.deferred,
@@ -264,7 +264,7 @@ fn divergence_key(stats: &Stats) -> Option<(String, Vec<WorkRow>)> {
     stats.divergence().map(|d| {
         (
             d.reason.as_str().to_string(),
-            d.culprits.iter().map(work_row).collect(),
+            d.culprits.into_iter().map(work_row).collect(),
         )
     })
 }

@@ -526,6 +526,11 @@ fn scripted_session_end_to_end() {
             >= 1,
         "verdicts were persisted to the disk tier"
     );
+    let resident = |member: &str| store.get(member).and_then(Json::as_u64).unwrap_or(0);
+    assert!(
+        resident("mem_entries") >= 1 && resident("mem_bytes") >= resident("mem_entries"),
+        "the memory tier reports the bytes its entries hold: {store:?}"
+    );
 
     let bye = client
         .request(r#"{"id":6,"cmd":"shutdown"}"#)

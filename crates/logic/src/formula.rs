@@ -59,7 +59,7 @@ impl Atom {
     /// Simultaneously substitutes variables by terms in all arguments.
     #[must_use]
     pub fn subst(&self, map: &[(Symbol, Term)]) -> Atom {
-        self.subst_memo(map, &mut SubstMemo::new())
+        self.subst_memo(map, &mut SubstMemo::default())
     }
 
     pub(crate) fn subst_memo(&self, map: &[(Symbol, Term)], memo: &mut SubstMemo) -> Atom {
@@ -431,7 +431,7 @@ impl Formula {
     /// variables of an image (which would capture).
     #[must_use]
     pub fn subst(&self, map: &[(Symbol, Term)]) -> Formula {
-        self.subst_memo(map, &mut SubstMemo::new())
+        self.subst_memo(map, &mut SubstMemo::default())
     }
 
     fn subst_memo(&self, map: &[(Symbol, Term)], memo: &mut SubstMemo) -> Formula {
@@ -460,7 +460,7 @@ impl Formula {
                         .filter(|(v, _)| !vars.contains(v))
                         .copied()
                         .collect();
-                    let mut inner_memo = SubstMemo::new();
+                    let mut inner_memo = SubstMemo::default();
                     let triggers = subst_triggers(triggers, &inner, &mut inner_memo);
                     Formula::Forall(
                         vars.clone(),
@@ -480,7 +480,7 @@ impl Formula {
                         .filter(|(v, _)| !vars.contains(v))
                         .copied()
                         .collect();
-                    let mut inner_memo = SubstMemo::new();
+                    let mut inner_memo = SubstMemo::default();
                     let triggers = subst_triggers(triggers, &inner, &mut inner_memo);
                     Formula::Exists(
                         vars.clone(),

@@ -30,6 +30,7 @@
 //! ```
 
 pub mod formula;
+pub mod fxhash;
 pub mod intern;
 pub mod policy;
 pub mod stable_hash;

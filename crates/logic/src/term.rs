@@ -6,7 +6,7 @@
 //! into the global arena in [`crate::intern`], so structurally equal
 //! terms share one id and term equality is an integer compare.
 
-use crate::intern::{intern_term, Symbol};
+use crate::intern::{intern_app, intern_leaf, Symbol};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -142,7 +142,12 @@ pub struct Term(u32);
 
 /// Substitution memo keyed by term id: maps a subterm to its image under
 /// the *current* map. Callers must discard it whenever the map changes.
-pub(crate) type SubstMemo = std::collections::HashMap<u32, Term>;
+/// Term ids are arena-assigned, so the memo uses the unkeyed Fx hash.
+pub(crate) type SubstMemo = crate::fxhash::FxHashMap<u32, Term>;
+
+/// Arguments an application rebuilt by [`Term::subst`] or
+/// [`Term::app_iter`] keeps on the stack; wider ones use a `Vec`.
+const INLINE_ARGS: usize = 8;
 
 impl Term {
     pub(crate) fn from_id(id: u32) -> Term {
@@ -171,18 +176,40 @@ impl Term {
 
     /// Builds a variable term.
     pub fn var(name: impl Into<Symbol>) -> Term {
-        intern_term(TermNode::Var(name.into()))
+        intern_leaf(TermNode::Var(name.into()))
     }
 
     /// Builds a constant term.
     pub fn lit(c: Cst) -> Term {
-        intern_term(TermNode::Const(c))
+        intern_leaf(TermNode::Const(c))
     }
 
     /// General application constructor; arity discipline is the
-    /// caller's business (see [`FnSym::arity`]).
+    /// caller's business (see [`FnSym::arity`]). The vector becomes the
+    /// node's if the term is new, and is dropped otherwise.
     pub fn app(sym: FnSym, args: Vec<Term>) -> Term {
-        intern_term(TermNode::App(sym, args))
+        intern_app(sym, args)
+    }
+
+    /// [`Term::app`] over borrowed arguments: allocates only if the term
+    /// is new.
+    pub(crate) fn app_slice(sym: FnSym, args: &[Term]) -> Term {
+        intern_app(sym, args)
+    }
+
+    /// [`Term::app`] over the arguments `args` yields: up to eight are
+    /// gathered on the stack, so an existing term costs no allocation.
+    pub fn app_iter(sym: FnSym, args: impl ExactSizeIterator<Item = Term>) -> Term {
+        if args.len() > INLINE_ARGS {
+            return Term::app(sym, args.collect());
+        }
+        let mut buf = [Term(0); INLINE_ARGS];
+        let mut n = 0;
+        for a in args {
+            buf[n] = a;
+            n += 1;
+        }
+        Term::app_slice(sym, &buf[..n])
     }
 
     /// The current-store variable `$`.
@@ -217,22 +244,22 @@ impl Term {
 
     /// `select(store, obj, attr)` — the paper's `S(X·A)`.
     pub fn select(store: Term, obj: Term, attr: Term) -> Term {
-        Term::app(FnSym::Select, vec![store, obj, attr])
+        Term::app_slice(FnSym::Select, &[store, obj, attr])
     }
 
     /// `update(store, obj, attr, val)` — the paper's `S(X·A := V)`.
     pub fn update(store: Term, obj: Term, attr: Term, val: Term) -> Term {
-        Term::app(FnSym::Update, vec![store, obj, attr, val])
+        Term::app_slice(FnSym::Update, &[store, obj, attr, val])
     }
 
     /// `new(store)` — the next object to be allocated.
     pub fn new_obj(store: Term) -> Term {
-        Term::app(FnSym::New, vec![store])
+        Term::app_slice(FnSym::New, &[store])
     }
 
     /// `succ(store)` — the paper's `S⁺`.
     pub fn succ(store: Term) -> Term {
-        Term::app(FnSym::Succ, vec![store])
+        Term::app_slice(FnSym::Succ, &[store])
     }
 
     /// Integer addition.
@@ -240,25 +267,25 @@ impl Term {
     // trait names are the natural builder vocabulary.
     #[allow(clippy::should_implement_trait)]
     pub fn add(a: Term, b: Term) -> Term {
-        Term::app(FnSym::Add, vec![a, b])
+        Term::app_slice(FnSym::Add, &[a, b])
     }
 
     /// Integer subtraction.
     #[allow(clippy::should_implement_trait)]
     pub fn sub(a: Term, b: Term) -> Term {
-        Term::app(FnSym::Sub, vec![a, b])
+        Term::app_slice(FnSym::Sub, &[a, b])
     }
 
     /// Integer multiplication.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(a: Term, b: Term) -> Term {
-        Term::app(FnSym::Mul, vec![a, b])
+        Term::app_slice(FnSym::Mul, &[a, b])
     }
 
     /// Integer negation.
     #[allow(clippy::should_implement_trait)]
     pub fn neg(a: Term) -> Term {
-        Term::app(FnSym::Neg, vec![a])
+        Term::app_slice(FnSym::Neg, &[a])
     }
 
     /// An application of an uninterpreted function symbol.
@@ -282,7 +309,7 @@ impl Term {
     /// Simultaneously substitutes variables by terms.
     #[must_use]
     pub fn subst(&self, map: &[(Symbol, Term)]) -> Term {
-        self.subst_memo(map, &mut SubstMemo::new())
+        self.subst_memo(map, &mut SubstMemo::default())
     }
 
     /// Substitution with a shared memo: hash-consing makes equal
@@ -307,7 +334,22 @@ impl Term {
                 if let Some(&hit) = memo.get(&self.0) {
                     return hit;
                 }
-                let out = Term::app(*sym, args.iter().map(|a| a.subst_memo(map, memo)).collect());
+                let out = if args.len() <= INLINE_ARGS {
+                    let mut buf = [*self; INLINE_ARGS];
+                    let mut changed = false;
+                    for (slot, a) in buf.iter_mut().zip(args) {
+                        *slot = a.subst_memo(map, memo);
+                        changed |= slot != a;
+                    }
+                    // Unchanged arguments rebuild this very node.
+                    if changed {
+                        Term::app_slice(*sym, &buf[..args.len()])
+                    } else {
+                        *self
+                    }
+                } else {
+                    Term::app(*sym, args.iter().map(|a| a.subst_memo(map, memo)).collect())
+                };
                 memo.insert(self.0, out);
                 out
             }

@@ -112,7 +112,7 @@ impl Nnf {
     /// hash-consed ids so each distinct subterm is rewritten once.
     #[must_use]
     pub fn subst(&self, map: &[(Symbol, Term)]) -> Nnf {
-        self.subst_memo(map, &mut SubstMemo::new())
+        self.subst_memo(map, &mut SubstMemo::default())
     }
 
     fn subst_memo(&self, map: &[(Symbol, Term)], memo: &mut SubstMemo) -> Nnf {
@@ -143,7 +143,7 @@ impl Nnf {
                         .filter(|(v, _)| !vars.contains(v))
                         .copied()
                         .collect();
-                    let mut inner_memo = SubstMemo::new();
+                    let mut inner_memo = SubstMemo::default();
                     let triggers = triggers
                         .iter()
                         .map(|t| {
@@ -360,7 +360,7 @@ fn rename_and_quantify(
         .iter()
         .map(|(_, t)| t.as_var().expect("renaming images are variables"))
         .collect();
-    let mut memo = SubstMemo::new();
+    let mut memo = SubstMemo::default();
     let renamed_triggers: Vec<Trigger> = triggers
         .iter()
         .map(|t| {

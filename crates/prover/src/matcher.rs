@@ -704,13 +704,7 @@ fn term_of_rec(
         aliases.push((t, root));
         return t;
     }
-    let node = eg.node(m).clone();
-    let args: Vec<Term> = node
-        .children
-        .iter()
-        .map(|&c| term_of_rec(eg, c, visiting, aliases))
-        .collect();
-    visiting.remove(&root);
+    let node = eg.node(m);
     let f = match node.sym {
         Sym::Select => FnSym::Select,
         Sym::Update => FnSym::Update,
@@ -723,7 +717,13 @@ fn term_of_rec(
         Sym::Uninterp(name) => FnSym::Uninterp(name),
         _ => unreachable!("predicates filtered above"),
     };
-    Term::app(f, args)
+    let args = node
+        .children
+        .iter()
+        .map(|&c| term_of_rec(eg, c, visiting, aliases));
+    let term = Term::app_iter(f, args);
+    visiting.remove(&root);
+    term
 }
 
 fn is_pred(sym: &Sym) -> bool {

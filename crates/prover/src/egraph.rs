@@ -12,10 +12,17 @@
 //! Atoms are represented as boolean-valued nodes (predicate applications)
 //! that are merged with the distinguished `true`/`false` nodes when
 //! asserted; equality atoms act directly on the union-find.
+//!
+//! A node keeps up to five children inline and names its head symbol by a
+//! [`SymKey`] of ids, so the signature table, the symbol buckets and the
+//! touch stamps hash ids only, and a lookup that hits allocates nothing.
 
+use crate::fxhash::FxHashMap;
 use oolong_logic::{Atom, Cst, FnSym, Symbol, Term, TermNode};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Dense node identifier.
 pub type NodeId = u32;
@@ -27,8 +34,15 @@ const NO_NODE: NodeId = u32::MAX;
 const MEMO_PAGE: usize = 1024;
 type MemoPage = [NodeId; MEMO_PAGE];
 
+/// How many children a node holds inline: the widest interpreted arity,
+/// `S ⊨ X·A ≽ Y·B`. Wider (Skolem) applications spill to the heap.
+const INLINE_CHILDREN: usize = 5;
+/// How many children interning and signature lookups gather on the stack;
+/// only wider applications use a heap buffer.
+const STACK_CHILDREN: usize = 16;
+
 /// Function and predicate symbols of E-graph nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sym {
     /// A free variable / constant leaf.
     Var(Symbol),
@@ -87,6 +101,172 @@ impl Sym {
             FnSym::Uninterp(name) => Sym::Uninterp(*name),
         }
     }
+
+    /// The variant tag of this symbol's [`SymKey`], and its id unless the
+    /// symbol is an integer literal (whose id is graph-local).
+    #[inline]
+    fn tag_and_id(&self) -> (u32, Option<u32>) {
+        match *self {
+            Sym::Var(v) => (0, Some(v.id())),
+            Sym::Lit(Cst::Int(_)) => (INT_TAG, None),
+            Sym::Lit(Cst::Bool(b)) => (2, Some(u32::from(b))),
+            Sym::Lit(Cst::Null) => (3, Some(0)),
+            Sym::Lit(Cst::Attr(a)) => (4, Some(a.id())),
+            Sym::Select => (5, Some(0)),
+            Sym::Update => (6, Some(0)),
+            Sym::New => (7, Some(0)),
+            Sym::Succ => (8, Some(0)),
+            Sym::Add => (9, Some(0)),
+            Sym::Sub => (10, Some(0)),
+            Sym::Mul => (11, Some(0)),
+            Sym::Neg => (12, Some(0)),
+            Sym::Uninterp(f) => (13, Some(f.id())),
+            Sym::PAlive => (14, Some(0)),
+            Sym::PLocalInc => (15, Some(0)),
+            Sym::PRepInc => (16, Some(0)),
+            Sym::PInc => (17, Some(0)),
+            Sym::PLt => (18, Some(0)),
+            Sym::PLe => (19, Some(0)),
+            Sym::PIsObj => (20, Some(0)),
+            Sym::PIsInt => (21, Some(0)),
+            Sym::PRepIncElem => (22, Some(0)),
+        }
+    }
+
+    /// The key of this symbol in every graph, or `None` for an integer
+    /// literal, whose key is graph-local (see [`EGraph::sym_key`]).
+    pub(crate) fn fixed_key(&self) -> Option<SymKey> {
+        let (tag, id) = self.tag_and_id();
+        Some(SymKey::new(tag, id?))
+    }
+}
+
+/// The [`SymKey`] tag of integer literals.
+const INT_TAG: u32 = 1;
+
+/// A [`Sym`] as ids only: the variant tag in the high half, and in the low
+/// half the interned id of a name (variables, attributes, uninterpreted
+/// functions), the graph-local id of an integer literal, or a constant.
+/// No part is chosen by the checked program, so maps keyed by it use the
+/// unkeyed Fx hasher.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SymKey(u64);
+
+impl SymKey {
+    fn new(tag: u32, id: u32) -> SymKey {
+        SymKey(u64::from(tag) << 32 | u64::from(id))
+    }
+}
+
+/// A node's children: up to [`INLINE_CHILDREN`] ids inline, wider lists
+/// on the heap.
+#[derive(Debug, Clone)]
+enum Children {
+    Inline {
+        len: u8,
+        ids: [NodeId; INLINE_CHILDREN],
+    },
+    Spill(Box<[NodeId]>),
+}
+
+impl Children {
+    fn from_slice(children: &[NodeId]) -> Children {
+        if children.len() <= INLINE_CHILDREN {
+            let mut ids = [0; INLINE_CHILDREN];
+            ids[..children.len()].copy_from_slice(children);
+            Children::Inline {
+                len: children.len() as u8,
+                ids,
+            }
+        } else {
+            Children::Spill(children.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[NodeId] {
+        match self {
+            Children::Inline { len, ids } => &ids[..usize::from(*len)],
+            Children::Spill(ids) => ids,
+        }
+    }
+}
+
+/// A signature-table key: a head symbol and canonical children.
+#[derive(Debug, Clone)]
+struct SigKey {
+    sym: SymKey,
+    children: Children,
+}
+
+/// The borrowed form of a [`SigKey`], which lookups probe with so that
+/// they need not build an owned key.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SigRef<'a> {
+    sym: SymKey,
+    children: &'a [NodeId],
+}
+
+impl Hash for SigRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.sym.0);
+        for &c in self.children {
+            state.write_u32(c);
+        }
+    }
+}
+
+/// Either form of a signature, so the table can be probed by [`SigRef`].
+trait Signature {
+    fn sig(&self) -> SigRef<'_>;
+}
+
+impl Signature for SigKey {
+    fn sig(&self) -> SigRef<'_> {
+        SigRef {
+            sym: self.sym,
+            children: self.children.as_slice(),
+        }
+    }
+}
+
+impl Signature for SigRef<'_> {
+    fn sig(&self) -> SigRef<'_> {
+        *self
+    }
+}
+
+impl Hash for dyn Signature + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.sig().hash(state);
+    }
+}
+
+impl PartialEq for dyn Signature + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.sig() == other.sig()
+    }
+}
+
+impl Eq for dyn Signature + '_ {}
+
+impl Hash for SigKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.sig().hash(state);
+    }
+}
+
+impl PartialEq for SigKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.sig() == other.sig()
+    }
+}
+
+impl Eq for SigKey {}
+
+impl<'a> Borrow<dyn Signature + 'a> for SigKey {
+    fn borrow(&self) -> &(dyn Signature + 'a) {
+        self
+    }
 }
 
 /// A hash-consed node: a symbol applied to child classes.
@@ -94,8 +274,30 @@ impl Sym {
 pub struct Node {
     /// The head symbol.
     pub sym: Sym,
+    /// `sym` as ids, computed once when the node is created.
+    key: SymKey,
     /// Children as originally constructed (not canonicalized).
-    pub children: Vec<NodeId>,
+    children: Children,
+    /// The term a leaf node names (`None` for applications).
+    leaf: Option<Term>,
+}
+
+impl Node {
+    /// Children as originally constructed (not canonicalized).
+    pub fn children(&self) -> &[NodeId] {
+        self.children.as_slice()
+    }
+
+    /// The head symbol as ids.
+    pub(crate) fn key(&self) -> SymKey {
+        self.key
+    }
+
+    /// The term of a leaf node — a free constant or a literal — which is
+    /// the same term whatever its class holds; `None` for applications.
+    pub(crate) fn leaf_term(&self) -> Option<Term> {
+        self.leaf
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -181,19 +383,23 @@ pub struct EGraph {
     /// Class data of each root, indexed by node id (dense: node ids are
     /// allocation-ordered); `None` for nodes absorbed into another class.
     classes: Vec<Option<ClassData>>,
-    /// Canonical signature (sym, canonical children) → node.
-    ///
-    /// This map, `by_sym` and the touch stamps are keyed by [`Sym`], whose
-    /// literals and names come from the checked program, so they keep the
-    /// standard keyed hasher rather than the prover's unkeyed one.
-    sig_table: HashMap<(Sym, Vec<NodeId>), NodeId>,
+    /// Canonical signature (symbol key, canonical children) → node. Keyed
+    /// by ids only, so it uses the unkeyed Fx hasher, and probed by a
+    /// borrowed [`SigRef`].
+    sig_table: FxHashMap<SigKey, NodeId>,
+    /// Graph-local ids of the integer literals, the one symbol payload the
+    /// checked program chooses; so this map keeps the keyed hasher. Ids
+    /// are never withdrawn (not even by [`EGraph::pop`]), so a literal's
+    /// key and touch stamps stay valid across checkpoints.
+    int_ids: HashMap<i64, u32>,
     /// Hash-consed term arena id → node, paged and sparse. Turns repeat
     /// interning of a term (the prover re-asserts shared hypotheses and
     /// instantiations constantly) into one array load instead of a
     /// recursive walk with a hash per node.
     term_memo: Vec<Option<Box<MemoPage>>>,
-    /// All nodes by symbol, for pattern matching.
-    by_sym: HashMap<Sym, Vec<NodeId>>,
+    /// All nodes by symbol key, for pattern matching. A bucket emptied by
+    /// [`EGraph::pop`] stays in the map.
+    by_sym: FxHashMap<SymKey, Vec<NodeId>>,
     /// Distinguished boolean leaves.
     true_id: NodeId,
     false_id: NodeId,
@@ -218,21 +424,56 @@ pub struct EGraph {
     /// trigger mentioning that symbol matches (see [`EGraph::touch_stamp`]).
     /// Monotonic across pops: undoing a mutation *re*-stamps its symbols,
     /// so staleness checks stay conservative in both directions.
-    touch: HashMap<Sym, u64>,
+    touch: FxHashMap<SymKey, u64>,
     /// Like `touch`, but stamped only by *structural* mutations — class
     /// unions and node removals/restorations — never by plain node
     /// creation. A trigger whose symbols pass this weaker check kept every
     /// match it had; only matches anchored at nodes appended since can be
     /// new, so a cached match set extends by scanning the bucket suffix.
-    touch_struct: HashMap<Sym, u64>,
+    touch_struct: FxHashMap<SymKey, u64>,
     /// Clock issuing touch stamps.
     touch_clock: u64,
+    /// Pending unions of [`EGraph::merge`], kept across calls so a merge
+    /// allocates nothing once warm. A nested merge (arithmetic evaluation
+    /// from `add`) works above the entries of the merge it runs inside
+    /// and drains back down to them.
+    merge_queue: Vec<(NodeId, NodeId)>,
 }
 
 impl Default for EGraph {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// A buffer of `len` ids: the first `len` of `stack` when they fit, else
+/// `heap`, grown to `len`.
+fn id_buffer<'a>(
+    len: usize,
+    stack: &'a mut [NodeId; STACK_CHILDREN],
+    heap: &'a mut Vec<NodeId>,
+) -> &'a mut [NodeId] {
+    if len <= STACK_CHILDREN {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0);
+        heap
+    }
+}
+
+/// The canonical children of `children` under `eg`, in a buffer from
+/// [`id_buffer`].
+fn canonical<'a>(
+    eg: &EGraph,
+    children: &[NodeId],
+    stack: &'a mut [NodeId; STACK_CHILDREN],
+    heap: &'a mut Vec<NodeId>,
+) -> &'a [NodeId] {
+    let canon = id_buffer(children.len(), stack, heap);
+    for (slot, &c) in canon.iter_mut().zip(children) {
+        *slot = eg.find(c);
+    }
+    canon
 }
 
 impl EGraph {
@@ -242,9 +483,10 @@ impl EGraph {
             nodes: Vec::new(),
             parent: Vec::new(),
             classes: Vec::new(),
-            sig_table: HashMap::new(),
+            sig_table: FxHashMap::default(),
+            int_ids: HashMap::new(),
             term_memo: Vec::new(),
-            by_sym: HashMap::new(),
+            by_sym: FxHashMap::default(),
             true_id: 0,
             false_id: 0,
             merges: 0,
@@ -255,15 +497,16 @@ impl EGraph {
             pops: 0,
             undone_merges: 0,
             trail_high_water: 0,
-            touch: HashMap::new(),
-            touch_struct: HashMap::new(),
+            touch: FxHashMap::default(),
+            touch_struct: FxHashMap::default(),
             touch_clock: 0,
+            merge_queue: Vec::new(),
         };
         eg.true_id = eg
-            .add(Sym::Lit(Cst::Bool(true)), vec![])
+            .add(Sym::Lit(Cst::Bool(true)), &[])
             .expect("no conflict on init");
         eg.false_id = eg
-            .add(Sym::Lit(Cst::Bool(false)), vec![])
+            .add(Sym::Lit(Cst::Bool(false)), &[])
             .expect("no conflict on init");
         eg
     }
@@ -318,6 +561,30 @@ impl EGraph {
         self.trail_high_water = self.trail.len();
     }
 
+    // ------------------------------------------------------------ symbol keys
+
+    /// The key of `sym` in this graph, or `None` for an integer literal the
+    /// graph has never held (no node, bucket or stamp can carry it).
+    pub(crate) fn sym_key(&self, sym: &Sym) -> Option<SymKey> {
+        match sym {
+            Sym::Lit(Cst::Int(n)) => self.int_ids.get(n).map(|&id| SymKey::new(INT_TAG, id)),
+            _ => sym.fixed_key(),
+        }
+    }
+
+    /// Like [`EGraph::sym_key`], but gives a new integer literal its id.
+    fn intern_sym_key(&mut self, sym: &Sym) -> SymKey {
+        match sym {
+            Sym::Lit(Cst::Int(n)) => {
+                let next = self.int_ids.len() as u32;
+                SymKey::new(INT_TAG, *self.int_ids.entry(*n).or_insert(next))
+            }
+            _ => sym
+                .fixed_key()
+                .expect("only integer literals lack a fixed key"),
+        }
+    }
+
     // ------------------------------------------------------------ touch stamps
 
     /// The current value of the matching-relevance clock. A full trigger
@@ -336,8 +603,7 @@ impl EGraph {
     /// ground-argument identity, member descent — stamps a symbol the
     /// trigger mentions).
     pub fn syms_unchanged_since(&self, syms: &[Sym], stamp: u64) -> bool {
-        syms.iter()
-            .all(|s| self.touch.get(s).is_none_or(|&t| t <= stamp))
+        self.stamps_at_most(&self.touch, syms, stamp)
     }
 
     /// Whether no *union or node removal* since `stamp` touched `syms`.
@@ -346,28 +612,36 @@ impl EGraph {
     /// same canonical dedup keys) and any new match involves an appended
     /// node.
     pub fn syms_struct_unchanged_since(&self, syms: &[Sym], stamp: u64) -> bool {
-        syms.iter()
-            .all(|s| self.touch_struct.get(s).is_none_or(|&t| t <= stamp))
+        self.stamps_at_most(&self.touch_struct, syms, stamp)
     }
 
-    fn bump_add_sym(&mut self, sym: Sym) {
-        self.touch.insert(sym, self.touch_clock);
+    fn stamps_at_most(&self, stamps: &FxHashMap<SymKey, u64>, syms: &[Sym], stamp: u64) -> bool {
+        syms.iter().all(|s| {
+            self.sym_key(s)
+                .and_then(|k| stamps.get(&k))
+                .is_none_or(|&t| t <= stamp)
+        })
     }
 
-    fn bump_sym(&mut self, sym: Sym) {
-        self.touch.insert(sym, self.touch_clock);
-        self.touch_struct.insert(sym, self.touch_clock);
+    fn bump_sym(&mut self, key: SymKey) {
+        self.touch.insert(key, self.touch_clock);
+        self.touch_struct.insert(key, self.touch_clock);
     }
 
     /// Stamps every symbol whose match sets a union of `absorbed` into
     /// another class can affect: the absorbed members' own symbols and the
     /// head symbols of their parent nodes.
     fn bump_class_syms(&mut self, absorbed: &ClassData) {
-        for i in 0..absorbed.nodes.len() {
-            self.bump_sym(self.nodes[absorbed.nodes[i] as usize].sym);
+        for &n in absorbed.nodes.iter().chain(&absorbed.parents) {
+            self.bump_sym(self.nodes[n as usize].key);
         }
-        for i in 0..absorbed.parents.len() {
-            self.bump_sym(self.nodes[absorbed.parents[i] as usize].sym);
+    }
+
+    /// Stamps the head symbols of the parents of `root`'s class.
+    fn bump_parent_syms(&mut self, root: NodeId) {
+        for i in 0..self.class(root).parents.len() {
+            let p = self.class(root).parents[i];
+            self.bump_sym(self.nodes[p as usize].key);
         }
     }
 
@@ -407,30 +681,40 @@ impl EGraph {
         }
     }
 
+    /// Removes the signature-table entry of node `id` under the current
+    /// canonical children, returning the node it mapped to.
+    fn remove_sig(&mut self, id: NodeId) -> Option<NodeId> {
+        let (mut stack, mut heap) = ([0; STACK_CHILDREN], Vec::new());
+        let node = &self.nodes[id as usize];
+        let sig = SigRef {
+            sym: node.key,
+            children: canonical(self, node.children(), &mut stack, &mut heap),
+        };
+        self.sig_table.remove(&sig as &dyn Signature)
+    }
+
     fn undo(&mut self, entry: Undo) {
         match entry {
             Undo::NewNode => {
                 let id = (self.nodes.len() - 1) as NodeId;
-                let node = self.nodes.pop().expect("node to undo");
-                self.touch_clock += 1;
-                self.bump_sym(node.sym);
-                self.parent.pop();
-                self.classes.pop();
                 // Merges recorded after this node's creation are already
                 // unwound, so the children canonicalize to the same
                 // representatives as when `add` built the signature.
-                let canon: Vec<NodeId> = node.children.iter().map(|&c| self.find(c)).collect();
-                let removed = self.sig_table.remove(&(node.sym, canon));
+                let removed = self.remove_sig(id);
                 debug_assert_eq!(removed, Some(id));
-                if let Some(ids) = self.by_sym.get_mut(&node.sym) {
+                let node = self.nodes.pop().expect("node to undo");
+                self.touch_clock += 1;
+                self.bump_sym(node.key);
+                self.parent.pop();
+                self.classes.pop();
+                // An emptied bucket stays, so that the next proof frame
+                // refills it without allocating.
+                if let Some(ids) = self.by_sym.get_mut(&node.key) {
                     ids.pop();
-                    if ids.is_empty() {
-                        self.by_sym.remove(&node.sym);
-                    }
                 }
                 // `add` pushed one parent entry per child occurrence
                 // (duplicates included).
-                for &c in &node.children {
+                for &c in node.children() {
                     let root = self.find(c);
                     self.class_mut(root).parents.pop();
                 }
@@ -458,11 +742,7 @@ impl EGraph {
                 self.touch_clock += 1;
                 self.bump_class_syms(&small_data);
                 if gen_restored {
-                    let n = self.class(big).parents.len();
-                    for i in 0..n {
-                        let sym = self.nodes[self.class(big).parents[i] as usize].sym;
-                        self.bump_sym(sym);
-                    }
+                    self.bump_parent_syms(big);
                 }
                 self.classes[small as usize] = Some(small_data);
                 self.undone_merges += 1;
@@ -471,12 +751,7 @@ impl EGraph {
                 // The union this repair belongs to is still applied (its
                 // Union entry is older on the trail), so recomputing the
                 // canonical signature reproduces the inserted key.
-                let n = &self.nodes[node as usize];
-                let key = (
-                    n.sym,
-                    n.children.iter().map(|&c| self.find(c)).collect::<Vec<_>>(),
-                );
-                let removed = self.sig_table.remove(&key);
+                let removed = self.remove_sig(node);
                 debug_assert_eq!(removed, Some(node));
             }
             Undo::Diseq { a, b } => {
@@ -607,13 +882,9 @@ impl EGraph {
 
     /// All nodes with the given head symbol (across all classes).
     pub fn nodes_with_sym(&self, sym: &Sym) -> &[NodeId] {
-        self.by_sym.get(sym).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All symbols present in the graph (used by the matcher for
-    /// wildcard-ish passes and by statistics).
-    pub fn symbols(&self) -> impl Iterator<Item = &Sym> {
-        self.by_sym.keys()
+        self.sym_key(sym)
+            .and_then(|key| self.by_sym.get(&key))
+            .map_or(&[], Vec::as_slice)
     }
 
     // ------------------------------------------------------------ interning
@@ -629,12 +900,13 @@ impl EGraph {
             return Ok(hit);
         }
         let id = match term.node() {
-            TermNode::Var(v) => self.add(Sym::Var(*v), vec![])?,
-            TermNode::Const(c) => self.add(Sym::Lit(*c), vec![])?,
+            TermNode::Var(v) => self.add(Sym::Var(*v), &[])?,
+            TermNode::Const(c) => self.add(Sym::Lit(*c), &[])?,
             TermNode::App(f, args) => {
-                let mut children = Vec::with_capacity(args.len());
-                for a in args {
-                    children.push(self.intern(a)?);
+                let (mut stack, mut heap) = ([0; STACK_CHILDREN], Vec::new());
+                let children = id_buffer(args.len(), &mut stack, &mut heap);
+                for (slot, a) in children.iter_mut().zip(args) {
+                    *slot = self.intern(a)?;
                 }
                 self.add(Sym::from_fn(f), children)?
             }
@@ -658,12 +930,12 @@ impl EGraph {
             Atom::Alive(s, x) => {
                 let s = self.intern(s)?;
                 let x = self.intern(x)?;
-                self.add(Sym::PAlive, vec![s, x])?
+                self.add(Sym::PAlive, &[s, x])?
             }
             Atom::LocalInc(a, b) => {
                 let a = self.intern(a)?;
                 let b = self.intern(b)?;
-                self.add(Sym::PLocalInc, vec![a, b])?
+                self.add(Sym::PLocalInc, &[a, b])?
             }
             Atom::RepInc {
                 group,
@@ -673,7 +945,7 @@ impl EGraph {
                 let g = self.intern(group)?;
                 let f = self.intern(pivot)?;
                 let m = self.intern(mapped)?;
-                self.add(Sym::PRepInc, vec![g, f, m])?
+                self.add(Sym::PRepInc, &[g, f, m])?
             }
             Atom::Inc {
                 store,
@@ -687,25 +959,25 @@ impl EGraph {
                 let a = self.intern(attr)?;
                 let y = self.intern(obj2)?;
                 let b = self.intern(attr2)?;
-                self.add(Sym::PInc, vec![s, x, a, y, b])?
+                self.add(Sym::PInc, &[s, x, a, y, b])?
             }
             Atom::Lt(a, b) => {
                 let a = self.intern(a)?;
                 let b = self.intern(b)?;
-                self.add(Sym::PLt, vec![a, b])?
+                self.add(Sym::PLt, &[a, b])?
             }
             Atom::Le(a, b) => {
                 let a = self.intern(a)?;
                 let b = self.intern(b)?;
-                self.add(Sym::PLe, vec![a, b])?
+                self.add(Sym::PLe, &[a, b])?
             }
             Atom::IsObj(t) => {
                 let t = self.intern(t)?;
-                self.add(Sym::PIsObj, vec![t])?
+                self.add(Sym::PIsObj, &[t])?
             }
             Atom::IsInt(t) => {
                 let t = self.intern(t)?;
-                self.add(Sym::PIsInt, vec![t])?
+                self.add(Sym::PIsInt, &[t])?
             }
             Atom::RepIncElem {
                 group,
@@ -715,25 +987,43 @@ impl EGraph {
                 let g = self.intern(group)?;
                 let f = self.intern(pivot)?;
                 let m = self.intern(mapped)?;
-                self.add(Sym::PRepIncElem, vec![g, f, m])?
+                self.add(Sym::PRepIncElem, &[g, f, m])?
             }
             Atom::BoolTerm(t) => self.intern(t)?,
         };
         Ok(Some(id))
     }
 
-    fn add(&mut self, sym: Sym, children: Vec<NodeId>) -> Result<NodeId, Conflict> {
-        let canon: Vec<NodeId> = children.iter().map(|&c| self.find(c)).collect();
-        let key = (sym, canon);
-        if let Some(&existing) = self.sig_table.get(&key) {
+    fn add(&mut self, sym: Sym, children: &[NodeId]) -> Result<NodeId, Conflict> {
+        let key = self.intern_sym_key(&sym);
+        let (mut stack, mut heap) = ([0; STACK_CHILDREN], Vec::new());
+        let probe = SigRef {
+            sym: key,
+            children: canonical(self, children, &mut stack, &mut heap),
+        };
+        if let Some(&existing) = self.sig_table.get(&probe as &dyn Signature) {
             return Ok(existing);
         }
+        let sig = SigKey {
+            sym: key,
+            children: Children::from_slice(probe.children),
+        };
         let id = self.nodes.len() as NodeId;
-        for &c in &children {
+        for &c in children {
             let root = self.find(c);
             self.class_mut(root).parents.push(id);
         }
-        self.nodes.push(Node { sym, children });
+        let leaf = match sym {
+            Sym::Var(v) => Some(Term::var(v)),
+            Sym::Lit(c) => Some(Term::lit(c)),
+            _ => None,
+        };
+        self.nodes.push(Node {
+            sym,
+            key,
+            children: Children::from_slice(children),
+            leaf,
+        });
         self.parent.push(id);
         let mut data = ClassData {
             gen: self.current_gen,
@@ -748,12 +1038,14 @@ impl EGraph {
         data.nodes.push(id);
         debug_assert_eq!(self.classes.len(), id as usize);
         self.classes.push(Some(data));
-        self.sig_table.insert(key, id);
-        self.by_sym.entry(sym).or_default().push(id);
+        self.sig_table.insert(sig, id);
+        self.by_sym.entry(key).or_default().push(id);
         self.touch_clock += 1;
-        self.bump_add_sym(sym);
+        self.touch.insert(key, self.touch_clock);
         self.record(Undo::NewNode);
-        self.try_eval(id)?;
+        if let Some(lit) = self.eval(id)? {
+            self.merge(id, lit)?;
+        }
         Ok(id)
     }
 
@@ -766,8 +1058,18 @@ impl EGraph {
     /// Returns [`Conflict`] on contradiction (distinct interpreted values,
     /// violated disequality, or `true = false`).
     pub fn merge(&mut self, a: NodeId, b: NodeId) -> Result<(), Conflict> {
-        let mut queue = vec![(a, b)];
-        while let Some((a, b)) = queue.pop() {
+        // This merge owns the queue above `base`; entries below belong to
+        // a merge this one runs inside.
+        let base = self.merge_queue.len();
+        self.merge_queue.push((a, b));
+        let result = self.drain_merges(base);
+        self.merge_queue.truncate(base);
+        result
+    }
+
+    fn drain_merges(&mut self, base: usize) -> Result<(), Conflict> {
+        while self.merge_queue.len() > base {
+            let (a, b) = self.merge_queue.pop().expect("length checked");
             let ra = self.find(a);
             let rb = self.find(b);
             if ra == rb {
@@ -808,11 +1110,7 @@ impl EGraph {
             // A generation drop on the surviving class re-prices bindings
             // bound to it, which only its parents' triggers can observe.
             if small_data.gen < self.class(big).gen {
-                let n = self.class(big).parents.len();
-                for i in 0..n {
-                    let sym = self.nodes[self.class(big).parents[i] as usize].sym;
-                    self.bump_sym(sym);
-                }
+                self.bump_parent_syms(big);
             }
             let big_parents_len;
             let small_parent_count = small_data.parents.len();
@@ -848,34 +1146,47 @@ impl EGraph {
             // list (indices stay valid: the list only grows from here).
             for k in 0..small_parent_count {
                 let p = self.class(big).parents[big_parents_len + k];
-                let node = &self.nodes[p as usize];
-                let key = (
-                    node.sym,
-                    node.children
-                        .iter()
-                        .map(|&c| self.find(c))
-                        .collect::<Vec<_>>(),
-                );
-                match self.sig_table.get(&key) {
-                    Some(&other) if self.find(other) != self.find(p) => {
-                        queue.push((other, p));
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.sig_table.insert(key, p);
-                        self.record(Undo::SigInsert { node: p });
-                    }
+                self.repair_sig(p);
+                if let Some(lit) = self.eval(p)? {
+                    self.merge_queue.push((p, lit));
                 }
-                self.try_eval_queued(p, &mut queue)?;
             }
             // New value may enable evaluating parents of the big class too.
             // (Evaluation only ever adds leaves, so the list is stable.)
             for i in 0..self.class(big).parents.len() {
                 let p = self.class(big).parents[i];
-                self.try_eval_queued(p, &mut queue)?;
+                if let Some(lit) = self.eval(p)? {
+                    self.merge_queue.push((p, lit));
+                }
             }
         }
         Ok(())
+    }
+
+    /// Re-canonicalizes the signature of parent node `p` after a union:
+    /// queues a congruent node's class for merging, or installs the new
+    /// signature.
+    fn repair_sig(&mut self, p: NodeId) {
+        let (mut stack, mut heap) = ([0; STACK_CHILDREN], Vec::new());
+        let node = &self.nodes[p as usize];
+        let probe = SigRef {
+            sym: node.key,
+            children: canonical(self, node.children(), &mut stack, &mut heap),
+        };
+        match self.sig_table.get(&probe as &dyn Signature) {
+            Some(&other) if self.find(other) != self.find(p) => {
+                self.merge_queue.push((other, p));
+            }
+            Some(_) => {}
+            None => {
+                let sig = SigKey {
+                    sym: probe.sym,
+                    children: Children::from_slice(probe.children),
+                };
+                self.sig_table.insert(sig, p);
+                self.record(Undo::SigInsert { node: p });
+            }
+        }
     }
 
     /// Asserts `a ≠ b`.
@@ -896,25 +1207,13 @@ impl EGraph {
     }
 
     /// Evaluates arithmetic and comparisons when all children have integer
-    /// values; merges the node with the resulting constant.
-    fn try_eval(&mut self, id: NodeId) -> Result<(), Conflict> {
-        let mut queue = Vec::new();
-        self.try_eval_queued(id, &mut queue)?;
-        for (a, b) in queue {
-            self.merge(a, b)?;
-        }
-        Ok(())
-    }
-
-    fn try_eval_queued(
-        &mut self,
-        id: NodeId,
-        queue: &mut Vec<(NodeId, NodeId)>,
-    ) -> Result<(), Conflict> {
+    /// values: returns the node of the resulting constant when `id` is not
+    /// yet in its class, for the caller to merge.
+    fn eval(&mut self, id: NodeId) -> Result<Option<NodeId>, Conflict> {
         let node = &self.nodes[id as usize];
         let sym = node.sym;
-        let first = node.children.first().copied();
-        let second = node.children.get(1).copied();
+        let first = node.children().first().copied();
+        let second = node.children().get(1).copied();
         let int_of = |eg: &EGraph, c: Option<NodeId>| -> Option<i64> {
             match eg.class_value(c?) {
                 Some(Cst::Int(n)) => Some(*n),
@@ -944,15 +1243,13 @@ impl EGraph {
             Sym::PIsInt => first
                 .and_then(|c| self.class_value(c))
                 .map(|c| Cst::Bool(matches!(c, Cst::Int(_)))),
-            _ => return Ok(()),
+            _ => return Ok(None),
         };
-        if let Some(value) = result {
-            let lit = self.add(Sym::Lit(value), vec![])?;
-            if !self.same_class(id, lit) {
-                queue.push((id, lit));
-            }
-        }
-        Ok(())
+        let Some(value) = result else {
+            return Ok(None);
+        };
+        let lit = self.add(Sym::Lit(value), &[])?;
+        Ok((!self.same_class(id, lit)).then_some(lit))
     }
 
     // -------------------------------------------------------------- queries
@@ -962,7 +1259,8 @@ impl EGraph {
     /// generation). Two E-graphs with equal `debug_state` are
     /// indistinguishable to every query; push/pop round-trip tests compare
     /// these. Telemetry counters (pops, performed merges, high-water
-    /// marks) are deliberately excluded — they describe work, not state.
+    /// marks) are deliberately excluded — they describe work, not state —
+    /// and so are the graph-local literal ids, which name symbols only.
     pub fn debug_state(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -972,7 +1270,7 @@ impl EGraph {
                 out,
                 "node {id}: {:?}{:?} -> {}",
                 node.sym,
-                node.children,
+                node.children(),
                 self.find(id as NodeId)
             );
         }
@@ -984,10 +1282,12 @@ impl EGraph {
                 data.value, data.gen, data.nodes, data.parents, data.diseqs
             );
         }
+        // Keys render by the symbol of a node that carries them.
+        let sym_of = |id: NodeId| self.nodes[id as usize].sym;
         let mut sigs: Vec<String> = self
             .sig_table
             .iter()
-            .map(|((sym, children), id)| format!("sig {sym:?}{children:?} -> {id}"))
+            .map(|(sig, &id)| format!("sig {:?}{:?} -> {id}", sym_of(id), sig.children.as_slice()))
             .collect();
         sigs.sort();
         for s in sigs {
@@ -995,8 +1295,9 @@ impl EGraph {
         }
         let mut syms: Vec<String> = self
             .by_sym
-            .iter()
-            .map(|(sym, ids)| format!("sym {sym:?}: {ids:?}"))
+            .values()
+            .filter(|ids| !ids.is_empty())
+            .map(|ids| format!("sym {:?}: {ids:?}", sym_of(ids[0])))
             .collect();
         syms.sort();
         for s in syms {
@@ -1189,6 +1490,89 @@ mod tests {
         eg.intern(&T::select(T::store(), T::var("b"), T::attr("f")))
             .unwrap();
         assert_eq!(eg.nodes_with_sym(&Sym::Select).len(), 2);
+    }
+
+    #[test]
+    fn equal_ids_of_different_variants_get_distinct_buckets() {
+        // A variable, an uninterpreted function, an attribute and an
+        // integer literal whose key ids are all the same number.
+        let name = Symbol::intern("same_id");
+        let mut eg = EGraph::new();
+        let x = eg.intern(&T::var("x")).unwrap();
+        let var = eg.intern(&T::var(name)).unwrap();
+        let app = eg
+            .intern(&T::app(FnSym::Uninterp(name), vec![T::var("x")]))
+            .unwrap();
+        let attr = eg.intern(&T::lit(Cst::Attr(name))).unwrap();
+        // Integer literals take graph-local ids 0, 1, ... in first-seen
+        // order, so literal `name.id()` gets id `name.id()`.
+        let lits: Vec<NodeId> = (0..=i64::from(name.id()))
+            .map(|n| eg.intern(&T::int(n)).unwrap())
+            .collect();
+        let lit = *lits.last().unwrap();
+        let ids: Vec<u32> = [var, app, attr, lit]
+            .iter()
+            .map(|&n| eg.node(n).key().0 as u32)
+            .collect();
+        assert_eq!(ids, vec![name.id(); 4]);
+        assert_eq!(eg.nodes_with_sym(&Sym::Var(name)), &[var]);
+        assert_eq!(eg.nodes_with_sym(&Sym::Uninterp(name)), &[app]);
+        assert_eq!(eg.nodes_with_sym(&Sym::Lit(Cst::Attr(name))), &[attr]);
+        let int = Sym::Lit(Cst::Int(i64::from(name.id())));
+        assert_eq!(eg.nodes_with_sym(&int), &[lit]);
+        // Each node keeps its own signature: re-interning finds it again.
+        assert_eq!(eg.intern(&T::var(name)).unwrap(), var);
+        assert_eq!(
+            eg.intern(&T::app(FnSym::Uninterp(name), vec![T::var("x")]))
+                .unwrap(),
+            app
+        );
+        assert!(!eg.same_class(var, lit) && !eg.same_class(var, app));
+        assert_ne!(eg.find(x), eg.find(app));
+    }
+
+    #[test]
+    fn wide_applications_spill_and_round_trip() {
+        let mut eg = EGraph::new();
+        let args = |last: &str| {
+            let mut v: Vec<T> = (0..6).map(|i| T::var(format!("w{i}").as_str())).collect();
+            v.push(T::var(last));
+            v
+        };
+        let fa = eg.intern(&T::uninterp("wide", args("a"))).unwrap();
+        let fb = eg.intern(&T::uninterp("wide", args("b"))).unwrap();
+        assert_eq!(eg.node(fa).children().len(), 7);
+        let before = eg.debug_state();
+        let mark = eg.push();
+        let a = eg.intern(&T::var("a")).unwrap();
+        let b = eg.intern(&T::var("b")).unwrap();
+        eg.merge(a, b).unwrap();
+        assert!(eg.same_class(fa, fb));
+        eg.intern(&T::uninterp("wide", args("c"))).unwrap();
+        eg.pop(mark);
+        assert_eq!(eg.debug_state(), before);
+        assert!(!eg.same_class(fa, fb));
+    }
+
+    #[test]
+    fn leaf_nodes_keep_their_terms() {
+        let mut eg = EGraph::new();
+        let x = eg.intern(&T::var("x")).unwrap();
+        assert_eq!(eg.node(x).leaf_term(), Some(T::var("x")));
+        // A literal made by evaluation, not by interning a term.
+        let sum = eg.intern(&T::add(T::int(2), T::int(3))).unwrap();
+        let five = eg
+            .class_nodes(sum)
+            .iter()
+            .copied()
+            .find(|&n| eg.node(n).leaf_term().is_some())
+            .unwrap();
+        assert_eq!(eg.node(five).leaf_term(), Some(T::int(5)));
+        assert_eq!(eg.node(sum).leaf_term(), None);
+        assert_eq!(
+            eg.node(eg.true_id()).leaf_term(),
+            Some(T::lit(Cst::Bool(true)))
+        );
     }
 
     /// The bucket scan [`EGraph::leaf_node`] replaces in the matcher: is

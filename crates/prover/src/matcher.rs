@@ -6,7 +6,7 @@
 //! inclusions are involved", Section 5 of the paper — our fuel accounting
 //! turns that fragility into a measurable `Unknown` outcome).
 
-use crate::egraph::{EGraph, NodeId, Sym};
+use crate::egraph::{EGraph, NodeId, Sym, SymKey};
 use crate::fxhash::{FxHashSet, IdKey};
 use oolong_logic::{Atom, FnSym, Pattern, Symbol, Term, TermNode, Trigger};
 use std::borrow::Borrow;
@@ -155,6 +155,9 @@ pub struct TriggerPlan {
     pub pattern_heads: Vec<Option<Sym>>,
     /// The distinct head symbols, as [`trigger_heads`] computes them.
     pub heads: Vec<Sym>,
+    /// `heads` as symbol keys (a head is never a literal, so its key does
+    /// not depend on the graph).
+    pub head_keys: Vec<SymKey>,
     /// Every symbol a full match consults, as [`trigger_syms`] computes
     /// them.
     pub syms: Vec<Sym>,
@@ -166,9 +169,11 @@ pub struct TriggerPlan {
 impl TriggerPlan {
     /// Compiles the plan of `trigger` under the quantified `vars`.
     pub fn compile(vars: &[Symbol], trigger: &Trigger) -> TriggerPlan {
+        let heads = trigger_heads(trigger);
         TriggerPlan {
             pattern_heads: trigger.0.iter().map(pattern_head).collect(),
-            heads: trigger_heads(trigger),
+            head_keys: heads.iter().filter_map(Sym::fixed_key).collect(),
+            heads,
             syms: trigger_syms(vars, trigger),
             single_head: trigger_single_head(trigger),
         }
@@ -185,31 +190,34 @@ pub fn match_trigger(eg: &EGraph, vars: &[Symbol], trigger: &Trigger) -> Vec<Bin
     } else {
         join(eg, &holes, trigger, None, &mut all);
     }
-    complete_and_dedup(eg, vars, all)
+    complete_and_dedup(eg, vars, &mut all, 0);
+    all
 }
 
 /// Like [`match_trigger`], but *anchored*: at least one pattern of the
 /// trigger must match at `anchor` (a specific node). Used for incremental
 /// matching against newly created nodes only, under the trigger's compiled
-/// `plan`.
+/// `plan`. The anchor's bindings, deduplicated among themselves, are
+/// appended to `out`, so one buffer serves a sweep over many anchors.
 pub(crate) fn match_trigger_anchored_with(
     eg: &EGraph,
     vars: &[Symbol],
     trigger: &Trigger,
     plan: &TriggerPlan,
     anchor: NodeId,
-) -> Vec<Binding> {
+    out: &mut Vec<Binding>,
+) {
     let holes = Holes { vars };
     let anchor_sym = eg.node(anchor).sym;
-    let mut all = Vec::new();
+    let from = out.len();
     // Each pattern position whose head symbol matches the anchor gets a
     // run with that pattern pinned to the anchor node.
     for (pinned, head) in plan.pattern_heads.iter().enumerate() {
         if *head == Some(anchor_sym) {
-            join(eg, &holes, trigger, Some((pinned, anchor)), &mut all);
+            join(eg, &holes, trigger, Some((pinned, anchor)), out);
         }
     }
-    complete_and_dedup(eg, vars, all)
+    complete_and_dedup(eg, vars, out, from);
 }
 
 /// Joins the patterns of `trigger` into complete-or-partial bindings,
@@ -232,7 +240,11 @@ fn join(
     out: &mut Vec<Binding>,
 ) {
     let first = pinned.map_or(0, |(p, _)| p);
-    let mut bindings = Vec::new();
+    // The frontier lives at the tail of `out`, from `from`: each further
+    // pattern appends the extensions of the frontier after it and then
+    // drains the old frontier, so the join allocates nothing once `out`
+    // has grown.
+    let from = out.len();
     match pinned {
         Some((_, anchor)) => match_pattern_at(
             eg,
@@ -240,39 +252,50 @@ fn join(
             &trigger.0[first],
             anchor,
             &Binding::default(),
-            &mut bindings,
+            out,
         ),
-        None => match_pattern_top(
-            eg,
-            holes,
-            &trigger.0[first],
-            &Binding::default(),
-            &mut bindings,
-        ),
+        None => match_pattern_top(eg, holes, &trigger.0[first], Binding::default(), out),
     }
     for (i, pattern) in trigger.0.iter().enumerate() {
         if i == first {
             continue;
         }
-        if bindings.is_empty() {
+        let next = out.len();
+        if next == from {
             return;
         }
-        let mut next = Vec::new();
-        for binding in &bindings {
-            match_pattern_top(eg, holes, pattern, binding, &mut next);
+        for k in from..next {
+            let work = out[k].clone();
+            match_pattern_top(eg, holes, pattern, work, out);
         }
-        bindings = next;
+        out.drain(from..next);
     }
-    out.append(&mut bindings);
 }
 
-/// Drops bindings that leave some variable unbound — a trigger that does
-/// so cannot drive a complete instantiation (a binding never binds a
-/// non-hole, so completeness is a length check) — then deduplicates.
-fn complete_and_dedup(eg: &EGraph, vars: &[Symbol], mut all: Vec<Binding>) -> Vec<Binding> {
-    all.retain(|b| b.len() == vars.len());
-    dedup_bindings(eg, &mut all);
-    all
+/// Among `all[from..]`, drops bindings that leave some variable unbound —
+/// a trigger that does so cannot drive a complete instantiation (a
+/// binding never binds a non-hole, so completeness is a length check) —
+/// then deduplicates, keeping the first of each canonical key in order.
+fn complete_and_dedup(eg: &EGraph, vars: &[Symbol], all: &mut Vec<Binding>, from: usize) {
+    let candidates = all.len() - from;
+    let mut seen = FxHashSet::default();
+    let mut kept = from;
+    for i in from..all.len() {
+        if all[i].len() != vars.len() {
+            continue;
+        }
+        let first = if candidates <= 2 {
+            // Too few to be worth a set: compare with the one kept so far.
+            (from..kept).all(|j| canon_key(eg, &all[j]) != canon_key(eg, &all[i]))
+        } else {
+            seen.insert(canon_key(eg, &all[i]))
+        };
+        if first {
+            all.swap(kept, i);
+            kept += 1;
+        }
+    }
+    all.truncate(kept);
 }
 
 /// The E-graph head symbol a pattern matches on, if any.
@@ -440,32 +463,16 @@ fn canon_key(eg: &EGraph, b: &Binding) -> IdKey {
     IdKey::new(b.bound().map(|(_, id)| eg.find(id)))
 }
 
-/// Keep-first deduplication of complete bindings by canonical key.
-fn dedup_bindings(eg: &EGraph, bindings: &mut Vec<Binding>) {
-    match bindings.len() {
-        0 | 1 => {}
-        2 => {
-            if canon_key(eg, &bindings[0]) == canon_key(eg, &bindings[1]) {
-                bindings.pop();
-            }
-        }
-        _ => {
-            let mut seen = FxHashSet::default();
-            bindings.retain(|b| seen.insert(canon_key(eg, b)));
-        }
-    }
-}
-
+/// Matches one pattern against every node of its head's bucket, extending
+/// `work` (which one sweep reuses: `match_args` restores it between
+/// candidates).
 fn match_pattern_top(
     eg: &EGraph,
     holes: &Holes,
     pattern: &Pattern,
-    binding: &Binding,
+    mut work: Binding,
     out: &mut Vec<Binding>,
 ) {
-    // One working clone serves the whole bucket sweep: `match_args`
-    // restores it between candidates.
-    let mut work = binding.clone();
     let mut emit = |b: &mut Binding| out.push(b.clone());
     match pattern {
         Pattern::Term(term) => {
@@ -475,7 +482,7 @@ fn match_pattern_top(
             };
             let sym = fn_sym(f);
             for &node in eg.nodes_with_sym(&sym) {
-                let children = &eg.node(node).children;
+                let children = eg.node(node).children();
                 if children.len() == args.len() {
                     match_args(eg, holes, args, children, 0, &mut work, &mut emit);
                 }
@@ -487,7 +494,7 @@ fn match_pattern_top(
             };
             let args = args.as_slice();
             for &node in eg.nodes_with_sym(&sym) {
-                let children = &eg.node(node).children;
+                let children = eg.node(node).children();
                 if children.len() == args.len() {
                     match_args(eg, holes, args, children, 0, &mut work, &mut emit);
                 }
@@ -565,7 +572,7 @@ fn match_children<B: Borrow<Term>>(
     binding: &Binding,
     out: &mut Vec<Binding>,
 ) {
-    let children = &eg.node(node).children;
+    let children = eg.node(node).children();
     if children.len() != args.len() {
         return;
     }
@@ -649,7 +656,7 @@ fn match_term_at(
             let sym = fn_sym(f);
             for &member in eg.class_nodes(class) {
                 if eg.node(member).sym == sym {
-                    let children = &eg.node(member).children;
+                    let children = eg.node(member).children();
                     if children.len() == args.len() {
                         match_args(eg, holes, args, children, 0, b, k);
                     }
@@ -682,13 +689,11 @@ fn term_of_rec(
     let mut best: Option<NodeId> = None;
     for &m in members {
         let node = eg.node(m);
-        match node.sym {
-            Sym::Var(_) | Sym::Lit(_) => return leaf_term(eg, m),
-            _ => {
-                if best.is_none_or(|b| m < b) && !is_pred(&node.sym) {
-                    best = Some(m);
-                }
-            }
+        if let Some(leaf) = node.leaf_term() {
+            return leaf;
+        }
+        if best.is_none_or(|b| m < b) && !is_pred(&node.sym) {
+            best = Some(m);
         }
     }
     let Some(m) = best else {
@@ -718,7 +723,7 @@ fn term_of_rec(
         _ => unreachable!("predicates filtered above"),
     };
     let args = node
-        .children
+        .children()
         .iter()
         .map(|&c| term_of_rec(eg, c, visiting, aliases));
     let term = Term::app_iter(f, args);
@@ -741,14 +746,6 @@ fn is_pred(sym: &Sym) -> bool {
     )
 }
 
-fn leaf_term(eg: &EGraph, id: NodeId) -> Term {
-    match &eg.node(id).sym {
-        Sym::Var(v) => Term::var(*v),
-        Sym::Lit(c) => Term::lit(*c),
-        other => unreachable!("not a leaf: {other:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,7 +759,9 @@ mod tests {
         anchor: NodeId,
     ) -> Vec<Binding> {
         let plan = TriggerPlan::compile(vars, trigger);
-        match_trigger_anchored_with(eg, vars, trigger, &plan, anchor)
+        let mut out = Vec::new();
+        match_trigger_anchored_with(eg, vars, trigger, &plan, anchor, &mut out);
+        out
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! "loops irrevocably" on cyclic rep inclusions is reproduced as a
 //! measurable result rather than a hang.
 
-use crate::egraph::{EGraph, NodeId, Sym};
+use crate::egraph::{EGraph, NodeId, Sym, SymKey};
 use crate::fxhash::{FxHashMap, FxHashSet, IdKey};
 use crate::matcher::{match_trigger, match_trigger_anchored_with, term_of, TriggerPlan};
 use crate::telemetry::{QuantAcc, QuantDesc, QuantRow, QuantTable};
@@ -1020,6 +1020,28 @@ struct Ctx {
     /// was the base's at that stamp, so a layer entry stays exact while
     /// its trigger's symbols are untouched since.
     layer_stamp: u64,
+    /// Buffers of `instantiate_pass`, kept so that passes allocate nothing
+    /// for them once warm.
+    scratch: PassScratch,
+}
+
+/// The working buffers of `instantiate_pass`. None carries meaning from
+/// one pass to the next: each is cleared where the pass starts using it.
+#[derive(Default)]
+struct PassScratch {
+    /// The pass's new nodes by head symbol. Buckets are emptied rather
+    /// than dropped between passes.
+    by_head: FxHashMap<SymKey, Vec<NodeId>>,
+    /// Anchors of one trigger, in creation order.
+    candidates: Vec<NodeId>,
+    /// Anchored bindings of one trigger.
+    anchored: Vec<crate::matcher::Binding>,
+    /// Instance terms of one binding.
+    terms: Vec<Term>,
+    /// The substitution of one instance.
+    subst: Vec<(Symbol, Term)>,
+    /// `term_of` results by class root, valid within one pass.
+    term_memo: FxHashMap<NodeId, Term>,
 }
 
 impl Ctx {
@@ -1042,6 +1064,7 @@ impl Ctx {
             match_cache: FxHashMap::default(),
             match_layer: Arc::default(),
             layer_stamp: 0,
+            scratch: PassScratch::default(),
         }
     }
 
@@ -1585,10 +1608,9 @@ fn describe_branch(ctx: &Ctx, names: &mut FreshNames) -> Vec<String> {
             let args: Vec<String> = ctx
                 .eg
                 .node(node)
-                .children
-                .clone()
-                .into_iter()
-                .map(|c| names.rename(term_of(&ctx.eg, c, &mut aliases)).to_string())
+                .children()
+                .iter()
+                .map(|&c| names.rename(term_of(&ctx.eg, c, &mut aliases)).to_string())
                 .collect();
             out.push(format!("{sym:?}({}) = {value}", args.join(", ")));
         }
@@ -1635,7 +1657,7 @@ fn extract_model(ctx: &Ctx, names: &mut FreshNames) -> CandidateModel {
     let class_of = |id: NodeId| index[&eg.find(id)];
     let mut selects = Vec::new();
     for &node in eg.nodes_with_sym(&Sym::Select) {
-        let ch = &eg.node(node).children;
+        let ch = eg.node(node).children();
         if ch.len() == 3 {
             selects.push(ModelSelect {
                 store: class_of(ch[0]),
@@ -1664,7 +1686,7 @@ fn extract_model(ctx: &Ctx, names: &mut FreshNames) -> CandidateModel {
                 sym: format!("{sym:?}"),
                 args: eg
                     .node(node)
-                    .children
+                    .children()
                     .iter()
                     .map(|&c| class_of(c))
                     .collect(),
@@ -1758,22 +1780,7 @@ fn term_of_memo(
     t
 }
 
-/// A hash key for a node's head symbol that carries no program-chosen
-/// value: the symbol's variant, plus the interned id of an uninterpreted
-/// function's name. Leaves (free constants and literals) get none — a
-/// pattern head never is one, and their payload is program-chosen.
-type HeadKey = (std::mem::Discriminant<Sym>, u32);
-
-fn head_key(sym: Sym) -> Option<HeadKey> {
-    match sym {
-        Sym::Var(_) | Sym::Lit(_) => None,
-        Sym::Uninterp(name) => Some((std::mem::discriminant(&sym), name.id())),
-        _ => Some((std::mem::discriminant(&sym), 0)),
-    }
-}
-
 fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResult {
-    let mut term_memo: FxHashMap<NodeId, Term> = FxHashMap::default();
     let mut memo_version: (usize, u64) = (0, 0);
 
     let mut produced = 0;
@@ -1795,28 +1802,35 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
         match_cache,
         match_layer,
         layer_stamp,
+        scratch,
         ..
     } = ctx;
+    let PassScratch {
+        by_head,
+        candidates,
+        anchored,
+        terms,
+        subst,
+        term_memo,
+    } = scratch;
+    term_memo.clear();
     // Bucket the new nodes by head symbol once: anchored matching can only
     // pin a pattern at a node whose head symbol one of the trigger's
     // patterns carries, so each trigger sweeps its head buckets instead of
     // every new node. Leaves are never pattern heads.
-    let mut by_head: FxHashMap<HeadKey, Vec<NodeId>> = FxHashMap::default();
+    by_head.values_mut().for_each(Vec::clear);
     if !full {
-        for node in first_new..eg.node_count() {
-            let node = node as NodeId;
-            if let Some(key) = head_key(eg.node(node).sym) {
-                by_head.entry(key).or_default().push(node);
+        for id in first_new as NodeId..eg.node_count() as NodeId {
+            let node = eg.node(id);
+            if node.leaf_term().is_none() {
+                by_head.entry(node.key()).or_default().push(id);
             }
         }
     }
-    // Instance terms of the binding being walked, reused across bindings.
-    let mut terms: Vec<Term> = Vec::new();
     for (qi, quant) in quants.iter().enumerate() {
         let data = &*quant.data;
         for (ti, (trigger, plan)) in data.triggers.iter().zip(&data.plans).enumerate() {
             let full_match = full || qi >= fresh_from;
-            let anchored_bindings;
             let bindings: &[crate::matcher::Binding] = if full_match {
                 // Full pass, or a quantifier registered since the last
                 // pass: match against the whole graph — unless an earlier
@@ -1891,9 +1905,9 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                     None => &match_layer[&key].bindings,
                 }
             } else {
-                let mut candidates: Vec<NodeId> = Vec::new();
-                for head in &plan.heads {
-                    if let Some(bucket) = head_key(*head).and_then(|key| by_head.get(&key)) {
+                candidates.clear();
+                for key in &plan.head_keys {
+                    if let Some(bucket) = by_head.get(key) {
                         candidates.extend_from_slice(bucket);
                     }
                 }
@@ -1902,14 +1916,11 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                     // already ordered); a node can appear in only one.
                     candidates.sort_unstable();
                 }
-                let mut out = Vec::new();
-                for &node in &candidates {
-                    out.extend(match_trigger_anchored_with(
-                        eg, &data.vars, trigger, plan, node,
-                    ));
+                anchored.clear();
+                for &node in candidates.iter() {
+                    match_trigger_anchored_with(eg, &data.vars, trigger, plan, node, anchored);
                 }
-                anchored_bindings = out;
-                &anchored_bindings
+                anchored
             };
             shared.stats.trigger_matches += bindings.len() as u64;
             if !bindings.is_empty() {
@@ -1937,7 +1948,7 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                         eg,
                         bound(hole),
                         &mut aliases,
-                        &mut term_memo,
+                        term_memo,
                         &mut memo_version,
                     ));
                 }
@@ -1965,13 +1976,9 @@ fn instantiate_pass(ctx: &mut Ctx, shared: &mut Shared, full: bool) -> PassResul
                         return PassResult::Produced(produced + 1);
                     }
                 }
-                let map: Vec<(Symbol, Term)> = data
-                    .vars
-                    .iter()
-                    .copied()
-                    .zip(terms.iter().copied())
-                    .collect();
-                pending.push((data.body.subst(&map), instance_gen));
+                subst.clear();
+                subst.extend(data.vars.iter().copied().zip(terms.iter().copied()));
+                pending.push((data.body.subst(subst), instance_gen));
                 produced += 1;
                 shared.stats.instances += 1;
                 let meta = shared.quants.counters_mut(quant.id);

@@ -430,8 +430,9 @@ proptest! {
 
 // ------------------------------------------- e-graph trail round-tripping
 
-/// Applies a random op sequence (interning applications and sums, merging,
-/// disequating) to the E-graph. Stops at the first [`Conflict`] — the
+/// Applies a random op sequence (interning applications, sums, seven-ary
+/// applications and fresh integer literals, merging, disequating) to the
+/// E-graph. Stops at the first [`Conflict`] — the
 /// trail must restore even a contradictory E-graph, so conflicted
 /// prefixes stay in the sample population.
 fn apply_trail_ops(
@@ -442,7 +443,7 @@ fn apply_trail_ops(
 ) {
     for &(kind, i, j) in ops {
         let n = pool.len();
-        match kind % 5 {
+        match kind % 7 {
             0 => {
                 let t = Term::uninterp("f", vec![pool[i % n]]);
                 let Ok(id) = eg.intern(&t) else { return };
@@ -466,6 +467,23 @@ fn apply_trail_ops(
                 if eg.merge(ids[i % ids.len()], ids[j % ids.len()]).is_err() {
                     return;
                 }
+            }
+            4 => {
+                // Seven arguments: wider than a node keeps inline, so the
+                // children and the signature take the spilled path.
+                let args = (0..7).map(|k| pool[(i + k * (j + 1)) % n]).collect();
+                let t = Term::uninterp("h", args);
+                let Ok(id) = eg.intern(&t) else { return };
+                pool.push(t);
+                ids.push(id);
+            }
+            5 => {
+                // A literal outside the base universe gets a fresh
+                // graph-local key, which the pop must leave harmless.
+                let t = Term::int(100 + (i * 32 + j) as i64);
+                let Ok(id) = eg.intern(&t) else { return };
+                pool.push(t);
+                ids.push(id);
             }
             _ => {
                 if eg

@@ -36,6 +36,17 @@ pub struct CheckOptions {
     pub strategy: SearchStrategy,
 }
 
+impl CheckOptions {
+    /// Whether `scope` is checked at the arrays language level under these
+    /// options: it uses array features, or `force_arrays_level` is set.
+    /// An array access in any implementation body turns it on for the
+    /// whole scope, so it is the one input of a background that
+    /// implementation bodies can change.
+    pub fn arrays_level(&self, scope: &Scope) -> bool {
+        self.force_arrays_level || scope_uses_arrays(scope)
+    }
+}
+
 /// Everything the prover reports about a rejected verification condition:
 /// the open-branch sketch, the position labels that landed on the refuting
 /// branch, the primary (innermost) obligation they identify, and the
@@ -176,11 +187,15 @@ impl fmt::Display for Verdict {
 /// obligation with the same slice, and each proof runs inside a trail frame
 /// of that context, with goal-directed axioms armed only inside the frame.
 ///
-/// The scope background (`UBP ∧ BP_D`) is a pure function of the scope and
-/// options, so the checker builds it once, as one shared [`Background`]:
+/// The scope background (`UBP ∧ BP_D`) is a pure function of the scope's
+/// declarations outside implementation bodies, `naive` and the language
+/// level, so the checker holds it once, as one shared [`Background`]:
 /// every VC it generates points at it and owns only its `Init(m)` facts
 /// and goal, fingerprints and context keys hash its digest, and slicing
-/// reads its token tables, built on the checker's first slice.
+/// reads its token tables, built on the first slice taken. The
+/// background need not be the checker's own: [`Checker::with_background`]
+/// wraps a scope around one built earlier for equal inputs, tables
+/// included, which is how the engine reuses it across edit rounds.
 #[derive(Debug)]
 pub struct Checker {
     scope: Scope,
@@ -207,9 +222,49 @@ impl Checker {
         Ok(Checker::from_scope(Scope::analyze(program)?, options))
     }
 
-    /// Wraps an already-analysed scope.
+    /// Wraps an already-analysed scope: builds its background, then
+    /// calls [`Checker::with_background`].
     pub fn from_scope(scope: Scope, options: CheckOptions) -> Checker {
-        Checker::with_background_edit(scope, options, |_| {})
+        let arrays = options.arrays_level(&scope);
+        let (background, fresh) = Checker::build_background(&scope, &options, arrays);
+        Checker::with_background(scope, options, arrays, background, fresh)
+    }
+
+    /// The scope background of `scope` under `options` at the given
+    /// language level, with the fresh-name state building it leaves.
+    /// It reads only the scope's attributes, their inclusions and whether
+    /// any procedure declares a read frame, plus `options.naive` and
+    /// `arrays`: implementation bodies reach it only through `arrays`.
+    pub fn build_background(
+        scope: &Scope,
+        options: &CheckOptions,
+        arrays: bool,
+    ) -> (Arc<Background>, FreshGen) {
+        let mut fresh = FreshGen::new();
+        let axioms = crate::background::axioms(scope, !options.naive, arrays, &mut fresh);
+        (Arc::new(Background::new(axioms)), fresh)
+    }
+
+    /// Wraps an already-analysed scope around an already-built
+    /// background: `arrays` must be `options.arrays_level(&scope)`, and
+    /// `background` and `fresh` what [`Checker::build_background`] returns
+    /// for them. A caller that memoizes backgrounds by what they are built
+    /// from shares one background across checkers of unchanged scopes.
+    pub fn with_background(
+        scope: Scope,
+        options: CheckOptions,
+        arrays: bool,
+        background: Arc<Background>,
+        fresh: FreshGen,
+    ) -> Checker {
+        debug_assert_eq!(arrays, options.arrays_level(&scope), "stale language level");
+        Checker {
+            scope,
+            options,
+            arrays,
+            background,
+            fresh,
+        }
     }
 
     /// [`Checker::from_scope`], with `edit` applied to the generated
@@ -221,17 +276,17 @@ impl Checker {
         options: CheckOptions,
         edit: impl FnOnce(&mut [Axiom]),
     ) -> Checker {
-        let arrays = options.force_arrays_level || scope_uses_arrays(&scope);
+        let arrays = options.arrays_level(&scope);
         let mut fresh = FreshGen::new();
         let mut axioms = crate::background::axioms(&scope, !options.naive, arrays, &mut fresh);
         edit(&mut axioms);
-        Checker {
+        Checker::with_background(
             scope,
             options,
             arrays,
-            background: Arc::new(Background::new(axioms)),
+            Arc::new(Background::new(axioms)),
             fresh,
-        }
+        )
     }
 
     /// The underlying scope.

@@ -8,7 +8,9 @@
 //! pool pulling from a shared index; every proof runs in a warm scope
 //! context from the [`ContextPool`]. An obligation whose cutoff key
 //! ([`crate::cutoff`]) is remembered, and whose fingerprint is still
-//! cached, is served without generating its VC at all. This
+//! cached, is served without generating its VC at all, and a unit whose
+//! declarations outside implementation bodies did not change is checked
+//! against the scope background an earlier batch built. This
 //! is the only checking path: `oolong check` (module by module too),
 //! `batch`, `explain`, `stats` and `serve` all run through it, as do the
 //! callers that hold a parsed program ([`Engine::check_program`]).
@@ -26,7 +28,7 @@ use crate::store::{TieredStore, VerdictStore, DEFAULT_MEMORY_CAPACITY};
 use datagroups::{BackgroundSlice, CheckOptions, Checker, Vc, Verdict};
 use oolong_diagnose::{diagnose_refutation, diagnose_restriction, Diagnosis};
 use oolong_logic::Phase;
-use oolong_sema::ImplId;
+use oolong_sema::{ImplId, Scope};
 use oolong_syntax::{parse_program, Decl, Diagnostics, ImplDecl, Program};
 use std::io;
 use std::path::PathBuf;
@@ -396,17 +398,39 @@ impl Engine {
         Ok(reports)
     }
 
+    /// The checker this engine checks `source` with: parsed, analysed
+    /// and built around the scope background the cutoff map remembers for
+    /// it, as a batch would build it. Lets a caller see which background
+    /// a unit shares.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rendered diagnostics if `source` does not parse or
+    /// analyse.
+    pub fn checker(&self, source: &str) -> Result<Checker, String> {
+        let program = parse_program(source).map_err(|d| d.render(source))?;
+        Ok(self.front_end(&program, source)?.checker)
+    }
+
     /// The per-unit front end every entry point shares: scope analysis,
-    /// then the cutoff key of each implementation. Errors are rendered
-    /// against `source`.
+    /// the cutoff keys, then the checker, around the scope background the
+    /// cutoff map remembers for the keys' scope part when it has one.
+    /// Errors are rendered against `source`.
     fn front_end(&self, program: &Program, source: &str) -> Result<CheckedUnit, String> {
-        let checker =
-            Checker::new(program, self.options.check.clone()).map_err(|d| d.render(source))?;
+        let options = &self.options.check;
+        let scope = Scope::analyze(program).map_err(|d| d.render(source))?;
+        let arrays = options.arrays_level(&scope);
+        let keys = cutoff_keys(program, options, arrays);
+        let (background, fresh) = self.cutoffs.background(keys.scope, || {
+            Checker::build_background(&scope, options, arrays)
+        });
+        let checker = Checker::with_background(scope, options.clone(), arrays, background, fresh);
+        debug_assert_eq!(keys.impls.len(), checker.scope().impls().count());
         let impls = checker
             .scope()
             .impls()
             .map(|(impl_id, _)| impl_id)
-            .zip(cutoff_keys(program, &checker))
+            .zip(keys.impls)
             .collect();
         Ok(CheckedUnit { checker, impls })
     }

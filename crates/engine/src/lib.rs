@@ -73,7 +73,7 @@ pub use cache::{
 pub use contexts::{
     context_key, ContextPool, ContextPoolMetrics, ContextSlot, DEFAULT_CONTEXT_CAPACITY,
 };
-pub use cutoff::CutoffMap;
+pub use cutoff::{Built, CutoffMap, CutoffMetrics, BACKGROUND_CAPACITY};
 pub use diagjson::{
     attribution_members, diagnosis_from_json, diagnosis_to_json, label_from_json, label_to_json,
 };

@@ -15,7 +15,7 @@ use crate::term::{SubstMemo, Term};
 ///
 /// Generated names contain `!`, which cannot appear in oolong identifiers,
 /// so they never collide with program variables.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FreshGen {
     next: u64,
 }

@@ -557,6 +557,21 @@ impl Shared {
                     ("evictions".to_string(), Json::Int(c.evictions as i64)),
                 ])
             }),
+            ("front_end".to_string(), {
+                let f = self.cutoffs.metrics();
+                Json::Object(vec![
+                    ("cutoff_keys".to_string(), Json::Int(f.keys as i64)),
+                    ("backgrounds".to_string(), Json::Int(f.backgrounds as i64)),
+                    (
+                        "background_hits".to_string(),
+                        Json::Int(f.background_hits as i64),
+                    ),
+                    (
+                        "background_misses".to_string(),
+                        Json::Int(f.background_misses as i64),
+                    ),
+                ])
+            }),
             (
                 "latency_millis".to_string(),
                 Json::Object(vec![

@@ -95,7 +95,7 @@ impl Program {
 
 /// A top-level declaration (Figure 0 of the paper, plus the `module`
 /// extension).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Decl {
     /// `group g in h, k, ...`
     Group(GroupDecl),
@@ -145,7 +145,7 @@ impl Decl {
 }
 
 /// `module M imports N, ... { decls }` — see [`Decl::Module`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModuleDecl {
     /// The module's name.
     pub name: Ident,
@@ -159,7 +159,7 @@ pub struct ModuleDecl {
 
 /// `group g in h, k, ...` — declares a data group `g`, included in the
 /// listed enclosing groups.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupDecl {
     /// The group's name.
     pub name: Ident,
@@ -173,7 +173,7 @@ pub struct GroupDecl {
 ///
 /// Declaring `field f maps x into g` makes `f` a *pivot field* and records
 /// the rep inclusions `g →f x` (for every listed target group).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MapsClause {
     /// The attribute of the referenced object being mapped (`x`).
     pub mapped: Ident,
@@ -189,7 +189,7 @@ pub struct MapsClause {
 }
 
 /// `field f in h, ... maps x into g ...` — declares an object field.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FieldDecl {
     /// The field's name.
     pub name: Ident,
@@ -212,7 +212,7 @@ impl FieldDecl {
 
 /// `proc p(t, u, ...) modifies E, F, ... reads G, H, ...` — a procedure
 /// declaration with its modifies list and optional read frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProcDecl {
     /// The procedure's name.
     pub name: Ident,
@@ -234,7 +234,7 @@ pub struct ProcDecl {
 /// expression may mention the distinguished receiver `this`; sema rejects
 /// invariants that dereference attributes not reachable through the
 /// object's declared data groups.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InvariantDecl {
     /// The invariant body, over the receiver `this`.
     pub expr: Expr,
@@ -246,7 +246,7 @@ pub struct InvariantDecl {
 ///
 /// The paper requires the parameter list to repeat the procedure
 /// declaration's parameters verbatim; `oolong-sema` enforces this.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ImplDecl {
     /// Name of the procedure being implemented.
     pub name: Ident,
@@ -259,7 +259,7 @@ pub struct ImplDecl {
 }
 
 /// A command (Figure 1 of the paper, plus `skip` and `if` sugar).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Cmd {
     /// `assert E` — goes *wrong* if `E` is false.
     Assert(Expr, Span),
@@ -502,7 +502,7 @@ impl fmt::Display for UnaryOp {
 }
 
 /// An expression (Figure 1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A constant.
     Const(Const, Span),

@@ -173,12 +173,27 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
-    fn bump(&mut self) -> Token {
-        let tok = self.tokens[self.pos].clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        tok
+    }
+
+    /// Steps over the current token if it is an identifier, moving its
+    /// text into the returned [`Ident`]: the parser never reads a token
+    /// it has stepped over, so each identifier's text is allocated once,
+    /// by the lexer.
+    fn take_ident(&mut self) -> Option<Ident> {
+        let token = &mut self.tokens[self.pos];
+        let TokenKind::Ident(text) = &mut token.kind else {
+            return None;
+        };
+        let ident = Ident {
+            text: std::mem::take(text),
+            span: token.span,
+        };
+        self.bump();
+        Some(ident)
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -214,20 +229,14 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Option<Ident> {
-        match self.peek().clone() {
-            TokenKind::Ident(text) => {
-                let span = self.span();
-                self.bump();
-                Some(Ident { text, span })
-            }
-            other => {
-                self.diags.push(Diagnostic::error(
-                    format!("expected identifier, found {}", other.describe()),
-                    self.span(),
-                ));
-                None
-            }
+        let ident = self.take_ident();
+        if ident.is_none() {
+            self.diags.push(Diagnostic::error(
+                format!("expected identifier, found {}", self.peek().describe()),
+                self.span(),
+            ));
         }
+        ident
     }
 
     fn ident_list(&mut self) -> Vec<Ident> {
@@ -744,7 +753,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Option<Expr> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Null => {
                 self.bump();
                 Some(Expr::Const(Const::Null, span))
@@ -757,14 +766,11 @@ impl Parser {
                 self.bump();
                 Some(Expr::Const(Const::Bool(false), span))
             }
-            TokenKind::Int(n) => {
+            &TokenKind::Int(n) => {
                 self.bump();
                 Some(Expr::Const(Const::Int(n), span))
             }
-            TokenKind::Ident(text) => {
-                self.bump();
-                Some(Expr::Id(Ident { text, span }))
-            }
+            TokenKind::Ident(_) => self.take_ident().map(Expr::Id),
             TokenKind::LParen => {
                 self.bump();
                 let inner = self.expr()?;
@@ -772,10 +778,8 @@ impl Parser {
                 Some(inner)
             }
             other => {
-                self.diags.push(Diagnostic::error(
-                    format!("expected an expression, found {}", other.describe()),
-                    span,
-                ));
+                let message = format!("expected an expression, found {}", other.describe());
+                self.diags.push(Diagnostic::error(message, span));
                 self.bump();
                 None
             }

@@ -1,13 +1,19 @@
 //! Byte-offset source spans and line/column mapping.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A half-open byte range `[start, end)` into a source text.
 ///
 /// Spans are attached to every token and AST node so that diagnostics can
 /// point back at the offending source. The special [`Span::DUMMY`] value is
 /// used for synthesised nodes (e.g. desugared `if` commands).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+///
+/// A span hashes to nothing: an AST node's `Hash` covers its content and
+/// not its position, so two declarations that differ only in where they
+/// sit in the text hash alike (the engine's cutoff keys rely on this).
+/// Equality still compares positions, which `Hash` permits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: u32,
@@ -60,6 +66,10 @@ impl Span {
             .get(self.start as usize..self.end as usize)
             .unwrap_or("")
     }
+}
+
+impl Hash for Span {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
 }
 
 impl fmt::Display for Span {

@@ -845,6 +845,197 @@ fn early_cutoff_matches_a_fresh_engine() {
     }
 }
 
+/// One step of the background-reuse walk: what it edits, in which unit,
+/// and whether the unit keeps its scope background.
+struct ScopeStep {
+    what: &'static str,
+    unit: &'static str,
+    edit: fn(&str, &mut StdRng) -> String,
+    keeps_background: bool,
+}
+
+/// Reusing a scope background across batches is invisible: a resident
+/// engine that walks a seeded edit sequence reports, after every step,
+/// exactly what a fresh engine reports, and an edit that leaves every
+/// declaration outside implementation bodies (and the language level)
+/// unchanged builds its checker around the very background the previous
+/// batch built. Debug builds also rebuild the background on every memo
+/// hit and assert that it agrees.
+#[test]
+fn background_reuse_matches_a_fresh_engine() {
+    let generated_name = generated_unit().name;
+    let steps = [
+        ScopeStep {
+            what: "a body edit",
+            unit: "",
+            edit: |source, rng| {
+                edit_body(
+                    source,
+                    rng.gen_range(0..200usize),
+                    rng.gen_range(1..1_000u64),
+                )
+            },
+            keeps_background: true,
+        },
+        ScopeStep {
+            what: "a value-only edit",
+            unit: "stack_module",
+            edit: |source, _| source.replacen("v.cnt := 0", "v.cnt := 7", 1),
+            keeps_background: true,
+        },
+        ScopeStep {
+            what: "an added `in` clause",
+            unit: "example1",
+            edit: |source, _| source.replacen("field f\n", "field f in g\n", 1),
+            keeps_background: false,
+        },
+        ScopeStep {
+            what: "an appended `group`",
+            unit: "",
+            edit: |source, _| format!("{source}\ngroup appended\n"),
+            keeps_background: false,
+        },
+        ScopeStep {
+            what: "a `maps … into` clause",
+            unit: "example3",
+            edit: |source, _| {
+                source.replacen(
+                    "field value in g",
+                    "field value in g\nfield other maps g into g",
+                    1,
+                )
+            },
+            keeps_background: false,
+        },
+        ScopeStep {
+            what: "a body that starts indexing an array",
+            unit: "stack_module",
+            edit: |source, _| {
+                source.replacen(
+                    "v.cnt := v.cnt + 1 }",
+                    "v.cnt := v.cnt + 1 ; v.cnt[0] := 1 }",
+                    1,
+                )
+            },
+            keeps_background: false,
+        },
+        ScopeStep {
+            what: "a second body edit",
+            unit: "",
+            edit: |source, rng| {
+                edit_body(
+                    source,
+                    rng.gen_range(0..200usize),
+                    rng.gen_range(1..1_000u64),
+                )
+            },
+            keeps_background: true,
+        },
+    ];
+
+    let mut units = corpus_units();
+    units.push(generated_unit());
+    let resident = Engine::new(EngineOptions::default()).expect("in-memory engine");
+    let naive = CheckOptions {
+        naive: true,
+        ..CheckOptions::default()
+    };
+    let fresh = |units: &[BatchUnit], check: &CheckOptions| -> Vec<Observed> {
+        let engine = Engine::new(EngineOptions {
+            check: check.clone(),
+            ..EngineOptions::default()
+        })
+        .expect("in-memory engine");
+        observe(&engine.check_batch(units))
+    };
+    let background = |engine: &Engine, unit: &BatchUnit| {
+        engine
+            .checker(&unit.source)
+            .expect("every unit analyses")
+            .shared_background()
+            .clone()
+    };
+
+    let cold = resident.check_batch(&units);
+    assert_eq!(observe(&cold), fresh(&units, &CheckOptions::default()));
+    let misses = resident.cutoffs().metrics().background_misses;
+    assert_eq!(misses, units.len() as u64, "one background per unit");
+
+    let mut rng = StdRng::seed_from_u64(29);
+    for step in &steps {
+        let name = if step.unit.is_empty() {
+            generated_name.as_str()
+        } else {
+            step.unit
+        };
+        let at = units
+            .iter()
+            .position(|u| u.name == name)
+            .expect("a unit of the walk");
+        let before = background(&resident, &units[at]);
+        let edited = (step.edit)(&units[at].source, &mut rng);
+        assert_ne!(edited, units[at].source, "{}: the edit applies", step.what);
+        units[at].source = edited;
+        let metrics = resident.cutoffs().metrics();
+        let report = resident.check_batch(&units);
+        assert_eq!(
+            observe(&report),
+            fresh(&units, &CheckOptions::default()),
+            "after {}: background reuse diverged",
+            step.what
+        );
+        let after = resident.cutoffs().metrics();
+        let unchanged = units.len() as u64 - u64::from(!step.keeps_background);
+        assert_eq!(
+            after.background_hits - metrics.background_hits,
+            unchanged,
+            "{}: every unit with an unchanged scope reuses its background",
+            step.what
+        );
+        let now = background(&resident, &units[at]);
+        assert_eq!(
+            Arc::ptr_eq(&before, &now),
+            step.keeps_background,
+            "{}: the edited unit's background",
+            step.what
+        );
+        if !step.keeps_background {
+            assert_ne!(before.digest(), now.digest(), "{}", step.what);
+        }
+    }
+
+    // The naive checker, through a second engine sharing the store, the
+    // context pool and the map, as serve does: its backgrounds are its own.
+    let naive_engine = Engine::with_store_and_contexts(
+        EngineOptions {
+            check: naive.clone(),
+            ..EngineOptions::default()
+        },
+        resident.store().clone(),
+        resident.contexts().clone(),
+        resident.cutoffs().clone(),
+    );
+    let hits = resident.cutoffs().metrics().background_hits;
+    let report = naive_engine.check_batch(&units);
+    assert_eq!(
+        observe(&report),
+        fresh(&units, &naive),
+        "naive: background reuse diverged"
+    );
+    assert_eq!(
+        resident.cutoffs().metrics().background_hits,
+        hits,
+        "naive checkers never share a restricted background"
+    );
+    let generated = units.last().expect("the generated unit");
+    assert_ne!(
+        background(&naive_engine, generated).digest(),
+        background(&resident, generated).digest()
+    );
+    let again = naive_engine.check_batch(&units);
+    assert_eq!(observe(&again), observe(&report));
+}
+
 /// A one-implementation body edit in a 200-implementation unit is one
 /// prover call and 199 cutoff hits on a resident engine; a fresh engine
 /// has nothing to cut off.

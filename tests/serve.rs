@@ -526,6 +526,16 @@ fn scripted_session_end_to_end() {
             >= 1,
         "verdicts were persisted to the disk tier"
     );
+    let front_end = result.get("front_end").expect("front_end section");
+    let memo = |member: &str| front_end.get(member).and_then(Json::as_u64).unwrap_or(0);
+    assert!(
+        memo("background_hits") >= 1,
+        "re-checking the unchanged unit reused its background: {front_end:?}"
+    );
+    assert!(
+        memo("backgrounds") >= 1 && memo("cutoff_keys") >= 1,
+        "{front_end:?}"
+    );
     let resident = |member: &str| store.get(member).and_then(Json::as_u64).unwrap_or(0);
     assert!(
         resident("mem_entries") >= 1 && resident("mem_bytes") >= resident("mem_entries"),

@@ -5,8 +5,8 @@
 //!                [--explain-unknown]
 //! oolong infer   <file|corpus:NAME|stripped:NAME|unannotated:SEED> [--proc NAME] [--reads] [--apply] [--json]
 //! oolong explain <file|corpus:NAME> [--proc NAME] [--cache-dir DIR] [--json]
-//! oolong batch   <files...> [--cache-dir DIR] [--workers N] [--events PATH] [--json]
-//! oolong recheck [--cache-dir DIR] [--events PATH] [--json]
+//! oolong batch   <files...> [--cache-dir DIR] [--workers N] [--events PATH] [--json] [--explain]
+//! oolong recheck [--cache-dir DIR] [--events PATH] [--json] [--explain]
 //! oolong serve   --socket PATH [--cache-dir DIR] [--workers N] [--queue N] [--json-log]
 //! oolong client  <request.json> | --eval '<json>' [--socket PATH]
 //! oolong run     <file|corpus:NAME> --proc NAME [--seeds N] [--owner-exclusion]
@@ -127,9 +127,9 @@ fn usage() -> String {
                  [--reads] [--apply] [--json] [--max-rounds N] [--cache-dir DIR] [--no-cache]
                  [--naive] [--null-checks] [--max-instances N] [--max-gen N]
   oolong batch   <files|corpus:NAMEs...> [--cache-dir DIR] [--no-cache] [--workers N]
-                 [--events PATH] [--json] [--naive] [--null-checks]
+                 [--events PATH] [--json] [--explain] [--naive] [--null-checks]
                  [--max-instances N] [--max-gen N]
-  oolong recheck [--cache-dir DIR] [--events PATH] [--json]
+  oolong recheck [--cache-dir DIR] [--events PATH] [--json] [--explain]
   oolong serve   --socket PATH [--cache-dir DIR] [--no-cache] [--workers N] [--queue N]
                  [--mem-cap N] [--events PATH] [--json-log] [--quiet] [--naive]
                  [--null-checks] [--max-instances N] [--max-gen N]
@@ -611,12 +611,13 @@ fn run_batch(
     let engine = Engine::new(options).map_err(|e| format!("cannot open cache: {e}"))?;
     let report = engine.check_batch(&units);
     if let Some(path) = opt_value(args, "--events") {
-        // Streamed line by line with per-line flush, so a crashed or
-        // interrupted run still leaves every completed event on disk.
+        // Derived from the finished report and written only now, one
+        // flushed line per event: a run interrupted before the batch
+        // returns writes no log at all.
         let mut writer = oolong_engine::EventLogWriter::create(Path::new(&path))
             .map_err(|e| format!("cannot open `{path}`: {e}"))?;
         writer
-            .write_all(&report.events)
+            .write_all(&report.events())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     if flag(args, "--json") {

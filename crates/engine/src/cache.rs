@@ -13,7 +13,7 @@
 //! every run: they are syntactic, cost microseconds, and carry
 //! source-anchored diagnostics that would go stale in a cache.
 
-use crate::diagjson::{diagnosis_from_json, diagnosis_to_json, label_from_json, label_to_json};
+use crate::diagjson::{diagnosis_from_json, label_from_json, refutation_members};
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
 use datagroups::{ObligationLabel, Refutation, Verdict};
@@ -50,11 +50,7 @@ pub const CACHE_FORMAT_VERSION: u64 = 6;
 /// cache round-trip reproduces the cold run's stats exactly. This is an
 /// output edge: the per-quantifier rows' binding chains are rendered here.
 pub fn stats_to_json(stats: &Stats) -> Json {
-    let mut members: Vec<(String, Json)> = stats
-        .to_fields()
-        .into_iter()
-        .map(|(name, value)| (name.to_string(), Json::Int(value as i64)))
-        .collect();
+    let mut members = stats_scalar_members(stats);
     members.push((
         "exhausted".to_string(),
         match stats.exhausted {
@@ -67,6 +63,18 @@ pub fn stats_to_json(stats: &Stats) -> Json {
         Json::Array(stats.per_quant.iter().map(quant_profile_to_json).collect()),
     ));
     Json::Object(members)
+}
+
+/// The scalar prover counters as JSON object members, in
+/// [`Stats::to_fields`] order: the whole `stats` object of a batch
+/// report's obligations and of the `cache_hit`, `verified`, `refuted` and
+/// `fuel_exhausted` events, and the head of [`stats_to_json`].
+pub(crate) fn stats_scalar_members(stats: &Stats) -> Vec<(String, Json)> {
+    stats
+        .to_fields()
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), Json::Int(value as i64)))
+        .collect()
 }
 
 /// Inverse of [`stats_to_json`].
@@ -170,6 +178,17 @@ impl CachedOutcome {
         }
     }
 
+    /// The outcome a prover verdict records; `None` for restriction
+    /// violations and translation errors, which are never cached.
+    pub(crate) fn of(verdict: &Verdict) -> Option<CachedOutcome> {
+        match verdict {
+            Verdict::Verified(_) => Some(CachedOutcome::Proved),
+            Verdict::NotVerified(..) => Some(CachedOutcome::NotProved),
+            Verdict::Unknown(_) => Some(CachedOutcome::Unknown),
+            Verdict::RestrictionViolation(_) | Verdict::TranslationError(_) => None,
+        }
+    }
+
     fn from_str(s: &str) -> Option<CachedOutcome> {
         match s {
             "proved" => Some(CachedOutcome::Proved),
@@ -189,18 +208,12 @@ impl CachedVerdict {
         verdict: &Verdict,
         diagnosis: Option<&Diagnosis>,
     ) -> Option<CachedVerdict> {
-        let (outcome, stats, refutation) = match verdict {
-            Verdict::Verified(stats) => (CachedOutcome::Proved, stats.clone(), None),
-            Verdict::NotVerified(stats, refutation) => {
-                (CachedOutcome::NotProved, stats.clone(), Some(refutation))
-            }
-            Verdict::Unknown(stats) => (CachedOutcome::Unknown, stats.clone(), None),
-            Verdict::RestrictionViolation(_) | Verdict::TranslationError(_) => return None,
-        };
+        let outcome = CachedOutcome::of(verdict)?;
+        let refutation = verdict.refutation();
         Some(CachedVerdict {
             proc_name: proc_name.to_string(),
             outcome,
-            stats,
+            stats: verdict.stats()?.clone(),
             open_branch: refutation.and_then(|r| r.open_branch.clone()),
             labels: refutation.map(|r| r.labels.clone()).unwrap_or_default(),
             primary: refutation.and_then(|r| r.primary.clone()),
@@ -264,7 +277,7 @@ impl CachedVerdict {
     }
 
     pub(crate) fn to_json(&self, fingerprint: Fingerprint) -> Json {
-        Json::Object(vec![
+        let mut members = vec![
             (
                 "version".to_string(),
                 Json::Int(CACHE_FORMAT_VERSION as i64),
@@ -279,34 +292,14 @@ impl CachedVerdict {
                 Json::Str(self.outcome.as_str().to_string()),
             ),
             ("stats".to_string(), stats_to_json(&self.stats)),
-            (
-                "open_branch".to_string(),
-                match &self.open_branch {
-                    None => Json::Null,
-                    Some(lines) => {
-                        Json::Array(lines.iter().map(|l| Json::Str(l.clone())).collect())
-                    }
-                },
-            ),
-            (
-                "labels".to_string(),
-                Json::Array(self.labels.iter().map(|&id| Json::Int(id as i64)).collect()),
-            ),
-            (
-                "primary".to_string(),
-                match &self.primary {
-                    Some(label) => label_to_json(label),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "diagnosis".to_string(),
-                match &self.diagnosis {
-                    Some(d) => diagnosis_to_json(d),
-                    None => Json::Null,
-                },
-            ),
-        ])
+        ];
+        members.extend(refutation_members(
+            self.open_branch.as_deref(),
+            &self.labels,
+            self.primary.as_ref(),
+            self.diagnosis.as_ref(),
+        ));
+        Json::Object(members)
     }
 
     pub(crate) fn from_json(value: &Json) -> Option<(Fingerprint, CachedVerdict)> {

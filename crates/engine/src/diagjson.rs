@@ -40,6 +40,35 @@ pub fn attribution_members(verdict: &Verdict) -> Vec<(String, Json)> {
     ]
 }
 
+/// The refutation members of a cache entry and of a `refuted` event, in
+/// this order: `open_branch`, `labels`, `primary` and `diagnosis`, each
+/// `null` when absent.
+pub(crate) fn refutation_members(
+    open_branch: Option<&[String]>,
+    labels: &[u32],
+    primary: Option<&ObligationLabel>,
+    diagnosis: Option<&Diagnosis>,
+) -> [(String, Json); 4] {
+    [
+        (
+            "open_branch".to_string(),
+            open_branch.map_or(Json::Null, string_array),
+        ),
+        (
+            "labels".to_string(),
+            Json::Array(labels.iter().map(|&id| Json::Int(id as i64)).collect()),
+        ),
+        (
+            "primary".to_string(),
+            primary.map_or(Json::Null, label_to_json),
+        ),
+        (
+            "diagnosis".to_string(),
+            diagnosis.map_or(Json::Null, diagnosis_to_json),
+        ),
+    ]
+}
+
 /// Inverse of [`label_to_json`].
 pub fn label_from_json(value: &Json) -> Option<ObligationLabel> {
     Some(ObligationLabel {

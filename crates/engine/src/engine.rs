@@ -14,14 +14,16 @@
 //! is the only checking path: `oolong check` (module by module too),
 //! `batch`, `explain`, `stats` and `serve` all run through it, as do the
 //! callers that hold a parsed program ([`Engine::check_program`]).
-//! Results and events are reassembled in obligation order, so a batch
-//! report is deterministic regardless of thread interleaving.
+//! Each obligation's result is one [`ObligationReport`]; results are
+//! reassembled in obligation order, so a batch report is deterministic
+//! regardless of thread interleaving. The event log is derived from the
+//! finished report ([`BatchReport::events`]) by the output edges that
+//! read it.
 
-use crate::cache::{CachedOutcome, CachedVerdict};
+use crate::cache::{stats_scalar_members, CachedOutcome, CachedVerdict};
 use crate::contexts::{context_key, ContextPool, DEFAULT_CONTEXT_CAPACITY};
 use crate::cutoff::{cutoff_keys, CutoffMap};
 use crate::diagjson::{attribution_members, diagnosis_to_json};
-use crate::events::{render_jsonl, Event};
 use crate::fingerprint::{fingerprint_vc, Fingerprint};
 use crate::json::Json;
 use crate::store::{TieredStore, VerdictStore, DEFAULT_MEMORY_CAPACITY};
@@ -78,7 +80,10 @@ pub struct ObligationReport {
     pub verdict: Verdict,
     /// Whether the verdict was served from the cache.
     pub cache_hit: bool,
-    /// Wall-clock milliseconds spent on this obligation.
+    /// Wall-clock milliseconds spent on this obligation, up to its
+    /// verdict: for a proof, the restriction check, VC generation,
+    /// slicing, fingerprint, cache lookup, context, proof and diagnosis
+    /// (not the store write).
     pub millis: f64,
     /// The source-level diagnosis, when diagnosis was enabled and the
     /// obligation was rejected.
@@ -102,11 +107,6 @@ pub struct BatchReport {
     pub obligations: Vec<ObligationReport>,
     /// Units that could not be checked at all.
     pub unit_errors: Vec<UnitError>,
-    /// The structured event log (unit errors, then per-obligation events
-    /// in batch order — start marker, terminal event, and a
-    /// `prover_profile` when the obligation carries stats — then the
-    /// batch summary).
-    pub events: Vec<Event>,
     /// Obligations served from the cache.
     pub cache_hits: usize,
     /// Cache hits found by early cutoff: the implementation's cutoff key
@@ -139,11 +139,6 @@ impl BatchReport {
         tally
     }
 
-    /// The event log rendered as JSON Lines.
-    pub fn events_jsonl(&self) -> String {
-        render_jsonl(&self.events)
-    }
-
     /// The whole report as a JSON object (the `--json` output of
     /// `oolong batch`).
     pub fn to_json(&self) -> Json {
@@ -171,13 +166,7 @@ impl BatchReport {
                 if let Some(stats) = o.verdict.stats() {
                     members.push((
                         "stats".to_string(),
-                        Json::Object(
-                            stats
-                                .to_fields()
-                                .into_iter()
-                                .map(|(name, value)| (name.to_string(), Json::Int(value as i64)))
-                                .collect(),
-                        ),
+                        Json::Object(stats_scalar_members(stats)),
                     ));
                 }
                 // Refuted obligations always carry their attribution —
@@ -219,15 +208,6 @@ impl BatchReport {
             ),
         ])
     }
-}
-
-/// One obligation's result plus its events, as produced by a worker.
-struct TaskOutcome {
-    report: ObligationReport,
-    events: Vec<Event>,
-    cache_hit: bool,
-    cutoff_hit: bool,
-    prover_call: bool,
 }
 
 /// A unit that passed the front end: its checker, and the implementations
@@ -488,56 +468,42 @@ impl Engine {
             unit_errors,
             ..BatchReport::default()
         };
-        for error in &report.unit_errors {
-            report.events.push(Event::UnitError {
-                unit: error.unit.clone(),
-                message: error.message.clone(),
-            });
-        }
-        for outcome in outcomes {
-            report.cache_hits += usize::from(outcome.cache_hit);
-            report.cutoff_hits += usize::from(outcome.cutoff_hit);
-            report.prover_calls += usize::from(outcome.prover_call);
-            report.events.extend(outcome.events);
-            report.obligations.push(outcome.report);
+        for (obligation, cutoff_hit) in outcomes {
+            report.cache_hits += usize::from(obligation.cache_hit);
+            report.cutoff_hits += usize::from(cutoff_hit);
+            // Restriction violations and translation errors have no
+            // fingerprint; every other miss was proved.
+            report.prover_calls +=
+                usize::from(!obligation.cache_hit && obligation.fingerprint.is_some());
+            report.obligations.push(obligation);
         }
         report.millis = batch_start.elapsed().as_secs_f64() * 1_000.0;
-        report.events.push(Event::BatchSummary {
-            obligations: report.obligations.len(),
-            cache_hits: report.cache_hits,
-            prover_calls: report.prover_calls,
-            tally: report.tally(),
-            millis: report.millis,
-        });
         report
     }
 
-    /// Runs the worker pool and returns outcomes in task order.
+    /// Runs the worker pool and returns each task's report and whether
+    /// early cutoff served it, in task order.
     fn run_tasks(
         &self,
         units: &[BatchUnit],
         checkers: &[Option<CheckedUnit>],
         tasks: &[Task],
         workers: usize,
-    ) -> Vec<TaskOutcome> {
+    ) -> Vec<(ObligationReport, bool)> {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
-        let run = |seq: usize, task: &Task| {
+        let run = |task: &Task| {
             let checker = &checkers[task.unit_idx]
                 .as_ref()
                 .expect("tasks are only created for well-formed units")
                 .checker;
-            self.process_task(seq, &units[task.unit_idx], checker, task)
+            self.process_task(&units[task.unit_idx], checker, task)
         };
         if workers <= 1 || tasks.len() <= 1 {
-            return tasks
-                .iter()
-                .enumerate()
-                .map(|(seq, task)| run(seq, task))
-                .collect();
+            return tasks.iter().map(run).collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<TaskOutcome>>> =
+        let slots: Vec<Mutex<Option<(ObligationReport, bool)>>> =
             tasks.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers.min(tasks.len()))
@@ -547,7 +513,7 @@ impl Engine {
                         let Some(task) = tasks.get(seq) else {
                             break;
                         };
-                        let outcome = run(seq, task);
+                        let outcome = run(task);
                         *slots[seq]
                             .lock()
                             .expect("no panics while holding slot lock") = Some(outcome);
@@ -591,49 +557,28 @@ impl Engine {
 
     /// Processes one obligation: early cutoff, then restriction check, VC
     /// generation, fingerprint, cache lookup, and (on a miss) the prover.
+    /// Returns the obligation's report and whether early cutoff served it.
     fn process_task(
         &self,
-        seq: usize,
         unit: &BatchUnit,
         checker: &Checker,
         task: &Task,
-    ) -> TaskOutcome {
+    ) -> (ObligationReport, bool) {
         let impl_id = task.impl_id;
         let scope = checker.scope();
         let proc_name = scope.proc_info(scope.impl_info(impl_id).proc).name.clone();
         let start = Instant::now();
-        let started = |fingerprint: Option<Fingerprint>| Event::ObligationStarted {
-            seq,
+        let finish = |fingerprint, verdict, cache_hit, diagnosis| ObligationReport {
             unit: unit.name.clone(),
-            proc: proc_name.clone(),
+            proc_name: proc_name.clone(),
             fingerprint,
+            verdict,
+            cache_hit,
+            millis: start.elapsed().as_secs_f64() * 1_000.0,
+            diagnosis,
         };
-        let served = |fingerprint: Fingerprint, hit: CachedVerdict, cutoff_hit: bool| TaskOutcome {
-            events: vec![
-                started(Some(fingerprint)),
-                Event::CacheHit {
-                    seq,
-                    outcome: hit.outcome.as_str(),
-                    stats: hit.stats.clone(),
-                },
-                Event::ProverProfile {
-                    seq,
-                    cached: true,
-                    stats: hit.stats.clone(),
-                },
-            ],
-            report: ObligationReport {
-                unit: unit.name.clone(),
-                proc_name: proc_name.clone(),
-                fingerprint: Some(fingerprint),
-                verdict: hit.to_verdict(),
-                cache_hit: true,
-                millis: start.elapsed().as_secs_f64() * 1_000.0,
-                diagnosis: hit.diagnosis,
-            },
-            cache_hit: true,
-            cutoff_hit,
-            prover_call: false,
+        let served = |fingerprint, hit: CachedVerdict| {
+            finish(Some(fingerprint), hit.to_verdict(), true, hit.diagnosis)
         };
 
         // Early cutoff: an unchanged scope and body produce the fingerprint
@@ -653,61 +598,26 @@ impl Engine {
                         anchor_refutation(&mut hit, &vc, &unit.source);
                     }
                 }
-                return served(fingerprint, hit, true);
+                return (served(fingerprint, hit), true);
             }
         }
 
         let violations = checker.restriction_violations(impl_id);
         if !violations.is_empty() {
-            let rendered = violations.iter().map(|d| d.to_string()).collect();
             let diagnosis = if self.options.diagnose {
                 diagnose_restriction(scope, &unit.source, impl_id, &proc_name, &violations)
             } else {
                 None
             };
             let verdict = Verdict::RestrictionViolation(violations);
-            return TaskOutcome {
-                events: vec![
-                    started(None),
-                    Event::RestrictionViolation {
-                        seq,
-                        violations: rendered,
-                    },
-                ],
-                report: ObligationReport {
-                    unit: unit.name.clone(),
-                    proc_name,
-                    fingerprint: None,
-                    verdict,
-                    cache_hit: false,
-                    millis: start.elapsed().as_secs_f64() * 1_000.0,
-                    diagnosis,
-                },
-                cache_hit: false,
-                cutoff_hit: false,
-                prover_call: false,
-            };
+            return (finish(None, verdict, false, diagnosis), false);
         }
 
         let vc = match checker.vc(impl_id) {
             Ok(vc) => vc,
             Err(diagnostic) => {
-                let message = diagnostic.to_string();
-                return TaskOutcome {
-                    events: vec![started(None), Event::TranslationError { seq, message }],
-                    report: ObligationReport {
-                        unit: unit.name.clone(),
-                        proc_name,
-                        fingerprint: None,
-                        verdict: Verdict::TranslationError(diagnostic),
-                        cache_hit: false,
-                        millis: start.elapsed().as_secs_f64() * 1_000.0,
-                        diagnosis: None,
-                    },
-                    cache_hit: false,
-                    cutoff_hit: false,
-                    prover_call: false,
-                };
+                let verdict = Verdict::TranslationError(diagnostic);
+                return (finish(None, verdict, false, None), false);
             }
         };
 
@@ -717,7 +627,7 @@ impl Engine {
         if remembered != Some(fingerprint) {
             if let Some(mut hit) = self.cached(fingerprint) {
                 anchor_refutation(&mut hit, &vc, &unit.source);
-                return served(fingerprint, hit, false);
+                return (served(fingerprint, hit), false);
             }
         }
 
@@ -743,57 +653,13 @@ impl Engine {
             }
             _ => None,
         };
-        let millis = start.elapsed().as_secs_f64() * 1_000.0;
-        if let Some(entry) = CachedVerdict::from_verdict(&proc_name, &verdict, diagnosis.as_ref()) {
+        let report = finish(Some(fingerprint), verdict, false, diagnosis);
+        if let Some(entry) =
+            CachedVerdict::from_verdict(&proc_name, &report.verdict, report.diagnosis.as_ref())
+        {
             self.store.put(fingerprint, entry);
         }
-        let terminal = match &verdict {
-            Verdict::Verified(stats) => Event::Verified {
-                seq,
-                millis,
-                stats: stats.clone(),
-            },
-            Verdict::NotVerified(stats, refutation) => Event::Refuted {
-                seq,
-                millis,
-                stats: stats.clone(),
-                open_branch: refutation.open_branch.clone(),
-                labels: refutation.labels.clone(),
-                primary: refutation.primary.clone(),
-                diagnosis: diagnosis.clone().map(Box::new),
-            },
-            Verdict::Unknown(stats) => Event::FuelExhausted {
-                seq,
-                millis,
-                stats: stats.clone(),
-            },
-            Verdict::RestrictionViolation(_) | Verdict::TranslationError(_) => {
-                unreachable!("verdict_for_vc_in only returns prover verdicts")
-            }
-        };
-        let profile = Event::ProverProfile {
-            seq,
-            cached: false,
-            stats: verdict
-                .stats()
-                .cloned()
-                .expect("prover verdicts carry stats"),
-        };
-        TaskOutcome {
-            events: vec![started(Some(fingerprint)), terminal, profile],
-            report: ObligationReport {
-                unit: unit.name.clone(),
-                proc_name,
-                fingerprint: Some(fingerprint),
-                verdict,
-                cache_hit: false,
-                millis,
-                diagnosis,
-            },
-            cache_hit: false,
-            cutoff_hit: false,
-            prover_call: true,
-        }
+        (report, false)
     }
 }
 

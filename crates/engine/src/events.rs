@@ -1,27 +1,31 @@
 //! The engine's structured event log.
 //!
-//! Every obligation a batch processes emits an `obligation_started` event
-//! followed by exactly one terminal event (`cache_hit`, `verified`,
-//! `refuted`, `fuel_exhausted`, `restriction_violation`, or
-//! `translation_error`); obligations that carry prover stats additionally
-//! emit one `prover_profile` event with the per-axiom instantiation
-//! telemetry; units that fail to parse or analyse emit a `unit_error`; the
-//! batch closes with one `batch_summary`. Rendered as JSON Lines (one
-//! compact object per line), the log is the engine's observability
-//! surface: warm-cache behaviour ("zero prover calls on unchanged impls")
-//! is *verified* by counting terminal event kinds, not inferred from
-//! timings, and warm runs replay the cold run's stats verbatim (cache
-//! hits carry the cached stats).
+//! The log is a view of a [`BatchReport`], derived by
+//! [`BatchReport::events`] at the output edges that read it (`oolong
+//! batch --events`, and serve's event log and response `events`); a batch
+//! itself records only its [`ObligationReport`]s. Every obligation yields
+//! an `obligation_started` event followed by exactly one terminal event
+//! (`cache_hit`, `verified`, `refuted`, `fuel_exhausted`,
+//! `restriction_violation`, or `translation_error`); obligations that
+//! carry prover stats additionally yield one `prover_profile` event with
+//! the per-axiom instantiation telemetry; units that fail to parse or
+//! analyse yield a `unit_error`; the log closes with one `batch_summary`.
+//! Rendered as JSON Lines (one compact object per line), the log is the
+//! engine's observability surface: warm-cache behaviour ("zero prover
+//! calls on unchanged impls") is *verified* by counting terminal event
+//! kinds, not inferred from timings, and warm runs replay the cold run's
+//! stats verbatim (cache hits carry the cached stats).
 //!
 //! Events are ordered by obligation sequence number, not wall-clock
 //! completion, so logs from parallel runs are deterministic up to the
 //! timing fields.
 
-use crate::cache::stats_to_json;
-use crate::diagjson::{diagnosis_to_json, label_to_json};
+use crate::cache::{stats_scalar_members, stats_to_json, CachedOutcome};
+use crate::diagjson::refutation_members;
+use crate::engine::{BatchReport, ObligationReport};
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
-use datagroups::ObligationLabel;
+use datagroups::{ObligationLabel, Verdict};
 use oolong_diagnose::Diagnosis;
 use oolong_prover::Stats;
 
@@ -65,7 +69,8 @@ pub enum Event {
     Verified {
         /// Obligation sequence number.
         seq: usize,
-        /// Prover wall-clock milliseconds.
+        /// The obligation's wall-clock milliseconds
+        /// ([`ObligationReport::millis`]), not the prover's alone.
         millis: f64,
         /// Prover work counters.
         stats: Stats,
@@ -74,7 +79,8 @@ pub enum Event {
     Refuted {
         /// Obligation sequence number.
         seq: usize,
-        /// Prover wall-clock milliseconds.
+        /// The obligation's wall-clock milliseconds
+        /// ([`ObligationReport::millis`]), not the prover's alone.
         millis: f64,
         /// Prover work counters.
         stats: Stats,
@@ -93,7 +99,8 @@ pub enum Event {
     FuelExhausted {
         /// Obligation sequence number.
         seq: usize,
-        /// Prover wall-clock milliseconds.
+        /// The obligation's wall-clock milliseconds
+        /// ([`ObligationReport::millis`]), not the prover's alone.
         millis: f64,
         /// Prover work counters.
         stats: Stats,
@@ -155,15 +162,7 @@ impl Event {
     /// The event as a JSON object.
     pub fn to_json(&self) -> Json {
         let mut members = vec![("event".to_string(), Json::Str(self.kind().to_string()))];
-        let stats_json = |stats: &Stats| {
-            Json::Object(
-                stats
-                    .to_fields()
-                    .into_iter()
-                    .map(|(name, value)| (name.to_string(), Json::Int(value as i64)))
-                    .collect(),
-            )
-        };
+        let stats_json = |stats: &Stats| Json::Object(stats_scalar_members(stats));
         match self {
             Event::ObligationStarted {
                 seq,
@@ -234,32 +233,11 @@ impl Event {
                 members.push(("seq".to_string(), Json::Int(*seq as i64)));
                 members.push(("millis".to_string(), Json::Float(*millis)));
                 members.push(("stats".to_string(), stats_json(stats)));
-                members.push((
-                    "open_branch".to_string(),
-                    match open_branch {
-                        None => Json::Null,
-                        Some(lines) => {
-                            Json::Array(lines.iter().map(|l| Json::Str(l.clone())).collect())
-                        }
-                    },
-                ));
-                members.push((
-                    "labels".to_string(),
-                    Json::Array(labels.iter().map(|&id| Json::Int(id as i64)).collect()),
-                ));
-                members.push((
-                    "primary".to_string(),
-                    match primary {
-                        Some(label) => label_to_json(label),
-                        None => Json::Null,
-                    },
-                ));
-                members.push((
-                    "diagnosis".to_string(),
-                    match diagnosis {
-                        Some(d) => diagnosis_to_json(d),
-                        None => Json::Null,
-                    },
+                members.extend(refutation_members(
+                    open_branch.as_deref(),
+                    labels,
+                    primary.as_ref(),
+                    diagnosis.as_deref(),
                 ));
             }
             Event::FuelExhausted { seq, millis, stats } => {
@@ -309,6 +287,99 @@ impl Event {
     }
 }
 
+impl BatchReport {
+    /// The batch's event log, derived from the report: unit errors first,
+    /// then per obligation in batch order its `obligation_started`, its
+    /// terminal event and, when the verdict carries stats, its
+    /// `prover_profile`, then the `batch_summary`.
+    pub fn events(&self) -> Vec<Event> {
+        let mut events: Vec<Event> = self
+            .unit_errors
+            .iter()
+            .map(|error| Event::UnitError {
+                unit: error.unit.clone(),
+                message: error.message.clone(),
+            })
+            .collect();
+        for (seq, obligation) in self.obligations.iter().enumerate() {
+            events.push(Event::ObligationStarted {
+                seq,
+                unit: obligation.unit.clone(),
+                proc: obligation.proc_name.clone(),
+                fingerprint: obligation.fingerprint,
+            });
+            events.push(terminal_event(seq, obligation));
+            if let Some(stats) = obligation.verdict.stats() {
+                events.push(Event::ProverProfile {
+                    seq,
+                    cached: obligation.cache_hit,
+                    stats: stats.clone(),
+                });
+            }
+        }
+        events.push(Event::BatchSummary {
+            obligations: self.obligations.len(),
+            cache_hits: self.cache_hits,
+            prover_calls: self.prover_calls,
+            tally: self.tally(),
+            millis: self.millis,
+        });
+        events
+    }
+
+    /// The event log rendered as JSON Lines.
+    pub fn events_jsonl(&self) -> String {
+        render_jsonl(&self.events())
+    }
+}
+
+/// The terminal event of obligation `seq`: `cache_hit` when its verdict
+/// was served from the cache, otherwise the event of its verdict.
+fn terminal_event(seq: usize, obligation: &ObligationReport) -> Event {
+    let verdict = &obligation.verdict;
+    if let (true, Some(outcome), Some(stats)) = (
+        obligation.cache_hit,
+        CachedOutcome::of(verdict),
+        verdict.stats(),
+    ) {
+        return Event::CacheHit {
+            seq,
+            outcome: outcome.as_str(),
+            stats: stats.clone(),
+        };
+    }
+    let millis = obligation.millis;
+    match verdict {
+        Verdict::Verified(stats) => Event::Verified {
+            seq,
+            millis,
+            stats: stats.clone(),
+        },
+        Verdict::NotVerified(stats, refutation) => Event::Refuted {
+            seq,
+            millis,
+            stats: stats.clone(),
+            open_branch: refutation.open_branch.clone(),
+            labels: refutation.labels.clone(),
+            primary: refutation.primary.clone(),
+            diagnosis: obligation.diagnosis.clone().map(Box::new),
+        },
+        Verdict::Unknown(stats) => Event::FuelExhausted {
+            seq,
+            millis,
+            stats: stats.clone(),
+        },
+        Verdict::RestrictionViolation(violations) => Event::RestrictionViolation {
+            seq,
+            violations: violations.iter().map(|d| d.to_string()).collect(),
+        },
+        Verdict::TranslationError(diagnostic) => Event::TranslationError {
+            seq,
+            message: diagnostic.to_string(),
+        },
+    }
+}
+
 /// Renders events as JSON Lines (one compact object per line, trailing
 /// newline included when nonempty).
 pub fn render_jsonl(events: &[Event]) -> String {
@@ -320,18 +391,17 @@ pub fn render_jsonl(events: &[Event]) -> String {
     out
 }
 
-/// A durable streaming JSONL event writer.
+/// A durable JSONL event writer.
 ///
-/// Every [`write`](EventLogWriter::write) renders one event line and
-/// flushes it to the OS before returning, so a request aborted mid-flight
-/// (client disconnect, worker panic, process kill between requests) leaves
-/// every event it had produced on disk — the log is never sitting in a
-/// userspace buffer. Dropping the writer flushes again as a backstop for
-/// any future buffered path.
+/// Each event line goes to the OS in its own unbuffered write before the
+/// next is rendered, so the log never sits in a userspace buffer. Events
+/// are derived from a finished [`BatchReport`], so a batch's events are
+/// written only after the batch returns: a run interrupted mid-batch
+/// (client disconnect, worker panic, process kill) leaves none of that
+/// batch's events, and every event of the batches written before it.
 #[derive(Debug)]
 pub struct EventLogWriter {
-    out: std::io::BufWriter<std::fs::File>,
-    path: std::path::PathBuf,
+    out: std::fs::File,
 }
 
 impl EventLogWriter {
@@ -342,46 +412,23 @@ impl EventLogWriter {
     /// Returns the I/O error if the file cannot be created.
     pub fn create(path: &std::path::Path) -> std::io::Result<EventLogWriter> {
         Ok(EventLogWriter {
-            out: std::io::BufWriter::new(std::fs::File::create(path)?),
-            path: path.to_path_buf(),
+            out: std::fs::File::create(path)?,
         })
     }
 
-    /// The log's path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// Appends one event line and flushes it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the line cannot be written or flushed.
-    pub fn write(&mut self, event: &Event) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut line = event.to_json().render();
-        line.push('\n');
-        self.out.write_all(line.as_bytes())?;
-        self.out.flush()
-    }
-
-    /// Appends a batch of events, flushing after each line.
+    /// Appends events, one line each, each line written through to the OS.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error encountered.
     pub fn write_all(&mut self, events: &[Event]) -> std::io::Result<()> {
+        use std::io::Write as _;
         for event in events {
-            self.write(event)?;
+            let mut line = event.to_json().render();
+            line.push('\n');
+            self.out.write_all(line.as_bytes())?;
         }
         Ok(())
-    }
-}
-
-impl Drop for EventLogWriter {
-    fn drop(&mut self) {
-        use std::io::Write as _;
-        let _ = self.out.flush();
     }
 }
 

@@ -20,9 +20,10 @@
 //! * [`engine`] — a batch scheduler that fans obligations across worker
 //!   threads, consults the cache before every prover call, and reports
 //!   per-obligation timing and prover statistics;
-//! * [`events`] — a structured JSONL event log, the observability surface
-//!   that makes warm-cache claims checkable ("zero prover calls on
-//!   unchanged implementations" is a countable fact, not an inference);
+//! * [`events`] — a structured JSONL event log derived from a batch
+//!   report, the observability surface that makes warm-cache claims
+//!   checkable ("zero prover calls on unchanged implementations" is a
+//!   countable fact, not an inference);
 //! * [`json`] — the minimal JSON support underlying both.
 //!
 //! The soundness of caching rests on the paper's modularity result: an

@@ -51,10 +51,10 @@ impl FrameEntry {
 /// §5 cyclic example, whose concrete footprints are unbounded).
 const MAX_PATH: usize = 4;
 
-/// The group structure of a scope in name-keyed form, with an optional
-/// overlay of *proposed* `in` memberships not yet in the source.
+/// The group structure of a scope in name-keyed form.
 pub struct GroupGraph {
-    /// attr name → direct enclosing groups (`in` clauses + overlay).
+    /// attr name → every group that includes it, directly or transitively
+    /// ([`Scope::enclosing_groups`], already closed).
     includes: BTreeMap<String, BTreeSet<String>>,
     /// field name → `maps` clauses as (mapped, into-groups, elementwise).
     maps: BTreeMap<String, Vec<(String, Vec<String>, bool)>>,
@@ -112,17 +112,9 @@ impl GroupGraph {
     /// The reflexive-transitive upward closure of `a` under local
     /// inclusion: every attribute `b` with `o.a ≼ o.b`.
     pub fn up_closure(&self, a: &str) -> BTreeSet<String> {
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut work = vec![a.to_string()];
-        while let Some(x) = work.pop() {
-            if !seen.insert(x.clone()) {
-                continue;
-            }
-            if let Some(encl) = self.includes.get(&x) {
-                work.extend(encl.iter().cloned());
-            }
-        }
-        seen
+        let mut closure = self.includes.get(a).cloned().unwrap_or_default();
+        closure.insert(a.to_string());
+        closure
     }
 
     /// The transitive member *fields* of group `g` (fields whose upward

@@ -38,8 +38,8 @@ use crate::protocol::{
 };
 use datagroups::CheckOptions;
 use oolong_engine::{
-    BatchReport, BatchUnit, ContextPool, CutoffMap, Engine, EngineOptions, EventLogWriter, Json,
-    TieredStore, VerdictStore, DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
+    BatchReport, BatchUnit, ContextPool, CutoffMap, Engine, EngineOptions, Event, EventLogWriter,
+    Json, TieredStore, VerdictStore, DEFAULT_CONTEXT_CAPACITY, DEFAULT_MEMORY_CAPACITY,
 };
 use oolong_prover::Budget;
 use std::io::{BufRead, BufReader, Write};
@@ -72,8 +72,8 @@ pub struct ServeOptions {
     pub check: CheckOptions,
     /// The budget applied to requests admitted past a full queue.
     pub degraded_budget: Budget,
-    /// Stream every engine event of every request to this JSONL file,
-    /// flushed per line so aborted requests stay observable.
+    /// Write every engine event of every request to this JSONL file,
+    /// each request's events once its batch returns, one line per write.
     pub events: Option<PathBuf>,
     /// Log one JSON object per request to stderr instead of a human
     /// line.
@@ -248,8 +248,15 @@ impl Shared {
     }
 
     /// Runs one proving request to a finished [`BatchReport`], absorbing
-    /// its events into the server log and its counters into the metrics.
-    fn run_engine(&self, units: &[BatchUnit], check: CheckOptions, diagnose: bool) -> BatchReport {
+    /// its counters into the metrics. Returns the report and its event
+    /// log, derived once: the server log gets the same events as the
+    /// response.
+    fn run_engine(
+        &self,
+        units: &[BatchUnit],
+        check: CheckOptions,
+        diagnose: bool,
+    ) -> (BatchReport, Vec<Event>) {
         let engine = self.engine_for(check, diagnose);
         let report = engine.check_batch(units);
         self.metrics
@@ -261,13 +268,14 @@ impl Shared {
         self.metrics
             .obligations
             .fetch_add(report.obligations.len() as u64, Ordering::Relaxed);
+        let events = report.events();
         if let Some(writer) = &self.events {
             let mut writer = writer.lock().expect("event writer lock poisoned");
-            // Durability over availability: each line is flushed, and a
-            // full disk degrades logging, never request service.
-            let _ = writer.write_all(&report.events);
+            // Durability over availability: each line is written through,
+            // and a full disk degrades logging, never request service.
+            let _ = writer.write_all(&events);
         }
-        report
+        (report, events)
     }
 
     /// Executes one proving command and renders its response line.
@@ -287,7 +295,7 @@ impl Shared {
                     Ok(u) => u,
                     Err(e) => return self.error(request.id, &e),
                 };
-                let report = self.run_engine(
+                let (report, events) = self.run_engine(
                     std::slice::from_ref(&resolved),
                     options.apply(&base),
                     options.explain,
@@ -301,7 +309,7 @@ impl Shared {
                     degraded,
                     start.elapsed().as_secs_f64() * 1_000.0,
                     check_result_json(&report),
-                    Some(&report.events),
+                    Some(&events),
                 )
             }
             Command::Batch { units, options } => {
@@ -310,14 +318,15 @@ impl Shared {
                     Ok(units) => units,
                     Err(e) => return self.error(request.id, &e),
                 };
-                let report = self.run_engine(&resolved, options.apply(&base), options.explain);
+                let (report, events) =
+                    self.run_engine(&resolved, options.apply(&base), options.explain);
                 ok_response(
                     request.id,
                     "batch",
                     degraded,
                     start.elapsed().as_secs_f64() * 1_000.0,
                     report.to_json(),
-                    Some(&report.events),
+                    Some(&events),
                 )
             }
             Command::Explain {
@@ -329,7 +338,7 @@ impl Shared {
                     Ok(u) => u,
                     Err(e) => return self.error(request.id, &e),
                 };
-                let report =
+                let (report, events) =
                     self.run_engine(std::slice::from_ref(&resolved), options.apply(&base), true);
                 if let Some(error) = report.unit_errors.first() {
                     return self.error(request.id, &error.message);
@@ -354,7 +363,7 @@ impl Shared {
                     degraded,
                     start.elapsed().as_secs_f64() * 1_000.0,
                     explain_result_json(unit.name(), &report, filter),
-                    Some(&report.events),
+                    Some(&events),
                 )
             }
             Command::Infer {

@@ -6,10 +6,14 @@
 # Runs `check` (text, --json, --naive, --explain, --json --explain,
 # --explain-unknown under the default budget and with --max-instances 20,
 # and --modular), `explain --json`,
-# `stats` (text and --json), `axioms --json` and `vc` on every program
-# `oolong corpus` lists, with
+# `stats` (text and --json), `axioms --json`, `vc`, and `batch --no-cache`
+# (--json, and text with --explain and the --events log on stdout) on
+# every program `oolong corpus` lists, with
 # each binary, and diffs stdout plus the exit code. `vc` prints every
-# hypothesis with its fresh names, so it pins VC generation byte for byte. Prints nothing and exits 0 when
+# hypothesis with its fresh names, so it pins VC generation byte for byte.
+# `batch` output carries wall-clock timings, so in what is recorded of it
+# every `"millis":N` reads `"millis":0` and the summary line's `N ms` reads
+# `0 ms`; nothing else is masked. Prints nothing and exits 0 when
 # every invocation agrees byte for byte; otherwise prints the diff and
 # exits 1.
 #
@@ -39,7 +43,17 @@ variants=(
     "stats --json"
     "axioms --json"
     "vc"
+    "batch --no-cache --json"
+    "batch --no-cache --explain --events /dev/stdout"
 )
+
+mask() { # mask COMMAND: stdin to stdout, timings masked for `batch`
+    if [ "$1" = batch ]; then
+        sed -E 's/"millis":[-+0-9.eE]+/"millis":0/g; s/, [0-9.]+ ms$/, 0 ms/'
+    else
+        cat
+    fi
+}
 
 record() { # record BINARY DIR
     mkdir -p "$2"
@@ -51,7 +65,8 @@ record() { # record BINARY DIR
             {
                 echo "== oolong $cmd corpus:$name $rest"
                 # shellcheck disable=SC2086 # $rest is a flag list
-                taskset -c 0 "$1" "$cmd" "corpus:$name" $rest 2>/dev/null && code=0 || code=$?
+                taskset -c 0 "$1" "$cmd" "corpus:$name" $rest 2>/dev/null | mask "$cmd" \
+                    && code=0 || code=$?
                 echo "== exit $code"
             } > "$2/$(printf '%03d' "$i")"
         done

@@ -1360,3 +1360,107 @@ fn memory_tier_counts_each_shared_base_once() {
     assert_eq!(m.evictions, entries.len() as u64);
     assert_eq!(m.mem_bytes, decoded_bytes);
 }
+
+/// The pinned event log: `tests/golden/batch_events.jsonl`.
+const EVENTS_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/batch_events.jsonl"
+);
+
+/// Replaces the number after every `"millis":` with `0`: wall-clock
+/// timings are the only part of an event log that varies between runs.
+fn mask_millis(log: &str) -> String {
+    const KEY: &str = "\"millis\":";
+    let mut out = String::with_capacity(log.len());
+    let mut rest = log;
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at + KEY.len()]);
+        out.push('0');
+        rest = rest[at + KEY.len()..].trim_start_matches(|c: char| {
+            c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')
+        });
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The event log of a cold batch and of the same batch again on the same
+/// engine (warm), byte for byte against the golden file, timings masked.
+/// The batch covers every event kind: a refuted corpus program with
+/// diagnosis, a verified one, one that exhausts its budget, a unit that
+/// does not parse, a restriction violation (in `section30_full`) and a
+/// translation error; the warm run adds the cache hits.
+/// `UPDATE_GOLDEN=1 cargo test --test engine event_log_is_byte_stable`
+/// rewrites the file after a deliberate change.
+#[test]
+fn event_log_is_byte_stable() {
+    let corpus = |name: &str| BatchUnit {
+        name: format!("corpus:{name}"),
+        source: oolong::corpus::by_name(name)
+            .expect("corpus program")
+            .source
+            .to_string(),
+    };
+    let units = vec![
+        corpus("section31_bad_call"),
+        corpus("section30_full"),
+        corpus("example3"),
+        BatchUnit {
+            name: "unparsable".to_string(),
+            source: "group g field f in".to_string(),
+        },
+        BatchUnit {
+            name: "untranslatable".to_string(),
+            source: "field f
+                     proc p(r) modifies r.f
+                     impl p(r) { r.f := (1 = 1) }"
+                .to_string(),
+        },
+    ];
+    let mut options = CheckOptions::default();
+    options.budget.max_instances = 100;
+    let engine = Engine::new(EngineOptions {
+        check: options,
+        workers: 1,
+        cache_dir: None,
+        diagnose: true,
+    })
+    .expect("in-memory engine");
+    let cold = engine.check_batch(&units).events_jsonl();
+    let warm = engine.check_batch(&units).events_jsonl();
+    let actual = mask_millis(&format!("{cold}{warm}"));
+    for kind in [
+        "obligation_started",
+        "cache_hit",
+        "prover_profile",
+        "verified",
+        "refuted",
+        "fuel_exhausted",
+        "restriction_violation",
+        "translation_error",
+        "unit_error",
+        "batch_summary",
+    ] {
+        assert!(count_events(&actual, kind) > 0, "no `{kind}` event");
+    }
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(EVENTS_GOLDEN, &actual)
+            .unwrap_or_else(|e| panic!("cannot bless `{EVENTS_GOLDEN}`: {e}"));
+        return;
+    }
+    let golden = std::fs::read_to_string(EVENTS_GOLDEN)
+        .unwrap_or_else(|e| panic!("cannot read `{EVENTS_GOLDEN}`: {e}"));
+    if actual != golden {
+        let first = actual
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, g)| a != g)
+            .unwrap_or(actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "event log drift at line {first}:\n  actual: {}\n  golden: {}\n\
+             re-bless with UPDATE_GOLDEN=1 only for a deliberate, stated change",
+            actual.lines().nth(first).unwrap_or("<none>"),
+            golden.lines().nth(first).unwrap_or("<none>"),
+        );
+    }
+}

@@ -45,6 +45,7 @@
 //! a shell reports for a process ended by `SIGPIPE`, without a message.
 
 use datagroups::{overhead, prover_metrics, BackgroundSlice, CheckOptions, Checker};
+use oolong_corpus::load_source;
 use oolong_diagnose::{Diagnosis, Replay};
 use oolong_engine::{BatchUnit, Engine, EngineOptions, Json};
 use oolong_interp::{ExecConfig, Interp, RngOracle, RunOutcome};
@@ -168,15 +169,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         other => Err(format!("unknown subcommand `{other}`\n{}", usage())),
     }
-}
-
-fn load_source(spec: &str) -> Result<String, String> {
-    if let Some(name) = spec.strip_prefix("corpus:") {
-        return oolong_corpus::by_name(name)
-            .map(|p| p.source.to_string())
-            .ok_or_else(|| format!("no corpus program named `{name}` (try `oolong corpus`)"));
-    }
-    std::fs::read_to_string(spec).map_err(|e| format!("cannot read `{spec}`: {e}"))
 }
 
 fn flag(args: &[String], name: &str) -> bool {
@@ -769,7 +761,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         events: opt_value(args, "--events").map(PathBuf::from),
         json_log: flag(args, "--json-log"),
         quiet: flag(args, "--quiet"),
-        ..ServeOptions::default()
     };
     let server = Server::bind(options).map_err(|e| format!("cannot start server: {e}"))?;
     server.run().map_err(|e| format!("server failed: {e}"))?;

@@ -24,4 +24,4 @@ pub use generate::{
     generate_source, generate_unannotated_source, GenConfig, SeededBug, SeededViolation,
     TruthFrame, UnannotatedConfig, UnannotatedProgram,
 };
-pub use paper::{all, by_name, CorpusProgram};
+pub use paper::{all, by_name, load_source, CorpusProgram};

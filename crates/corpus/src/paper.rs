@@ -364,6 +364,18 @@ pub fn by_name(name: &str) -> Option<CorpusProgram> {
     all().into_iter().find(|p| p.name == name)
 }
 
+/// The source text a unit name stands for, as the CLI, the serve daemon
+/// and frame inference all read it: `corpus:NAME` is the corpus program
+/// NAME, and any other name is a file path.
+pub fn load_source(spec: &str) -> Result<String, String> {
+    match spec.strip_prefix("corpus:") {
+        Some(name) => by_name(name)
+            .map(|p| p.source.to_string())
+            .ok_or_else(|| format!("no corpus program named `{name}` (try `oolong corpus`)")),
+        None => std::fs::read_to_string(spec).map_err(|e| format!("cannot read `{spec}`: {e}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,13 +3,14 @@
 //! A spec is either a plain unit name (resolved by the caller, typically a
 //! file path) or one of three scheme-prefixed forms:
 //!
-//! - `corpus:NAME` — a paper-corpus program as written.
+//! - `corpus:NAME` — a paper-corpus program as written, read through
+//!   [`load_source`] like every other unit name.
 //! - `stripped:NAME` — a paper-corpus program with the `modifies` clauses
 //!   of all implemented procedures removed (the inference benchmark form).
 //! - `unannotated:SEED` — a generated program with annotations stripped
 //!   and generator ground truth attached for accuracy measurement.
 
-use oolong_corpus::{by_name, generate_unannotated_source, UnannotatedConfig};
+use oolong_corpus::{generate_unannotated_source, load_source, UnannotatedConfig};
 
 use crate::edits::strip_implemented_modifies;
 use crate::report::GroundTruth;
@@ -26,29 +27,23 @@ pub struct InferUnit {
 }
 
 /// Resolves a scheme-prefixed spec. Returns `None` when the spec carries
-/// no recognized scheme (the caller should treat it as a file or named
-/// unit), `Some(Err(..))` when the scheme is recognized but resolution
-/// fails.
+/// no recognized scheme (the caller reads it with [`load_source`]),
+/// `Some(Err(..))` when the scheme is recognized but resolution fails.
 pub fn resolve_spec(spec: &str) -> Option<Result<InferUnit, String>> {
-    if let Some(name) = spec.strip_prefix("corpus:") {
-        return Some(match by_name(name) {
-            Some(p) => Ok(InferUnit {
-                name: spec.to_string(),
-                source: p.source.to_string(),
-                truth: None,
-            }),
-            None => Err(format!("unknown corpus program `{name}`")),
-        });
+    let unit = |source| InferUnit {
+        name: spec.to_string(),
+        source,
+        truth: None,
+    };
+    if spec.starts_with("corpus:") {
+        return Some(load_source(spec).map(unit));
     }
     if let Some(name) = spec.strip_prefix("stripped:") {
-        return Some(match by_name(name) {
-            Some(p) => strip_implemented_modifies(p.source).map(|source| InferUnit {
-                name: spec.to_string(),
-                source,
-                truth: None,
-            }),
-            None => Err(format!("unknown corpus program `{name}`")),
-        });
+        return Some(
+            load_source(&format!("corpus:{name}"))
+                .and_then(|source| strip_implemented_modifies(&source))
+                .map(unit),
+        );
     }
     if let Some(seed) = spec.strip_prefix("unannotated:") {
         return Some(match seed.parse::<u64>() {

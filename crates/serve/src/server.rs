@@ -16,12 +16,12 @@
 //!
 //! The queue bound is the admission limit. When a session cannot enqueue
 //! (pool busy, queue full), the request is *not* dropped and does *not*
-//! wait: the session runs it immediately under the server's **degraded
-//! budget** (default [`Budget::tiny`]). A starved budget turns hard
-//! obligations into fast `unknown` verdicts that carry the usual
-//! divergence attribution, so overload degrades per-request answer
-//! quality instead of collapsing into an unbounded queue — the same
-//! bounded-effort philosophy the paper applies to diverging proofs (§5).
+//! wait: the session runs it immediately under the **degraded budget**
+//! [`Budget::tiny`]. A starved budget turns hard obligations into fast
+//! `unknown` verdicts that carry the usual divergence attribution, so
+//! overload degrades per-request answer quality instead of collapsing
+//! into an unbounded queue — the same bounded-effort philosophy the paper
+//! applies to diverging proofs (§5).
 //! Degraded responses are marked `"degraded":true`.
 //!
 //! ## Shared cache
@@ -70,8 +70,6 @@ pub struct ServeOptions {
     /// Default checking options; requests may override budget dimensions
     /// and toggles per request.
     pub check: CheckOptions,
-    /// The budget applied to requests admitted past a full queue.
-    pub degraded_budget: Budget,
     /// Write every engine event of every request to this JSONL file,
     /// each request's events once its batch returns, one line per write.
     pub events: Option<PathBuf>,
@@ -91,7 +89,6 @@ impl Default for ServeOptions {
             workers: 0,
             queue: 64,
             check: CheckOptions::default(),
-            degraded_budget: Budget::tiny(),
             events: None,
             json_log: false,
             quiet: false,
@@ -212,20 +209,10 @@ impl Shared {
                 name: name.clone(),
                 source: source.clone(),
             }),
-            UnitRef::Named(spec) => {
-                let source = if let Some(name) = spec.strip_prefix("corpus:") {
-                    oolong_corpus::by_name(name)
-                        .map(|p| p.source.to_string())
-                        .ok_or_else(|| format!("no corpus program named `{name}`"))?
-                } else {
-                    std::fs::read_to_string(spec)
-                        .map_err(|e| format!("cannot read `{spec}`: {e}"))?
-                };
-                Ok(BatchUnit {
-                    name: spec.clone(),
-                    source,
-                })
-            }
+            UnitRef::Named(spec) => Ok(BatchUnit {
+                name: spec.clone(),
+                source: oolong_corpus::load_source(spec)?,
+            }),
         }
     }
 
@@ -283,7 +270,7 @@ impl Shared {
         let start = Instant::now();
         let base = if degraded {
             CheckOptions {
-                budget: self.options.degraded_budget.clone(),
+                budget: Budget::tiny(),
                 ..self.options.check.clone()
             }
         } else {
@@ -376,23 +363,19 @@ impl Shared {
                 // (`stripped:NAME`, `unannotated:SEED`) on top of the
                 // usual corpus/file resolution.
                 let resolved = match unit {
-                    UnitRef::Named(spec) => match oolong_infer::resolve_spec(spec) {
-                        Some(Ok(u)) => u,
-                        Some(Err(e)) => return self.error(request.id, &e),
-                        None => match self.resolve(unit) {
-                            Ok(u) => oolong_infer::InferUnit {
-                                name: u.name,
-                                source: u.source,
-                                truth: None,
-                            },
-                            Err(e) => return self.error(request.id, &e),
-                        },
-                    },
-                    UnitRef::Inline { name, source } => oolong_infer::InferUnit {
-                        name: name.clone(),
-                        source: source.clone(),
+                    UnitRef::Named(spec) => oolong_infer::resolve_spec(spec),
+                    UnitRef::Inline { .. } => None,
+                }
+                .unwrap_or_else(|| {
+                    self.resolve(unit).map(|u| oolong_infer::InferUnit {
+                        name: u.name,
+                        source: u.source,
                         truth: None,
-                    },
+                    })
+                });
+                let resolved = match resolved {
+                    Ok(u) => u,
+                    Err(e) => return self.error(request.id, &e),
                 };
                 let mut opts = oolong_infer::InferOptions {
                     check: options.apply(&base),

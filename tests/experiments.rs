@@ -6,6 +6,7 @@
 
 use oolong::corpus::{self, paper};
 use oolong::datagroups::{CheckOptions, Verdict};
+use oolong::diagnose::Replay;
 use oolong::engine::{BatchReport, Engine, EngineOptions};
 use oolong::interp::{ExecConfig, Interp, RngOracle, RunOutcome, WrongKind};
 use oolong::prover::Budget;
@@ -466,7 +467,7 @@ fn pivot_discipline_rejects_linked_insertion() {
 /// the grown group's members by construction.
 #[test]
 fn e22_scope_monotonicity_invariants_and_reads() {
-    for seed in 0..8u64 {
+    for seed in 0..10u64 {
         for (family, source) in [
             ("invariant", corpus::generate_invariant_source(seed)),
             ("reads", corpus::generate_read_effect_source(seed)),
@@ -492,6 +493,41 @@ fn e22_scope_monotonicity_invariants_and_reads() {
             }
         }
     }
+}
+
+/// The limit of E22: frames are scope-monotone, object invariants are
+/// not. A flat unit whose `p` verifies is refuted once an invariant is
+/// appended, because the visible-state rule obligates `p`'s exit to
+/// establish an invariant its body never saw, and the interpreter replay
+/// confirms the counterexample. A flat program is one pseudo-module, so
+/// this holds under a modular invariant rule too: appending the invariant
+/// edits the module rather than extending its scope.
+#[test]
+fn e22_an_appended_invariant_refutes_a_verified_impl() {
+    let base = "group g\nfield v in g\nproc p(t) modifies t.g\n\
+                impl p(t) { assume t != null ; t.v := 0 }\n";
+    assert_eq!(label(&check(base), "p"), "verified");
+
+    let extended = format!("{base}invariant this.v = 1\n");
+    let report = Engine::new(EngineOptions {
+        diagnose: true,
+        ..EngineOptions::default()
+    })
+    .expect("in-memory engine")
+    .check_source("test", &extended);
+    assert!(report.unit_errors.is_empty(), "{:?}", report.unit_errors);
+    let Verdict::NotVerified(_, refutation) = verdict(&report, "p") else {
+        panic!("the appended invariant must refute p:\n{extended}");
+    };
+    let primary = refutation.primary.as_ref().expect("a primary label");
+    assert_eq!(primary.kind.as_str(), "invariant-preserved");
+    let rep = report.obligations.iter().find(|o| o.proc_name == "p");
+    let diagnosis = rep.and_then(|o| o.diagnosis.as_ref()).expect("diagnosis");
+    assert!(
+        matches!(diagnosis.replay, Replay::Confirmed { .. }),
+        "replay did not confirm: {:?}",
+        diagnosis.replay
+    );
 }
 
 // -------------------------------------------------------------------- E10
